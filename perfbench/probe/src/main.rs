@@ -2,9 +2,9 @@
 //! benchmark driven by `perfbench/run.py`.
 //!
 //! ```text
-//! perfbench-probe gen   --out F --seed N [--rename-seed N] (--preset P --scale X | --quest ...)
+//! perfbench-probe gen   --out F --seed N (--preset P --scale X | --quest ...)
 //! perfbench-probe hash  --in F
-//! perfbench-probe setup --in F --supp N --min-reps K --min-secs S
+//! perfbench-probe setup --in F --supp N
 //! perfbench-probe trace --in F --out F --algo A --supp N [--rep R]
 //! perfbench-probe calibrate
 //! ```
@@ -93,7 +93,7 @@ fn create(path: &str) -> Result<BufWriter<File>, String> {
 /// Writes the generated input as FIMI text.
 fn cmd_gen(flags: &Flags) -> Result<String, String> {
     let seed: u64 = parsed(flags, "seed")?;
-    let mut db = if let Some(preset) = flags.get("preset") {
+    let db = if let Some(preset) = flags.get("preset") {
         let preset = match preset.as_str() {
             "ncbi60" => fim_synth::Preset::Ncbi60,
             "webview" => fim_synth::Preset::Webview,
@@ -112,9 +112,6 @@ fn cmd_gen(flags: &Flags) -> Result<String, String> {
             seed,
         })
     };
-    if flags.contains_key("rename-seed") {
-        db = rename_items(&db, parsed(flags, "rename-seed")?)?;
-    }
     let out = get(flags, "out")?;
     let mut w = create(out)?;
     fim_io::write_fimi(&db, &mut w).map_err(|e| e.to_string())?;
@@ -125,47 +122,6 @@ fn cmd_gen(flags: &Flags) -> Result<String, String> {
         db.num_items(),
         db.total_occurrences()
     ))
-}
-
-/// A copy of `db` with its item names permuted from `seed`. Transaction
-/// and item order are kept, so the copy parses to the same raw item codes
-/// and poses the same mining problem in different bytes.
-fn rename_items(db: &TransactionDatabase, seed: u64) -> Result<TransactionDatabase, String> {
-    let mut renamed = (0..db.num_items() as u32)
-        .map(|c| {
-            db.catalog()
-                .name(c)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("item code {c} has no name"))
-        })
-        .collect::<Result<Vec<String>, String>>()?;
-    SplitMix64(seed).shuffle(&mut renamed);
-    let mut out = TransactionDatabase::new();
-    for t in db.transactions() {
-        let line: Vec<&str> = t.iter().map(|i| renamed[i as usize].as_str()).collect();
-        out.push_named(&line);
-    }
-    Ok(out)
-}
-
-/// SplitMix64 (Steele et al.), enough for a reproducible shuffle.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn shuffle<T>(&mut self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            v.swap(i, j);
-        }
-    }
 }
 
 /// Set count (lines), byte count and FNV-1a of a result file.
@@ -200,24 +156,39 @@ fn recode(db: &TransactionDatabase, supp: u32) -> RecodedDatabase {
 }
 
 /// Times parse + recode, the work that makes a query ready to mine,
-/// repeatedly in this process, with one calibration before the first
-/// repetition and one after each; prints both series in seconds.
+/// repeatedly in this process. The repetitions run in batches of at least
+/// `BATCH`, so that a sub-millisecond setup is not timed one repetition
+/// per calibration; a batch's sample is its mean seconds of parse +
+/// recode per repetition, without the drops in between. One untimed
+/// repetition and calibration come first, so that every timed one finds
+/// the allocator's memory faulted in; then one calibration precedes the
+/// first batch and one follows each. Runs at least `MIN_BATCHES` batches
+/// and `MIN_TIME`, and prints both series in seconds.
 fn cmd_setup(flags: &Flags) -> Result<String, String> {
+    const BATCH: Duration = Duration::from_millis(250);
+    const MIN_BATCHES: usize = 7;
+    const MIN_TIME: Duration = Duration::from_secs(2);
     let path = get(flags, "in")?;
     let supp: u32 = parsed(flags, "supp")?;
-    let min_reps: usize = parsed(flags, "min-reps")?;
-    let min_time = Duration::from_secs_f64(parsed(flags, "min-secs")?);
-    let started = Instant::now();
-    let (mut setup, mut calibration) = (Vec::new(), vec![format!("{:.9}", calibrate())]);
-    while setup.len() < min_reps || started.elapsed() < min_time {
+    let setup_once = || -> Result<Duration, String> {
         let t0 = Instant::now();
         let db = fim_io::read_fimi_path(path).map_err(|e| format!("{path}: {e}"))?;
         let recoded = recode(&db, supp);
-        let t1 = Instant::now();
+        let elapsed = t0.elapsed();
         std::hint::black_box(&recoded);
-        drop(recoded);
-        drop(db);
-        setup.push(format!("{:.9}", (t1 - t0).as_secs_f64()));
+        Ok(elapsed)
+    };
+    setup_once()?;
+    calibrate();
+    let started = Instant::now();
+    let (mut setup, mut calibration) = (Vec::new(), vec![format!("{:.9}", calibrate())]);
+    while setup.len() < MIN_BATCHES || started.elapsed() < MIN_TIME {
+        let (batch, mut timed, mut reps) = (Instant::now(), Duration::ZERO, 0u32);
+        while reps == 0 || batch.elapsed() < BATCH {
+            timed += setup_once()?;
+            reps += 1;
+        }
+        setup.push(format!("{:.9}", timed.as_secs_f64() / f64::from(reps)));
         calibration.push(format!("{:.9}", calibrate()));
     }
     Ok(format!(
@@ -358,29 +329,41 @@ fn raw_density(db: &TransactionDatabase) -> Density {
     }
 }
 
-/// One traced query. Each layer call is a child span of the root `query`
-/// span; a child ends at the same clock reading the next one starts at.
+/// One traced query. Each layer is a child span of the root `query` span,
+/// and a child ends at the same clock reading the next one starts at, so
+/// the children cover the root exactly and each child's self time is its
+/// duration. Every statement after a span's start reading counts towards
+/// that span until the next reading, and is named in the comment above
+/// the reading.
 fn cmd_trace(flags: &Flags) -> Result<String, String> {
     let input = get(flags, "in")?;
     let output = get(flags, "out")?;
     let supp: u32 = parsed(flags, "supp")?;
     let mut marks: Vec<(&'static str, Instant)> = Vec::with_capacity(7);
 
+    // read_fimi_path
     marks.push(("io.parse", Instant::now()));
     let db = fim_io::read_fimi_path(input).map_err(|e| format!("{input}: {e}"))?;
 
+    // RecodedDatabase::prepare
     marks.push(("core.recode", Instant::now()));
-    let miner = Miner::from_flags(flags, &db)?;
     let recoded = recode(&db, supp);
 
+    // building the miner from --algo and --rep (for --rep auto, the pass
+    // over the raw database `fim mine` makes for its density), then
+    // mine_with_stats
     marks.push(("miner.mine", Instant::now()));
+    let miner = Miner::from_flags(flags, &db)?;
     let (raw, counters) = miner.mine(&recoded, supp.max(1));
 
+    // MiningResult::decode + canonicalize, dropping the coded result
     marks.push(("core.report", Instant::now()));
     let mut result = raw.decode(recoded.recode());
     result.canonicalize();
     drop(raw);
 
+    // creating the file, write_results, the flush and the close, and
+    // reading three counts
     marks.push(("io.write", Instant::now()));
     let mut w = create(output)?;
     fim_io::write_results(&result, &db, &mut w).map_err(|e| e.to_string())?;
@@ -392,6 +375,7 @@ fn cmd_trace(flags: &Flags) -> Result<String, String> {
 
     let sets = result.len();
     let (items_kept, transactions_kept) = (recoded.num_items(), recoded.num_transactions());
+    // dropping the result and both databases
     marks.push(("core.teardown", Instant::now()));
     drop(result);
     drop(recoded);
