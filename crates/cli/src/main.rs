@@ -1082,7 +1082,7 @@ fn mine_observed(
     ));
     obs.span_exit();
     obs.span_enter("report");
-    let mut result = res.decode(recoded.recode());
+    let mut result = res.into_decoded(&recoded.recode().item_to_old);
     result.canonicalize();
     let kind = if args.flag("maximal") {
         result = fim_core::maximal_from_closed(&result);
@@ -1259,7 +1259,7 @@ fn mine_constrained_observed(
     ));
     obs.span_exit();
     obs.span_enter("report");
-    let mut result = res.decode(recoded.recode());
+    let mut result = res.into_decoded(&recoded.recode().item_to_old);
     result.canonicalize();
     write_out(args, |w| {
         fim_io::write_results(&result, db, w).map_err(CliError::from)
@@ -1370,16 +1370,21 @@ fn write_out<F>(args: &Args, f: F) -> Result<(), CliError>
 where
     F: FnOnce(&mut dyn Write) -> Result<(), CliError>,
 {
+    // the explicit flushes report the last buffered bytes' write error,
+    // which dropping the writer would discard
     match args.get("out") {
         Some("-") | None => {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            f(&mut lock)
+            let mut lock = std::io::stdout().lock();
+            f(&mut lock)?;
+            lock.flush()
+                .map_err(|e| CliError::Other(format!("cannot write to stdout: {e}")))
         }
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| CliError::Other(e.to_string()))?;
             let mut w = std::io::BufWriter::new(file);
-            f(&mut w)
+            f(&mut w)?;
+            w.flush()
+                .map_err(|e| CliError::Other(format!("cannot write {path}: {e}")))
         }
     }
 }

@@ -174,3 +174,33 @@ fn no_prune_variants() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("a (2)"));
 }
+
+#[test]
+fn stdout_and_file_results_are_byte_identical() {
+    let dir = std::env::temp_dir().join(format!("fim_cli_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("in.fimi");
+    let file = dir.join("out.txt");
+    let gen = fim()
+        .args(["gen", "--preset", "ncbi60", "--scale", "0.2", "--out"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    // about 110 KB: more than one of the writer's chunks
+    let mine = ["mine", "--supp", "8", "--in"];
+    let piped = fim().args(mine).arg(&data).output().unwrap();
+    assert!(piped.status.success());
+    let written = fim()
+        .args(mine)
+        .arg(&data)
+        .arg("--out")
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(written.status.success());
+    let bytes = std::fs::read(&file).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(bytes.len() > 64 << 10, "{} bytes", bytes.len());
+    assert!(piped.stdout == bytes, "--out - and --out FILE differ");
+}

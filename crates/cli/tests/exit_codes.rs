@@ -249,3 +249,22 @@ fn missing_input_file_exits_1() {
     let out = fim(&["mine", "--supp", "1", "--in", "/nonexistent/nowhere.fimi"]);
     assert_eq!(code(&out), 1, "{}", stderr(&out));
 }
+
+/// A result smaller than any write buffer reaches the device only at the
+/// final flush; a failing flush must still exit 1, not 0.
+#[test]
+fn full_device_on_final_flush_exits_1() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: no /dev/full on this system");
+        return;
+    }
+    for command in [
+        vec!["mine", "--supp", "1", "--in", &data("valid.fimi")],
+        vec!["gen", "--preset", "ncbi60", "--scale", "0.05"],
+    ] {
+        let mut argv = command.clone();
+        argv.extend(["--out", "/dev/full"]);
+        let out = fim(&argv);
+        assert_eq!(code(&out), 1, "{command:?}: {}", stderr(&out));
+    }
+}

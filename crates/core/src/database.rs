@@ -65,6 +65,25 @@ impl TransactionDatabase {
         db
     }
 
+    /// Builds a database from a catalog and transactions over its codes,
+    /// for readers that intern names themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction holds a code the catalog does not name.
+    pub fn from_parts(catalog: ItemCatalog, transactions: Vec<ItemSet>) -> Self {
+        assert!(
+            transactions
+                .iter()
+                .all(|t| t.max_item().is_none_or(|i| (i as usize) < catalog.len())),
+            "item code out of range for the catalog"
+        );
+        Self {
+            catalog,
+            transactions,
+        }
+    }
+
     /// Appends a transaction given by item names, interning new names.
     pub fn push_named<S: AsRef<str>>(&mut self, items: &[S]) {
         let codes: Vec<Item> = items
@@ -209,6 +228,21 @@ mod tests {
         assert_eq!(db.num_items(), 3);
         assert_eq!(db.transactions()[0], ItemSet::from([0, 2]));
         assert_eq!(db.catalog().name(2), Some("2"));
+    }
+
+    #[test]
+    fn from_parts_keeps_catalog_and_transactions() {
+        let db = paper_db();
+        let parts =
+            TransactionDatabase::from_parts(db.catalog().clone(), db.transactions().to_vec());
+        assert_eq!(parts.transactions(), db.transactions());
+        assert_eq!(parts.catalog().name(4), Some("e"));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_parts_rejects_unnamed_codes() {
+        TransactionDatabase::from_parts(ItemCatalog::anonymous(2), vec![ItemSet::from([2])]);
     }
 
     #[test]

@@ -148,6 +148,20 @@ impl ItemSet {
     pub fn into_vec(self) -> Vec<Item> {
         self.items
     }
+
+    /// Replaces every item `i` by `map[i]` and restores ascending order,
+    /// in the set's own allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item is not an index into `map`.
+    pub(crate) fn translate(&mut self, map: &[Item]) {
+        for i in &mut self.items {
+            *i = map[*i as usize];
+        }
+        self.items.sort_unstable();
+        self.items.dedup();
+    }
 }
 
 /// Subset test on two strictly ascending slices.
@@ -358,6 +372,18 @@ mod tests {
     fn display_format() {
         assert_eq!(ItemSet::from([1, 2, 3]).to_string(), "{1 2 3}");
         assert_eq!(ItemSet::empty().to_string(), "{}");
+    }
+
+    #[test]
+    fn translate_maps_and_resorts_in_place() {
+        let mut s = ItemSet::from([0, 1, 2]);
+        let before = s.as_slice().as_ptr();
+        s.translate(&[9, 4, 7]);
+        assert_eq!(s.as_slice(), &[4, 7, 9]);
+        assert_eq!(s.as_slice().as_ptr(), before);
+        let mut e = ItemSet::empty();
+        e.translate(&[]);
+        assert!(e.is_empty());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::{
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
     recode::{Recode, RecodedDatabase},
+    Item,
 };
 use std::fmt;
 
@@ -81,15 +82,23 @@ impl MiningResult {
         c
     }
 
-    /// Translates all sets from dense codes back to raw catalog codes.
+    /// Translates all sets from dense codes back to raw catalog codes,
+    /// leaving `self` as it is: a copy followed by
+    /// [`into_decoded`](Self::into_decoded).
     pub fn decode(&self, recode: &Recode) -> MiningResult {
-        MiningResult {
-            sets: self
-                .sets
-                .iter()
-                .map(|s| FoundSet::new(recode.decode_items(&s.items), s.support))
-                .collect(),
+        self.clone().into_decoded(&recode.item_to_old)
+    }
+
+    /// Translates all sets through `item_to_old`, a dense → raw code table
+    /// such as [`Recode::item_to_old`] or
+    /// [`StreamingRecode::item_to_old`](crate::StreamingRecode::item_to_old).
+    /// Each set is rewritten and re-sorted in its own allocation, so no
+    /// second copy of the result is ever alive.
+    pub fn into_decoded(mut self, item_to_old: &[Item]) -> MiningResult {
+        for s in &mut self.sets {
+            s.items.translate(item_to_old);
         }
+        self
     }
 
     /// The support of the longest set(s), useful in reports.
@@ -250,7 +259,7 @@ pub fn mine_closed_governed(
     miner
         .mine_governed(&recoded, minsupp.max(1), budget)
         .map_result(|r| {
-            let mut decoded = r.decode(recoded.recode());
+            let mut decoded = r.into_decoded(&recoded.recode().item_to_old);
             decoded.canonicalize();
             decoded
         })
@@ -295,7 +304,7 @@ pub fn mine_closed_constrained(
     } else {
         apply_constraints_owned(miner.mine(&recoded, minsupp.max(1)), &dense)
     };
-    let mut decoded = result.decode(recoded.recode());
+    let mut decoded = result.into_decoded(&recoded.recode().item_to_old);
     decoded.canonicalize();
     decoded
 }
@@ -331,7 +340,7 @@ pub fn mine_closed_constrained_governed(
             .map_result(|r| apply_constraints_owned(r, &dense))
     };
     outcome.map_result(|r| {
-        let mut decoded = r.decode(recoded.recode());
+        let mut decoded = r.into_decoded(&recoded.recode().item_to_old);
         decoded.canonicalize();
         decoded
     })
@@ -348,7 +357,7 @@ pub fn mine_closed_with_orders(
     let recoded = RecodedDatabase::prepare(db, minsupp, item_order, tx_order);
     let mut result = miner
         .mine(&recoded, minsupp.max(1))
-        .decode(recoded.recode());
+        .into_decoded(&recoded.recode().item_to_old);
     result.canonicalize();
     result
 }
@@ -412,11 +421,17 @@ mod tests {
             tx_to_old: vec![0],
         };
         let r = MiningResult {
-            sets: vec![FoundSet::new(ItemSet::from([0, 1]), 7)],
+            sets: vec![
+                FoundSet::new(ItemSet::from([0, 1]), 7),
+                FoundSet::new(ItemSet::empty(), 9),
+            ],
         };
         let d = r.decode(&recode);
         assert_eq!(d.sets[0].items, ItemSet::from([0, 2]));
         assert_eq!(d.sets[0].support, 7);
+        assert_eq!(d.sets[1], FoundSet::new(ItemSet::empty(), 9));
+        // the consuming decode gives the same sets, in place
+        assert_eq!(r.into_decoded(&recode.item_to_old), d);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct Recode {
 impl Recode {
     /// Translates an item set over new codes back to raw catalog codes.
     pub fn decode_items(&self, items: &ItemSet) -> ItemSet {
-        ItemSet::new(items.iter().map(|i| self.item_to_old[i as usize]).collect())
+        decode_with(&self.item_to_old, items)
     }
 
     /// Translates an item set over raw catalog codes to new codes.
@@ -143,8 +143,16 @@ impl StreamingRecode {
 
     /// Translates an item set over dense codes back to raw catalog codes.
     pub fn decode_items(&self, items: &ItemSet) -> ItemSet {
-        ItemSet::new(items.iter().map(|i| self.item_to_old[i as usize]).collect())
+        decode_with(&self.item_to_old, items)
     }
+}
+
+/// The body of both `decode_items`: a copy of `items` translated through
+/// a dense → raw code table.
+fn decode_with(item_to_old: &[Item], items: &ItemSet) -> ItemSet {
+    let mut raw = items.clone();
+    raw.translate(item_to_old);
+    raw
 }
 
 /// A mining-ready database: dense recoded items, ordered transactions.

@@ -10,9 +10,15 @@
 //! item codes. Every violation — including invalid UTF-8 and stray control
 //! characters — is a [`FimError::Parse`] carrying the 1-based line number,
 //! never a panic.
+//!
+//! [`read_fimi`] and [`FimiCursor`] share one line loop and one tokenizer,
+//! which works on bytes for ASCII lines and on `str` for lines with other
+//! characters, so both apply exactly the same rules.
 
-use fim_core::{FimError, Item, ItemCatalog, TransactionDatabase};
+use crate::text::ItemLines;
+use fim_core::{FimError, Item, ItemCatalog, ItemSet, TransactionDatabase};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Input caps for the FIMI reader (see [`read_fimi_with_limits`]).
@@ -56,22 +62,21 @@ pub fn read_fimi_with_limits<R: Read>(
     reader: R,
     limits: &FimiLimits,
 ) -> Result<TransactionDatabase, FimError> {
-    let mut db = TransactionDatabase::new();
-    let mut reader = BufReader::new(reader);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut lineno = 0usize;
-    loop {
-        if !read_bounded_line(&mut reader, &mut buf, limits, lineno + 1)? {
-            break;
-        }
-        lineno += 1;
-        let Some(tokens) = validate_line(&buf, limits, lineno)? else {
-            continue;
-        };
-        db.push_named(&tokens);
+    let mut lines = Lines::new(BufReader::with_capacity(READ_BUF, reader), limits);
+    let mut names = Interner::default();
+    let mut transactions = Vec::new();
+    let mut codes: Vec<Item> = Vec::new();
+    while let Some(()) = lines.next_transaction(|tokens| {
+        codes.clear();
+        codes.extend(tokens.iter().map(|t| names.intern(t)));
+    })? {
+        transactions.push(ItemSet::from(&codes[..]));
     }
-    Ok(db)
+    Ok(TransactionDatabase::from_parts(names.catalog, transactions))
 }
+
+/// Read buffer of both readers.
+const READ_BUF: usize = 64 << 10;
 
 /// Reads one newline-terminated line through the byte-bounded window into
 /// `buf` (cleared first, terminator stripped). Returns `false` at end of
@@ -105,29 +110,91 @@ fn read_bounded_line<R: BufRead>(
     Ok(true)
 }
 
-/// Validates one raw line (terminator already stripped) and splits it into
-/// item tokens. Returns `None` for comment lines; every violation is a
+/// The line loop of both readers: a bounded read, then [`tokenize_line`],
+/// skipping comment lines.
+struct Lines<R> {
+    reader: R,
+    limits: FimiLimits,
+    lineno: usize,
+    buf: Vec<u8>,
+    tokens: Vec<Range<usize>>,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R, limits: &FimiLimits) -> Self {
+        Lines {
+            reader,
+            limits: *limits,
+            lineno: 0,
+            buf: Vec::new(),
+            tokens: Vec::new(),
+        }
+    }
+
+    fn next_transaction<T>(
+        &mut self,
+        f: impl FnOnce(FimiTokens<'_>) -> T,
+    ) -> Result<Option<T>, FimError> {
+        loop {
+            if !read_bounded_line(
+                &mut self.reader,
+                &mut self.buf,
+                &self.limits,
+                self.lineno + 1,
+            )? {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            if let Some(text) =
+                tokenize_line(&self.buf, &self.limits, self.lineno, &mut self.tokens)?
+            {
+                return Ok(Some(f(FimiTokens {
+                    text,
+                    ranges: &self.tokens,
+                })));
+            }
+        }
+    }
+}
+
+/// Splits one line (terminator stripped) into item tokens under every
+/// reader rule, filling `tokens` with their byte ranges in the returned
+/// text. Returns `None` for a comment line; every violation is a
 /// [`FimError::Parse`] at `lineno`.
-fn validate_line<'a>(
-    buf: &'a [u8],
+///
+/// The rules, in the order they apply: the line must be UTF-8; it is
+/// trimmed of whitespace; a line starting with `#` is a comment; a control
+/// character other than tab is an error; whitespace separates tokens; the
+/// token count is capped; numeric tokens must be non-negative codes within
+/// the cap. An ASCII line is split byte by byte. A line with any byte
+/// ≥ 0x80 is split as a `str`, so Unicode whitespace (NBSP, U+3000, …)
+/// trims and separates and U+0080–U+009F count as control characters.
+fn tokenize_line<'a>(
+    line: &'a [u8],
     limits: &FimiLimits,
     lineno: usize,
-) -> Result<Option<Vec<&'a str>>, FimError> {
-    let text = std::str::from_utf8(buf).map_err(|_| FimError::Parse {
+    tokens: &mut Vec<Range<usize>>,
+) -> Result<Option<&'a str>, FimError> {
+    tokens.clear();
+    let text = std::str::from_utf8(line).map_err(|_| FimError::Parse {
         line: lineno,
         message: "invalid UTF-8".into(),
     })?;
-    let trimmed = text.trim();
-    if trimmed.starts_with('#') {
-        return Ok(None);
+    let split = if text.is_ascii() {
+        split_ascii(line, tokens)
+    } else {
+        split_unicode(text, tokens)
+    };
+    match split {
+        Split::Comment => return Ok(None),
+        Split::Control => {
+            return Err(FimError::Parse {
+                line: lineno,
+                message: "unexpected control character".into(),
+            })
+        }
+        Split::Tokens => {}
     }
-    if trimmed.chars().any(|c| c.is_control() && c != '\t') {
-        return Err(FimError::Parse {
-            line: lineno,
-            message: "unexpected control character".into(),
-        });
-    }
-    let tokens: Vec<&str> = trimmed.split_whitespace().collect();
     if tokens.len() > limits.max_items_per_transaction {
         return Err(FimError::Parse {
             line: lineno,
@@ -138,28 +205,94 @@ fn validate_line<'a>(
             ),
         });
     }
-    for token in &tokens {
-        check_token(token, limits, lineno)?;
+    for r in tokens.iter() {
+        check_code(&text[r.clone()], limits, lineno)?;
     }
-    Ok(Some(tokens))
+    Ok(Some(text))
+}
+
+/// What splitting a line found.
+enum Split {
+    Tokens,
+    Comment,
+    Control,
+}
+
+/// The ASCII whitespace `char::is_whitespace` counts: tab, LF, VT, FF, CR
+/// and space (`u8::is_ascii_whitespace` leaves out VT).
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Splits an ASCII line. Inside the trimmed line the only whitespace that
+/// is not a control character is space and tab, so they alone separate.
+fn split_ascii(line: &[u8], tokens: &mut Vec<Range<usize>>) -> Split {
+    let end = line
+        .iter()
+        .rposition(|&b| !is_space(b))
+        .map_or(0, |p| p + 1);
+    let start = line[..end]
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(end);
+    if line[start..end].first() == Some(&b'#') {
+        return Split::Comment;
+    }
+    let mut token_start = None;
+    for (i, &b) in line.iter().enumerate().take(end).skip(start) {
+        if b == b' ' || b == b'\t' {
+            if let Some(s) = token_start.take() {
+                tokens.push(s..i);
+            }
+        } else if b.is_ascii_control() {
+            return Split::Control;
+        } else if token_start.is_none() {
+            token_start = Some(i);
+        }
+    }
+    if let Some(s) = token_start {
+        tokens.push(s..end);
+    }
+    Split::Tokens
+}
+
+/// Splits a line with non-ASCII characters by Unicode whitespace.
+fn split_unicode(text: &str, tokens: &mut Vec<Range<usize>>) -> Split {
+    let trimmed = text.trim();
+    if trimmed.starts_with('#') {
+        return Split::Comment;
+    }
+    if trimmed.chars().any(|c| c.is_control() && c != '\t') {
+        return Split::Control;
+    }
+    let base = text.as_ptr() as usize;
+    tokens.extend(trimmed.split_whitespace().map(|t| {
+        let at = t.as_ptr() as usize - base;
+        at..at + t.len()
+    }));
+    Split::Tokens
 }
 
 /// Rejects numeric tokens outside the configured item-code range. A token
 /// is *numeric* when it is all ASCII digits (or a `-` followed by digits);
 /// anything else is an opaque item name and passes.
-fn check_token(token: &str, limits: &FimiLimits, lineno: usize) -> Result<(), FimError> {
-    let body = token.strip_prefix('-').unwrap_or(token);
-    if body.is_empty() || !body.bytes().all(|b| b.is_ascii_digit()) {
+fn check_code(token: &str, limits: &FimiLimits, lineno: usize) -> Result<(), FimError> {
+    let bytes = token.as_bytes();
+    let digits = bytes.strip_prefix(b"-").unwrap_or(bytes);
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
         return Ok(());
     }
-    if token.starts_with('-') {
+    if digits.len() < bytes.len() {
         return Err(FimError::Parse {
             line: lineno,
             message: format!("negative item code `{token}`"),
         });
     }
-    match token.parse::<u64>() {
-        Ok(code) if code <= limits.max_item_code => Ok(()),
+    let code = digits.iter().try_fold(0u64, |v, &d| {
+        v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+    });
+    match code {
+        Some(code) if code <= limits.max_item_code => Ok(()),
         _ => Err(FimError::Parse {
             line: lineno,
             message: format!(
@@ -168,6 +301,63 @@ fn check_token(token: &str, limits: &FimiLimits, lineno: usize) -> Result<(), Fi
             ),
         }),
     }
+}
+
+/// Canonical decimal names below this value find their code in
+/// [`Interner`]'s table without hashing. The table grows to the largest
+/// such name seen, so the cap bounds it at 4 MiB whatever the input holds;
+/// larger names take the catalog's hashed path.
+const NUMERIC_CACHE_CAP: usize = 1 << 20;
+
+/// Marks a name the numeric table has not seen.
+const UNSEEN: Item = Item::MAX;
+
+/// Interns item tokens into an [`ItemCatalog`], with a direct-indexed table
+/// in front of it for canonical decimal tokens below [`NUMERIC_CACHE_CAP`]
+/// (`7`, not `007`). A value has exactly one canonical spelling, so the
+/// table maps the same names to the same codes the catalog would; every
+/// other token, `007` included, goes to the catalog.
+#[derive(Default)]
+struct Interner {
+    catalog: ItemCatalog,
+    /// `numeric[v]` is the code of the name spelling `v`, or [`UNSEEN`].
+    numeric: Vec<Item>,
+}
+
+impl Interner {
+    fn intern(&mut self, token: &str) -> Item {
+        let Some(v) = small_decimal(token.as_bytes()) else {
+            return self.catalog.intern(token);
+        };
+        match self.numeric.get(v) {
+            Some(&code) if code != UNSEEN => code,
+            _ => {
+                let code = self.catalog.intern(token);
+                if v >= self.numeric.len() {
+                    self.numeric.resize(v + 1, UNSEEN);
+                }
+                self.numeric[v] = code;
+                code
+            }
+        }
+    }
+}
+
+/// The value of a canonical decimal token below [`NUMERIC_CACHE_CAP`]:
+/// ASCII digits without a leading zero (or `0` itself), at most seven of
+/// them (the cap has seven digits).
+fn small_decimal(token: &[u8]) -> Option<usize> {
+    if token.is_empty() || token.len() > 7 || (token[0] == b'0' && token.len() > 1) {
+        return None;
+    }
+    let mut v = 0usize;
+    for &b in token {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        v = v * 10 + usize::from(b - b'0');
+    }
+    (v < NUMERIC_CACHE_CAP).then_some(v)
 }
 
 /// Reads a FIMI file from disk with the default [`FimiLimits`].
@@ -183,17 +373,41 @@ pub fn read_fimi_path_with_limits<P: AsRef<Path>>(
     read_fimi_with_limits(std::fs::File::open(path)?, limits)
 }
 
+/// The item tokens of one FIMI transaction line, as [`FimiCursor`] yields
+/// them.
+#[derive(Clone, Copy, Debug)]
+pub struct FimiTokens<'a> {
+    text: &'a str,
+    ranges: &'a [Range<usize>],
+}
+
+impl<'a> FimiTokens<'a> {
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Whether the line holds no token (a blank line: an empty
+    /// transaction).
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// The tokens in line order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        let text = self.text;
+        self.ranges.iter().map(move |r| &text[r.clone()])
+    }
+}
+
 /// A re-windable streaming reader over a FIMI source: yields one validated
-/// transaction's tokens at a time through the same byte-bounded window and
+/// transaction's tokens at a time through the same line loop and
 /// [`FimiLimits`] enforcement as [`read_fimi_with_limits`], without ever
 /// materializing the database. `rewind` seeks back to the start, so the
 /// out-of-core pipeline can run its two passes (count, then re-read and
 /// recode) over one open handle.
 pub struct FimiCursor<R: Read + Seek> {
-    reader: BufReader<R>,
-    limits: FimiLimits,
-    lineno: usize,
-    buf: Vec<u8>,
+    lines: Lines<BufReader<R>>,
 }
 
 impl FimiCursor<std::fs::File> {
@@ -207,46 +421,30 @@ impl<R: Read + Seek> FimiCursor<R> {
     /// Wraps any seekable source.
     pub fn new(inner: R, limits: &FimiLimits) -> Self {
         FimiCursor {
-            reader: BufReader::new(inner),
-            limits: *limits,
-            lineno: 0,
-            buf: Vec::new(),
+            lines: Lines::new(BufReader::with_capacity(READ_BUF, inner), limits),
         }
     }
 
     /// Seeks back to the start of the source for another pass.
     pub fn rewind(&mut self) -> Result<(), FimError> {
-        self.reader.seek(SeekFrom::Start(0))?;
-        self.lineno = 0;
+        self.lines.reader.seek(SeekFrom::Start(0))?;
+        self.lines.lineno = 0;
         Ok(())
     }
 
     /// 1-based line number of the most recently yielded line.
     pub fn lineno(&self) -> usize {
-        self.lineno
+        self.lines.lineno
     }
 
     /// Yields the next transaction's item tokens to `f`, skipping comment
     /// lines. Returns `Ok(None)` at end of input. Blank lines are empty
-    /// transactions and are yielded as an empty token slice.
+    /// transactions and are yielded as an empty token list.
     pub fn next_transaction<T>(
         &mut self,
-        f: impl FnOnce(&[&str]) -> T,
+        f: impl FnOnce(FimiTokens<'_>) -> T,
     ) -> Result<Option<T>, FimError> {
-        loop {
-            if !read_bounded_line(
-                &mut self.reader,
-                &mut self.buf,
-                &self.limits,
-                self.lineno + 1,
-            )? {
-                return Ok(None);
-            }
-            self.lineno += 1;
-            if let Some(tokens) = validate_line(&self.buf, &self.limits, self.lineno)? {
-                return Ok(Some(f(&tokens)));
-            }
-        }
+        self.lines.next_transaction(f)
     }
 }
 
@@ -273,60 +471,50 @@ pub fn count_fimi_path<P: AsRef<Path>>(
     limits: &FimiLimits,
 ) -> Result<FimiCounts, FimError> {
     let mut cursor = FimiCursor::open(path, limits)?;
-    let mut counts = FimiCounts::default();
+    let mut names = Interner::default();
+    let mut frequencies: Vec<u32> = Vec::new();
+    let mut transactions = 0u64;
     let mut codes: Vec<Item> = Vec::new();
-    loop {
-        let more = cursor.next_transaction(|tokens| {
-            codes.clear();
-            for t in tokens {
-                codes.push(counts.catalog.intern(t));
-            }
-        })?;
-        if more.is_none() {
-            break;
-        }
+    while let Some(()) = cursor.next_transaction(|tokens| {
+        codes.clear();
+        codes.extend(tokens.iter().map(|t| names.intern(t)));
+    })? {
         fim_core::fault::hit(fim_core::fault::points::COUNTS_PASS1)?;
-        counts.transactions += 1;
-        counts.frequencies.resize(counts.catalog.len(), 0);
+        transactions += 1;
+        frequencies.resize(names.catalog.len(), 0);
         codes.sort_unstable();
         codes.dedup();
         for &c in &codes {
-            counts.frequencies[c as usize] += 1;
+            frequencies[c as usize] += 1;
         }
     }
-    counts.frequencies.resize(counts.catalog.len(), 0);
-    Ok(counts)
+    frequencies.resize(names.catalog.len(), 0);
+    Ok(FimiCounts {
+        catalog: names.catalog,
+        frequencies,
+        transactions,
+    })
 }
 
 /// Writes a transaction database in FIMI format (item names as tokens).
-pub fn write_fimi<W: Write>(db: &TransactionDatabase, mut writer: W) -> Result<(), FimError> {
+pub fn write_fimi<W: Write>(db: &TransactionDatabase, writer: W) -> Result<(), FimError> {
+    let mut out = ItemLines::new(db.catalog(), writer);
     for t in db.transactions() {
-        let mut first = true;
-        for item in t.iter() {
-            let name = db.catalog().name(item).ok_or_else(|| {
-                FimError::InvalidInput(format!("item code {item} has no catalog name"))
-            })?;
-            if !first {
-                write!(writer, " ")?;
-            }
-            write!(writer, "{name}")?;
-            first = false;
-        }
-        writeln!(writer)?;
+        out.names(t.as_slice())?;
+        out.end_line()?;
     }
-    Ok(())
+    out.finish()
 }
 
-/// Writes a FIMI file to disk.
+/// Writes a FIMI file to disk. The writer hands the file whole chunks, so
+/// it needs no buffer of its own.
 pub fn write_fimi_path<P: AsRef<Path>>(db: &TransactionDatabase, path: P) -> Result<(), FimError> {
-    let file = std::fs::File::create(path)?;
-    write_fimi(db, std::io::BufWriter::new(file))
+    write_fimi(db, std::fs::File::create(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fim_core::ItemSet;
 
     #[test]
     fn read_basic() {
@@ -470,7 +658,9 @@ mod tests {
         assert_eq!(cur.lineno(), 4);
         cur.rewind().unwrap();
         assert_eq!(
-            cur.next_transaction(|t| t.join(",")).unwrap().as_deref(),
+            cur.next_transaction(|t| t.iter().collect::<Vec<_>>().join(","))
+                .unwrap()
+                .as_deref(),
             Some("a,b")
         );
         assert_eq!(cur.lineno(), 1);
@@ -486,6 +676,34 @@ mod tests {
         assert!(cur.next_transaction(|_| ()).unwrap().is_some());
         let e = cur.next_transaction(|_| ()).unwrap_err();
         assert_eq!(parse_line(e), 2);
+    }
+
+    #[test]
+    fn numeric_cache_holds_canonical_codes_below_the_cap_only() {
+        let mut names = Interner::default();
+        assert_eq!(names.intern("7"), 0);
+        assert_eq!(names.intern("007"), 1);
+        assert_eq!(names.intern("7"), 0);
+        assert_eq!(names.numeric.len(), 8);
+        // a huge canonical code, and the cap itself, take the hashed path
+        // and leave the table as it is
+        assert_eq!(names.intern("4294967295"), 2);
+        assert_eq!(names.intern("1048576"), 3);
+        assert_eq!(names.numeric.len(), 8);
+        assert_eq!(names.intern("1048575"), 4);
+        assert_eq!(names.numeric.len(), NUMERIC_CACHE_CAP);
+        assert_eq!(names.catalog.code("007"), Some(1));
+        assert_eq!(names.catalog.code("4294967295"), Some(2));
+    }
+
+    #[test]
+    fn write_fimi_unknown_code_is_invalid_input() {
+        let mut db = read_fimi("a b\n".as_bytes()).unwrap();
+        db.push(ItemSet::from([7]));
+        match write_fimi(&db, Vec::new()) {
+            Err(FimError::InvalidInput(m)) => assert_eq!(m, "item code 7 has no catalog name"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]

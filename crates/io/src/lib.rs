@@ -27,11 +27,12 @@ pub mod manifest;
 pub mod matrix_io;
 pub mod oocore;
 pub mod results;
+mod text;
 
 pub use checkpoint::{read_stream_checkpoint, write_stream_checkpoint};
 pub use fimi::{
     count_fimi_path, read_fimi, read_fimi_path, read_fimi_path_with_limits, read_fimi_with_limits,
-    write_fimi, write_fimi_path, FimiCounts, FimiCursor, FimiLimits,
+    write_fimi, write_fimi_path, FimiCounts, FimiCursor, FimiLimits, FimiTokens,
 };
 pub use manifest::{
     counts_fingerprint, crc32_file, live_records, order_tag, read_manifest, valid_spill_name,

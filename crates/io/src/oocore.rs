@@ -26,8 +26,7 @@ use crate::manifest::{
 };
 use fim_core::fault::{self, points};
 use fim_core::{
-    Budget, FimError, FoundSet, Item, ItemCatalog, ItemOrder, MineOutcome, MiningResult,
-    StreamingRecode, TripReason,
+    Budget, FimError, Item, ItemCatalog, ItemOrder, MineOutcome, StreamingRecode, TripReason,
 };
 use fim_ista::{AdoptedSpill, OutOfCoreConfig, OutOfCoreMiner, OutOfCoreStats, ResumePlan};
 use fim_obs::Obs;
@@ -239,7 +238,7 @@ pub fn mine_fimi_with_counts_opts<P: AsRef<Path>>(
             fault::hit(points::PASS2_READ)?;
             raw.clear();
             let line = cursor.next_transaction(|tokens| {
-                for t in tokens {
+                for t in tokens.iter() {
                     match catalog.code(t) {
                         Some(c) => raw.push(c),
                         None => {
@@ -278,16 +277,7 @@ pub fn mine_fimi_with_counts_opts<P: AsRef<Path>>(
         let _ = fs::remove_file(&manifest_path);
     }
     let outcome = outcome.map_result(|r| {
-        let mut decoded = MiningResult {
-            sets: r
-                .sets
-                .into_iter()
-                .map(|fs| FoundSet {
-                    items: recode.decode_items(&fs.items),
-                    support: fs.support,
-                })
-                .collect(),
-        };
+        let mut decoded = r.into_decoded(recode.item_to_old());
         decoded.canonicalize();
         decoded
     });

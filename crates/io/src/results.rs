@@ -9,6 +9,7 @@
 //! d e (3)
 //! ```
 
+use crate::text::ItemLines;
 use fim_core::{FimError, ItemCatalog, MiningResult, TransactionDatabase};
 use std::io::Write;
 
@@ -28,23 +29,17 @@ pub fn write_results<W: Write>(
 pub fn write_results_named<W: Write>(
     result: &MiningResult,
     catalog: &ItemCatalog,
-    mut writer: W,
+    writer: W,
 ) -> Result<(), FimError> {
+    let mut out = ItemLines::new(catalog, writer);
     for s in &result.sets {
-        let mut first = true;
-        for item in s.items.iter() {
-            let name = catalog.name(item).ok_or_else(|| {
-                FimError::InvalidInput(format!("item code {item} has no catalog name"))
-            })?;
-            if !first {
-                write!(writer, " ")?;
-            }
-            write!(writer, "{name}")?;
-            first = false;
-        }
-        writeln!(writer, " ({})", s.support)?;
+        out.names(s.items.as_slice())?;
+        out.text(b" (");
+        out.number(s.support);
+        out.text(b")");
+        out.end_line()?;
     }
-    Ok(())
+    out.finish()
 }
 
 /// Writes a mining result as CSV (`items;support`, items space-separated by
@@ -93,10 +88,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_set_line_keeps_its_leading_space() {
+        let (_, db) = fixture();
+        let r = MiningResult {
+            sets: vec![FoundSet::new(ItemSet::empty(), 5)],
+        };
+        let mut out = Vec::new();
+        write_results(&r, &db, &mut out).unwrap();
+        assert_eq!(out, b" (5)\n");
+    }
+
+    #[test]
     fn unknown_code_is_error() {
         let (mut r, db) = fixture();
         r.sets.push(FoundSet::new(ItemSet::from([99]), 1));
         let mut out = Vec::new();
-        assert!(write_results(&r, &db, &mut out).is_err());
+        match write_results(&r, &db, &mut out) {
+            Err(FimError::InvalidInput(m)) => assert_eq!(m, "item code 99 has no catalog name"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 }
