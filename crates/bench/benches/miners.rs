@@ -4,8 +4,8 @@
 //! where all of them finish quickly, so relative constant factors are
 //! visible with statistical confidence.
 
+use closed_fim::algos::Miner;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fim_bench::miner_by_name;
 use fim_core::{ItemOrder, RecodedDatabase, TransactionOrder};
 use fim_synth::Preset;
 
@@ -20,10 +20,10 @@ fn bench_preset(c: &mut Criterion, preset: Preset, scale: f64, supp: u32, miners
     let mut group = c.benchmark_group(format!("mine/{}", preset.name()));
     group.sample_size(10);
     for name in miners {
-        let miner = miner_by_name(name).unwrap();
+        let miner = Miner::by_name(name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &recoded, |b, db| {
             b.iter(|| {
-                let r = miner.mine(db, supp);
+                let r = miner.as_dyn().mine(db, supp);
                 assert!(!r.sets.is_empty() || supp > 1);
                 r.len()
             })
@@ -75,9 +75,9 @@ fn ista_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("mine/naive-gap");
     group.sample_size(10);
     for name in ["ista", "naive-cumulative"] {
-        let miner = miner_by_name(name).unwrap();
+        let miner = Miner::by_name(name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &recoded, |b, db| {
-            b.iter(|| miner.mine(db, 3).len())
+            b.iter(|| miner.as_dyn().mine(db, 3).len())
         });
     }
     group.finish();

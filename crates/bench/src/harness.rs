@@ -1,7 +1,7 @@
 //! Sweep orchestration: per-cell subprocesses, timeouts, and cross-checks.
 
-use crate::registry::miner_by_name;
 use crate::report::{write_csv, Row};
+use closed_fim::algos::Miner;
 use fim_core::{Budget, ItemOrder, MineOutcome, RecodedDatabase, TransactionOrder, TripReason};
 use fim_synth::Preset;
 use std::collections::HashMap;
@@ -78,13 +78,13 @@ pub fn run_cell(
         .stack_size(MINE_STACK_BYTES)
         .spawn(move || -> Result<CellRun, String> {
             let db = preset.build(scale, seed);
-            let miner = miner_by_name(&miner_name)?;
+            let miner = Miner::by_name(&miner_name)?;
             let start = Instant::now();
             let recoded = RecodedDatabase::prepare(&db, supp, item_order, tx_order);
             let run = match budget_timeout {
                 Some(t) => {
                     let budget = Budget::unlimited().with_timeout(t);
-                    match miner.mine_governed(&recoded, supp, &budget) {
+                    match miner.as_dyn().mine_governed(&recoded, supp, &budget) {
                         MineOutcome::Complete { result, .. } => CellRun::Done(CellOutcome {
                             seconds: start.elapsed().as_secs_f64(),
                             sets: result.len(),
@@ -93,7 +93,7 @@ pub fn run_cell(
                     }
                 }
                 None => {
-                    let result = miner.mine(&recoded, supp);
+                    let result = miner.as_dyn().mine(&recoded, supp);
                     CellRun::Done(CellOutcome {
                         seconds: start.elapsed().as_secs_f64(),
                         sets: result.len(),

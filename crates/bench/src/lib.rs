@@ -23,12 +23,10 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod registry;
 pub mod report;
 
 pub use harness::{
     figure_main, maybe_run_cell, parse_kv, preset_by_name, run_cell, run_cell_subprocess,
     scaled_sweep, CellOutcome, CellRun, SweepConfig, MINE_STACK_BYTES,
 };
-pub use registry::{all_miner_names, miner_by_name};
 pub use report::{write_csv, Row};

@@ -15,7 +15,7 @@
 //! that are themselves excluded-by-infrequency all appear under random
 //! generation.
 
-use fim_bench::miner_by_name;
+use closed_fim::algos::Miner;
 use fim_core::{
     mine_closed_constrained, mine_closed_constrained_governed, Budget, ConstraintSet, FoundSet,
     Item, ItemSet, MineOutcome, MiningResult, TransactionDatabase,
@@ -74,11 +74,11 @@ fn constraint_set() -> impl Strategy<Value = ConstraintSet> {
 
 /// The post-filter oracle result: `push: false` through the same driver.
 fn oracle(db: &TransactionDatabase, minsupp: u32, miner: &str, cs: &ConstraintSet) -> MiningResult {
-    let m = miner_by_name(miner).unwrap();
+    let m = Miner::by_name(miner).unwrap();
     mine_closed_constrained(
         db,
         minsupp,
-        m.as_ref(),
+        m.as_dyn(),
         cs,
         Default::default(),
         Default::default(),
@@ -94,9 +94,9 @@ proptest! {
     fn pushed_equals_postfiltered(db in small_db(), minsupp in 1u32..5, cs in constraint_set()) {
         prop_assert!(cs.validate().is_ok());
         for name in MINERS {
-            let m = miner_by_name(name).unwrap();
+            let m = Miner::by_name(name).unwrap();
             let pushed = mine_closed_constrained(
-                &db, minsupp, m.as_ref(), &cs, Default::default(), Default::default(), true,
+                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
             );
             let want = oracle(&db, minsupp, name, &cs);
             prop_assert_eq!(&pushed, &want, "miner {} under [{}]", name, &cs);
@@ -108,9 +108,9 @@ proptest! {
     /// is a projection: no excluded item ever appears.
     #[test]
     fn reported_sets_satisfy(db in small_db(), minsupp in 1u32..5, cs in constraint_set()) {
-        let m = miner_by_name("ista").unwrap();
+        let m = Miner::by_name("ista").unwrap();
         let res = mine_closed_constrained(
-            &db, minsupp, m.as_ref(), &cs, Default::default(), Default::default(), true,
+            &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
         );
         for FoundSet { items, support } in &res.sets {
             prop_assert!(cs.satisfied_by(items, *support), "[{}] emitted {:?}", &cs, items);
@@ -126,9 +126,9 @@ proptest! {
             ..ConstraintSet::none()
         };
         for name in MINERS {
-            let m = miner_by_name(name).unwrap();
+            let m = Miner::by_name(name).unwrap();
             let res = mine_closed_constrained(
-                &db, minsupp, m.as_ref(), &cs, Default::default(), Default::default(), true,
+                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
             );
             prop_assert!(res.sets.is_empty(), "miner {}", name);
         }
@@ -140,9 +140,9 @@ proptest! {
     fn unreachable_area_is_empty(db in small_db(), minsupp in 1u32..4) {
         let cs = ConstraintSet { min_area: 100_000, ..ConstraintSet::none() };
         for name in MINERS {
-            let m = miner_by_name(name).unwrap();
+            let m = Miner::by_name(name).unwrap();
             let pushed = mine_closed_constrained(
-                &db, minsupp, m.as_ref(), &cs, Default::default(), Default::default(), true,
+                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
             );
             prop_assert!(pushed.sets.is_empty(), "miner {}", name);
             prop_assert_eq!(pushed, oracle(&db, minsupp, name, &cs), "miner {}", name);
@@ -159,9 +159,9 @@ proptest! {
     ) {
         let full = oracle(&db, minsupp, "carpenter-lists", &cs);
         for name in ["ista", "carpenter-lists", "eclat"] {
-            let m = miner_by_name(name).unwrap();
+            let m = Miner::by_name(name).unwrap();
             let unlimited = mine_closed_constrained_governed(
-                &db, minsupp, m.as_ref(), &cs, &Budget::unlimited(),
+                &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(),
                 Default::default(), Default::default(), true,
             );
             match unlimited {
@@ -172,7 +172,7 @@ proptest! {
             }
             let tight = Budget { max_closed_sets: Some(cap), ..Budget::unlimited() };
             let outcome = mine_closed_constrained_governed(
-                &db, minsupp, m.as_ref(), &cs, &tight,
+                &db, minsupp, m.as_dyn(), &cs, &tight,
                 Default::default(), Default::default(), true,
             );
             let partial = match outcome {

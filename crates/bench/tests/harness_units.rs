@@ -2,7 +2,7 @@
 //! on: argument parsing, sweep scaling, and in-process cell execution.
 
 use fim_bench::harness::{parse_kv, preset_by_name, scaled_sweep};
-use fim_bench::{miner_by_name, run_cell, CellOutcome, CellRun, SweepConfig};
+use fim_bench::{run_cell, CellOutcome, CellRun, SweepConfig};
 use fim_core::{ItemOrder, TransactionOrder};
 use fim_synth::Preset;
 use std::time::Duration;
@@ -151,5 +151,4 @@ fn run_cell_unknown_miner_is_error() {
         None,
     )
     .is_err());
-    assert!(miner_by_name("bogus").is_err());
 }

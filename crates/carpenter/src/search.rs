@@ -21,7 +21,7 @@ use fim_obs::{Counter, Counters};
 /// Disabling a switch never changes the mined output, only the running
 /// time — exercised by the ablation tests and the `pruning` experiment
 /// runner (E9).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CarpenterConfig {
     /// Transaction absorption (the perfect-extension analog, §3.1):
     /// a transaction containing the whole current intersection is included

@@ -138,7 +138,11 @@ impl CarpenterTableMiner {
 
 impl ClosedMiner for CarpenterTableMiner {
     fn name(&self) -> &'static str {
-        "carpenter-table"
+        if self.config == CarpenterConfig::unpruned() {
+            "carpenter-table-noprune"
+        } else {
+            "carpenter-table"
+        }
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
@@ -279,5 +283,7 @@ mod tests {
     #[test]
     fn miner_name() {
         assert_eq!(CarpenterTableMiner::default().name(), "carpenter-table");
+        let unpruned = CarpenterTableMiner::with_config(CarpenterConfig::unpruned());
+        assert_eq!(unpruned.name(), "carpenter-table-noprune");
     }
 }

@@ -14,28 +14,28 @@
 //! exit codes (see [`errors`]). The argument parser is hand-rolled to keep
 //! the dependency set minimal.
 
+use closed_fim::algos::{self, Miner};
 use fim_core::{
-    apply_constraints_owned, mine_closed_with_orders, Budget, ClosedMiner, ConstraintSet, Density,
-    ItemCatalog, ItemOrder, MineOutcome, MiningResult, Representation, TransactionDatabase,
-    TransactionOrder, TripReason,
+    apply_constraints_owned, Budget, ConstraintSet, ItemCatalog, ItemOrder, ItemSet, MineOutcome,
+    MiningResult, Progress, RecodedDatabase, Representation, TransactionDatabase, TransactionOrder,
+    TripReason,
 };
+use fim_ista::{IstaConfig, IstaMiner, ParallelConfig, ParallelIstaMiner, PrunePolicy};
 use std::io::Write;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod args;
 mod errors;
 mod observe;
-mod registry;
 
 use args::Args;
 use errors::{usage, CliError};
 use fim_obs::{
-    ConstraintMetrics, Counter, Counters, MetricsReport, PassMetrics, ProgressSnapshot,
-    ShardMetrics, SpillMetrics,
+    ConstraintMetrics, Counter, Counters, KernelMetrics, MetricsReport, Obs, PassMetrics,
+    ProgressSnapshot, ShardMetrics, SpillMetrics,
 };
 use observe::ObsArgs;
-use registry::{all_miner_names, miner_by_name};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -71,7 +71,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "compare" => cmd_compare(&args),
         "trace-export" => cmd_trace_export(&args),
         "algos" => {
-            for name in all_miner_names() {
+            for name in algos::names() {
                 println!("{name}");
             }
             Ok(())
@@ -90,6 +90,11 @@ fn load_db(args: &Args) -> Result<TransactionDatabase, CliError> {
         Some(path) => fim_io::read_fimi_path(path),
     }
     .map_err(CliError::from)
+}
+
+/// The miner of the `--algo` name's table row.
+fn table_miner(algo: &str) -> Result<Miner, CliError> {
+    Miner::by_name(algo).map_err(|e| usage(format!("{e} (try 'fim algos')")))
 }
 
 fn item_order(args: &Args) -> Result<ItemOrder, CliError> {
@@ -144,28 +149,14 @@ fn budget_from(args: &Args) -> Result<Budget, CliError> {
     Ok(budget)
 }
 
-/// Splits a `-bitset`/`-gallop` registry suffix off an algorithm name, so
-/// `--algo eclat-bitset` reaches the same code path as
-/// `--algo eclat --rep bitset` (including `--stats`/`--metrics`).
-fn split_rep_suffix(algo: &str) -> (&str, Option<Representation>) {
-    match algo {
-        "ista-bitset" => ("ista", Some(Representation::Bitset)),
-        "eclat-bitset" => ("eclat", Some(Representation::Bitset)),
-        "eclat-gallop" => ("eclat", Some(Representation::Gallop)),
-        "declat-bitset" => ("declat", Some(Representation::Bitset)),
-        "declat-gallop" => ("declat", Some(Representation::Gallop)),
-        "carpenter-lists-bitset" => ("carpenter-lists", Some(Representation::Bitset)),
-        "carpenter-lists-gallop" => ("carpenter-lists", Some(Representation::Gallop)),
-        other => (other, None),
-    }
-}
-
+/// `fim mine`: routes the query to the out-of-core pipeline
+/// (`--out-of-core`), the checkpointing stream (`--checkpoint` /
+/// `--resume`) or the in-memory pipeline, which every other query takes.
 fn cmd_mine(args: &Args) -> Result<(), CliError> {
-    let raw_algo = args.get("algo").unwrap_or("ista");
-    let (algo, name_rep) = split_rep_suffix(raw_algo);
+    let algo = args.get("algo").unwrap_or(algos::DEFAULT);
+    let miner = table_miner(algo)?;
     if args.flag("out-of-core") {
-        // the raw name, so 'ista-bitset --out-of-core' is rejected
-        return cmd_mine_oocore(args, raw_algo);
+        return cmd_mine_oocore(args, algo, miner);
     }
     for f in ["mem-budget", "spill-dir", "resume-spill", "io-retries"] {
         if args.get(f).is_some() {
@@ -173,11 +164,9 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         }
     }
     if args.get("checkpoint").is_some() || args.get("resume").is_some() {
-        // the raw name, so 'ista-bitset --checkpoint' is rejected rather
-        // than silently streamed through the scalar kernel
-        return cmd_mine_stream(args, raw_algo);
+        return cmd_mine_stream(args, algo, miner);
     }
-    let is_ista = matches!(algo, "ista" | "ista-par" | "ista-noprune" | "ista-plain");
+    let is_ista = matches!(miner, Miner::Ista(_) | Miner::ParallelIsta(_));
     for f in ["no-coalesce", "no-compact", "no-patricia"] {
         if args.flag(f) && !is_ista {
             return Err(usage(format!("--{f} is only available for ista variants")));
@@ -193,123 +182,38 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         ),
     };
     if threads.is_some() && !is_ista {
-        return Err(usage(format!("--threads is not available for '{algo}'")));
+        return Err(usage(format!(
+            "--threads is not available for '{}'",
+            miner.family()
+        )));
     }
     let budget = budget_from(args)?;
-    if budget.degrade && (!is_ista || threads.is_some() || algo == "ista-par") {
+    let parallel = threads.is_some() || matches!(miner, Miner::ParallelIsta(_));
+    if budget.degrade && (!is_ista || parallel) {
         return Err(usage(
             "--degrade is only available for the sequential ista miner",
         ));
     }
-    let plain = algo == "ista-plain" || args.flag("no-patricia");
-    if plain && (threads.is_some() || algo == "ista-par") {
+    let plain = args.flag("no-patricia") || matches!(miner, Miner::Ista(m) if !m.config.patricia);
+    if plain && parallel {
         return Err(usage(
             "the uncompressed tree (--no-patricia / ista-plain) is sequential only",
         ));
     }
     // `--rep auto` needs the database shape, so the load happens before
-    // miner construction (every flag-validation error above still fires
-    // without touching the input)
+    // the miner is configured (every flag-validation error above still
+    // fires without touching the input)
     let db = load_db(args)?;
-    let supp = resolve_supp(args, &db)?;
-    let rep = resolve_rep(args, name_rep, &db, algo, threads)?;
-    let ista_config = fim_ista::IstaConfig {
-        policy: if algo == "ista-noprune" || args.flag("no-prune") {
-            fim_ista::PrunePolicy::Never
-        } else {
-            fim_ista::IstaConfig::default().policy
-        },
-        coalesce: !args.flag("no-coalesce"),
-        compact: !args.flag("no-compact"),
-        patricia: !plain,
-        rep: rep.unwrap_or_default(),
-    };
-    let miner: Box<dyn ClosedMiner> = if is_ista {
-        match (threads, algo) {
-            (Some(t), _) => parallel_ista(t, ista_config),
-            (None, "ista-par") => parallel_ista(0, ista_config),
-            (None, _) => Box::new(fim_ista::IstaMiner::with_config(ista_config)),
-        }
-    } else if let Some(r) = rep {
-        if args.flag("no-prune") {
-            return Err(usage(format!("--no-prune is not available for '{algo}'")));
-        }
-        // resolve_rep only lets a kernel selection through for the
-        // kernelized enumeration miners
-        match algo {
-            "eclat" => Box::new(fim_baseline::EclatMiner::with_rep(r)),
-            "declat" => Box::new(fim_baseline::DEclatMiner::with_rep(r)),
-            "carpenter-lists" => Box::new(fim_carpenter::CarpenterListMiner::with_rep(r)),
-            other => return Err(usage(format!("--rep is not available for '{other}'"))),
-        }
-    } else {
-        // `--no-prune` maps the pruned algorithms to their ablation variants
-        let resolved = match (algo, args.flag("no-prune")) {
-            ("carpenter-table", true) => "carpenter-table-noprune",
-            (other, true) => {
-                return Err(usage(format!("--no-prune is not available for '{other}'")));
-            }
-            (other, false) => other,
-        };
-        miner_by_name(resolved)?
-    };
+    let supp = resolve_supp(args, db.num_transactions() as u64)?;
+    let rep = resolve_rep(args, &miner, &db, parallel)?;
+    let miner = configure(args, miner, rep, threads)?;
     let obs_args = ObsArgs::from_args(args)?;
     let constraints = constraints_from(args, &db)?;
-    if let Some(cs) = &constraints {
-        if args.flag("maximal") {
-            return Err(usage(
-                "--maximal cannot be combined with constraint flags (maximal sets are \
-                 derived from the unconstrained closed family)",
-            ));
-        }
-        let push = !args.flag("no-push");
-        if obs_args.any() {
-            if !budget.is_unlimited() {
-                return Err(usage(
-                    "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
-                ));
-            }
-            if threads.is_some() || algo == "ista-par" {
-                return Err(usage(
-                    "constraint flags with --stats/--metrics run the sequential miners only",
-                ));
-            }
-            return mine_constrained_observed(
-                args,
-                &db,
-                supp,
-                algo,
-                ista_config,
-                rep,
-                &obs_args,
-                cs,
-                push,
-            );
-        }
-        if !budget.is_unlimited() {
-            return mine_governed(args, &db, supp, miner.as_ref(), &budget, Some((cs, push)));
-        }
-        let start = std::time::Instant::now();
-        let result = fim_core::mine_closed_constrained(
-            &db,
-            supp,
-            miner.as_ref(),
-            cs,
-            item_order(args)?,
-            tx_order(args)?,
-            push,
-        );
-        let elapsed = start.elapsed();
-        write_out(args, |w| {
-            fim_io::write_results(&result, &db, w).map_err(CliError::from)
-        })?;
-        eprintln!(
-            "{}: {} closed sets at supp >= {supp} under [{cs}] in {:.3}s",
-            miner.name(),
-            result.len(),
-            elapsed.as_secs_f64()
-        );
-        return Ok(());
+    if constraints.is_some() && args.flag("maximal") {
+        return Err(usage(
+            "--maximal cannot be combined with constraint flags (maximal sets are \
+             derived from the unconstrained closed family)",
+        ));
     }
     if obs_args.any() {
         if !budget.is_unlimited() {
@@ -317,120 +221,347 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
                 "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
             ));
         }
-        return mine_observed(args, &db, supp, algo, threads, ista_config, rep, &obs_args);
+        if constraints.is_some() && parallel {
+            return Err(usage(
+                "constraint flags with --stats/--metrics run the sequential miners only",
+            ));
+        }
+        if let Miner::Uncounted(_) = miner {
+            let what = if constraints.is_some() {
+                "--stats/--metrics with constraint flags are"
+            } else {
+                "--stats/--metrics/--progress/--profile are"
+            };
+            return Err(usage(format!(
+                "{what} not available for '{}'",
+                miner.family()
+            )));
+        }
     }
-    if !budget.is_unlimited() {
-        return mine_governed(args, &db, supp, miner.as_ref(), &budget, None);
-    }
-    let start = std::time::Instant::now();
-    let mut result = mine_closed_with_orders(
-        &db,
+    let query = Query {
+        miner,
         supp,
-        miner.as_ref(),
-        item_order(args)?,
-        tx_order(args)?,
-    );
-    let kind = if args.flag("maximal") {
-        result = fim_core::maximal_from_closed(&result);
-        "maximal"
-    } else {
-        "closed"
+        budget,
+        push: !args.flag("no-push") && miner.as_dyn().supports_constraints(),
+        constraints,
     };
-    let elapsed = start.elapsed();
-    write_out(args, |w| {
-        fim_io::write_results(&result, &db, w).map_err(CliError::from)
-    })?;
-    eprintln!(
-        "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-        miner.name(),
-        result.len(),
-        elapsed.as_secs_f64()
+    let mut obs = obs_args.build()?;
+    let start = Instant::now();
+    obs.span_enter("recode");
+    let no_exclusion = ItemSet::empty();
+    let exclude = query
+        .constraints
+        .as_ref()
+        .map_or(&no_exclusion, |cs| &cs.exclude);
+    let recoded =
+        RecodedDatabase::prepare_excluding(&db, supp, item_order(args)?, tx_order(args)?, exclude);
+    obs.span_exit();
+    let mut report = MetricsReport::new(
+        miner.as_dyn().name(),
+        supp,
+        0.0,
+        0,
+        recoded.num_transactions() as u64,
     );
-    Ok(())
+    obs.span_enter("mine");
+    let (outcome, heartbeat_sent) = query.run(&recoded, &mut obs, &mut report);
+    obs.span_exit();
+    report.kernel = Some(KernelMetrics::from_counters(
+        miner.rep().name(),
+        &report.counters,
+    ));
+    report.constraint = query
+        .constraints
+        .as_ref()
+        .map(|cs| ConstraintMetrics::from_counters(cs.to_string(), query.push, &report.counters));
+    obs.span_enter("report");
+    let outcome = outcome.map_result(|coded| {
+        let mut result = coded.into_decoded(&recoded.recode().item_to_old);
+        result.canonicalize();
+        result
+    });
+    drop(recoded);
+    obs.span_exit();
+    let heartbeat = (!heartbeat_sent).then(|| ProgressSnapshot {
+        processed: report.transactions_total,
+        total: Some(report.transactions_total),
+        pending: 0,
+        peak_nodes: report.tree.map_or(0, |t| t.peak_nodes),
+        sets: 0,
+    });
+    let scope = query
+        .constraints
+        .map(|cs| format!(" under [{cs}]"))
+        .unwrap_or_default();
+    finish_mine(
+        args,
+        &obs_args,
+        Mined {
+            obs,
+            start,
+            outcome,
+            catalog: db.catalog(),
+            report,
+            heartbeat,
+            scope,
+            note: String::new(),
+        },
+    )
 }
 
-/// Resolves `--rep auto|scalar|bitset|gallop` (and the `-bitset`/`-gallop`
-/// algorithm-name suffixes, which are the same selection spelled as a
-/// registry name) to a tid-set kernel.
+/// One in-memory query with its flags checked: the configured miner and
+/// the conditions it runs under.
+struct Query {
+    miner: Miner,
+    supp: u32,
+    budget: Budget,
+    /// Over raw catalog codes; the excluded items are projected out of the
+    /// database by the recode, the rest is checked against the sets.
+    constraints: Option<ConstraintSet>,
+    /// Whether the miner takes the constraints into its search rather than
+    /// having its output filtered.
+    push: bool,
+}
+
+impl Query {
+    /// Mines the recoded database with one match over the families. A
+    /// governed run and the families without counters go through the
+    /// [`ClosedMiner`](fim_core::ClosedMiner) trait; the other families
+    /// put their counters and sections into `report`, and sequential IsTa
+    /// also feeds `obs` from inside its transaction loop. Returns the coded
+    /// outcome and whether the miner already sent the final heartbeat.
+    fn run(
+        &self,
+        db: &RecodedDatabase,
+        obs: &mut Obs,
+        report: &mut MetricsReport<'_>,
+    ) -> (MineOutcome, bool) {
+        let supp = self.supp.max(1);
+        let dense = match &self.constraints {
+            None => None,
+            Some(cs) => match cs.encode(db.recode()) {
+                Some(dense) => Some(dense),
+                // a must-include item did not survive the threshold (or
+                // the exclusion): nothing can satisfy, no miner runs
+                None => return (MineOutcome::complete(MiningResult::new()), false),
+            },
+        };
+        let pushed = dense.as_ref().filter(|_| self.push);
+        let mut heartbeat_sent = false;
+        let outcome = if self.budget.is_unlimited() {
+            let (result, counters) = match &self.miner {
+                Miner::Ista(m) => {
+                    let (result, stats) = match pushed {
+                        Some(d) => m.mine_constrained_with_stats(db, supp, d),
+                        None => {
+                            heartbeat_sent = true;
+                            m.mine_with_obs(db, supp, obs)
+                        }
+                    };
+                    report.transactions_total = stats.total_transactions as u64;
+                    report.transactions_distinct = Some(stats.distinct_transactions as u64);
+                    report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
+                    report.passes = Some(PassMetrics {
+                        prune_passes: stats.prune_passes as u64,
+                        compactions: stats.compactions as u64,
+                    });
+                    (result, stats.counters)
+                }
+                Miner::ParallelIsta(m) => {
+                    let (result, stats) = m.mine_with_stats(db, supp);
+                    // no cross-shard peak is tracked; the reduced tree's
+                    // arena high-water (total slots) is the closest honest
+                    // figure
+                    report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
+                    report.shards = Some(ShardMetrics {
+                        shards: stats.shards as u64,
+                        recovered: stats.shards_recovered as u64,
+                    });
+                    (result, stats.counters)
+                }
+                Miner::CarpenterLists(m) => pushed.map_or_else(
+                    || m.mine_with_stats(db, supp),
+                    |d| m.mine_constrained_with_stats(db, supp, d),
+                ),
+                Miner::CarpenterTable(m) => pushed.map_or_else(
+                    || m.mine_with_stats(db, supp),
+                    |d| m.mine_constrained_with_stats(db, supp, d),
+                ),
+                Miner::Eclat(m) => pushed.map_or_else(
+                    || m.mine_with_stats(db, supp),
+                    |d| m.mine_constrained_with_stats(db, supp, d),
+                ),
+                Miner::DEclat(m) => pushed.map_or_else(
+                    || m.mine_with_stats(db, supp),
+                    |d| m.mine_constrained_with_stats(db, supp, d),
+                ),
+                Miner::Uncounted(m) => (
+                    pushed.map_or_else(|| m.mine(db, supp), |d| m.mine_constrained(db, supp, d)),
+                    Counters::new(),
+                ),
+            };
+            report.counters = counters;
+            MineOutcome::complete(result)
+        } else {
+            // the trait's governed runs report no counters, which is why
+            // budget flags exclude the observability flags
+            let m = self.miner.as_dyn();
+            match pushed {
+                Some(d) => m.mine_constrained_governed(db, supp, d, &self.budget),
+                None => m.mine_governed(db, supp, &self.budget),
+            }
+        };
+        let outcome = match (&dense, pushed) {
+            // constraints the miner did not push filter its output, through
+            // the counter slot a pushed run counts its prunes in
+            (Some(d), None) => outcome.map_result(|result| {
+                let before = result.len();
+                let result = apply_constraints_owned(result, d);
+                let dropped = (before - result.len()) as u64;
+                report.counters.add(Counter::ConstraintPrunes, dropped);
+                result
+            }),
+            _ => outcome,
+        };
+        (outcome, heartbeat_sent)
+    }
+}
+
+/// Resolves `--rep auto|scalar|bitset|gallop` to a tid-set kernel; `None`
+/// keeps the kernel of the table row. A suffixed name (`eclat-bitset`)
+/// selects its kernel already, and the flag may only repeat it.
 ///
 /// `auto` applies [`Representation::select`] to the density of the raw
 /// database — the same rule the library's `AutoMiner` applies after
 /// recoding; the pre-recode estimate is used here so the choice is made
-/// once, before any miner runs. `None` means no selection was made and the
-/// algorithm's default (scalar) kernel runs.
+/// once, before any miner runs.
 ///
-/// The kernelized algorithms are the sequential ista variants, eclat,
-/// declat, and carpenter-lists; everything else rejects an explicit
-/// selection. Note that ista has no galloping kernel (its epoch probe is
-/// already O(1)) and the plain layout has no bitset kernel: those
-/// combinations run the scalar path, as documented on
-/// [`fim_ista::IstaConfig`].
+/// The kernelized families are sequential IsTa, eclat, declat, and
+/// carpenter-lists; the rest reject a selection. Note that ista has no
+/// galloping kernel (its epoch probe is already O(1)) and the plain layout
+/// has no bitset kernel: those combinations run the scalar path, as
+/// documented on [`fim_ista::IstaConfig`].
 fn resolve_rep(
     args: &Args,
-    name_rep: Option<Representation>,
+    miner: &Miner,
     db: &TransactionDatabase,
-    algo: &str,
-    threads: Option<usize>,
+    parallel: bool,
 ) -> Result<Option<Representation>, CliError> {
     let flag = match args.get("rep") {
         None => None,
-        Some("auto") => {
-            let rows = db.num_transactions();
-            let cols = db.num_items();
-            let ones = db.total_occurrences() as u64;
-            let cells = rows as u64 * cols as u64;
-            let density = Density {
-                rows,
-                cols,
-                ones,
-                fill: if cells == 0 {
-                    0.0
-                } else {
-                    ones as f64 / cells as f64
-                },
-                avg_row_len: if rows == 0 {
-                    0.0
-                } else {
-                    ones as f64 / rows as f64
-                },
-            };
-            Some(Representation::select(&density))
-        }
+        Some("auto") => Some(Representation::select(&db.density())),
         Some(s) => Some(
             s.parse::<Representation>()
                 .map_err(|e| usage(format!("bad --rep: {e} (or auto)")))?,
         ),
     };
-    if let (Some(f), Some(n)) = (flag, name_rep) {
+    let named = Some(miner.rep()).filter(|&r| r != Representation::Scalar);
+    if let (Some(f), Some(n)) = (flag, named) {
         if f != n {
             return Err(usage(format!(
                 "--rep {f} conflicts with the '-{n}' algorithm-name suffix"
             )));
         }
     }
-    let rep = flag.or(name_rep);
-    if rep.is_some() {
-        let kernelized = matches!(
-            algo,
-            "ista" | "ista-noprune" | "ista-plain" | "eclat" | "declat" | "carpenter-lists"
-        );
-        if threads.is_some() || algo == "ista-par" {
+    if flag.is_some() || named.is_some() {
+        if parallel {
             return Err(usage(
                 "--rep is not available for the parallel miner (the shards run the scalar kernel)",
             ));
         }
+        let kernelized = matches!(
+            miner,
+            Miner::Ista(_) | Miner::CarpenterLists(_) | Miner::Eclat(_) | Miner::DEclat(_)
+        );
         if !kernelized {
             return Err(usage(format!(
-                "--rep is not available for '{algo}' (kernelized: ista, eclat, declat, carpenter-lists)"
+                "--rep is not available for '{}' (kernelized: ista, eclat, declat, carpenter-lists)",
+                miner.family()
             )));
         }
     }
-    Ok(rep)
+    Ok(flag)
 }
 
-/// The constraint flags of `fim mine`. Kept in one place so the batch,
-/// governed, and observed paths (and the forbidden-flag lists of the
-/// streaming paths) agree on the spelling.
+/// Applies `--no-prune`, `--no-coalesce`, `--no-compact` and
+/// `--no-patricia` to an IsTa configuration.
+fn ista_toggles(args: &Args, mut config: IstaConfig) -> IstaConfig {
+    if args.flag("no-prune") {
+        config.policy = PrunePolicy::Never;
+    }
+    config.coalesce &= !args.flag("no-coalesce");
+    config.compact &= !args.flag("no-compact");
+    config.patricia &= !args.flag("no-patricia");
+    config
+}
+
+/// Applies the IsTa toggles, `--rep`, `--no-prune` and `--threads` to the
+/// table row's miner. Each flag sets the field a row name sets, so a name
+/// and its flag spelling build the same miner.
+fn configure(
+    args: &Args,
+    miner: Miner,
+    rep: Option<Representation>,
+    threads: Option<usize>,
+) -> Result<Miner, CliError> {
+    // the shards carry the sequential toggles over
+    let sharded = |threads: usize, c: IstaConfig| {
+        Miner::ParallelIsta(ParallelIstaMiner::with_config(ParallelConfig {
+            threads,
+            policy: c.policy,
+            coalesce: c.coalesce,
+            compact: c.compact,
+        }))
+    };
+    let no_prune = args.flag("no-prune");
+    Ok(match miner {
+        Miner::Ista(m) => {
+            let mut config = ista_toggles(args, m.config);
+            config.rep = rep.unwrap_or(config.rep);
+            match threads {
+                Some(t) => sharded(t, config),
+                None => Miner::Ista(IstaMiner::with_config(config)),
+            }
+        }
+        Miner::ParallelIsta(m) => {
+            let c = m.config;
+            let config = IstaConfig {
+                policy: c.policy,
+                coalesce: c.coalesce,
+                compact: c.compact,
+                ..IstaConfig::default()
+            };
+            sharded(threads.unwrap_or(c.threads), ista_toggles(args, config))
+        }
+        Miner::CarpenterTable(mut m) if no_prune => {
+            m.config = fim_carpenter::CarpenterConfig::unpruned();
+            Miner::CarpenterTable(m)
+        }
+        other if no_prune => {
+            return Err(usage(format!(
+                "--no-prune is not available for '{}'",
+                other.family()
+            )));
+        }
+        Miner::CarpenterLists(mut m) => {
+            m.rep = rep.unwrap_or(m.rep);
+            Miner::CarpenterLists(m)
+        }
+        Miner::Eclat(mut m) => {
+            m.rep = rep.unwrap_or(m.rep);
+            Miner::Eclat(m)
+        }
+        Miner::DEclat(mut m) => {
+            m.rep = rep.unwrap_or(m.rep);
+            Miner::DEclat(m)
+        }
+        other => other,
+    })
+}
+
+/// The constraint flags of `fim mine`. Kept in one place so the
+/// in-memory pipeline and the forbidden-flag lists of the streaming paths
+/// agree on the spelling.
 const CONSTRAINT_FLAGS: [&str; 6] = [
     "include", "exclude", "min-size", "max-size", "min-area", "no-push",
 ];
@@ -454,7 +585,7 @@ fn constraints_from(
         }
         return Ok(None);
     }
-    let resolve = |key: &str| -> Result<fim_core::ItemSet, CliError> {
+    let resolve = |key: &str| -> Result<ItemSet, CliError> {
         let mut items = Vec::new();
         if let Some(spec) = args.get(key) {
             for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -465,7 +596,7 @@ fn constraints_from(
                 items.push(code);
             }
         }
-        Ok(fim_core::ItemSet::new(items))
+        Ok(ItemSet::new(items))
     };
     let mut cs = ConstraintSet::none();
     cs.include = resolve("include")?;
@@ -484,15 +615,9 @@ fn constraints_from(
 }
 
 /// Resolves absolute `--supp N` or relative `--supp-rel F` (fraction of
-/// transactions) against the loaded database.
-fn resolve_supp(args: &Args, db: &TransactionDatabase) -> Result<u32, CliError> {
-    resolve_supp_n(args, db.num_transactions() as u64)
-}
-
-/// [`resolve_supp`] against a bare transaction count — for the out-of-core
-/// path, where the count comes from the streaming pass 1 and no database
-/// is ever materialized.
-fn resolve_supp_n(args: &Args, transactions: u64) -> Result<u32, CliError> {
+/// the `transactions`; the out-of-core path counts them in its streaming
+/// pass 1 and never materializes the database).
+fn resolve_supp(args: &Args, transactions: u64) -> Result<u32, CliError> {
     match (args.get("supp"), args.get("supp-rel")) {
         (Some(_), Some(_)) => Err(usage("--supp and --supp-rel are exclusive")),
         (Some(s), None) => s.parse().map_err(|e| usage(format!("bad --supp: {e}"))),
@@ -509,91 +634,105 @@ fn resolve_supp_n(args: &Args, transactions: u64) -> Result<u32, CliError> {
     }
 }
 
-/// The governed batch path: mines under the budget, writes whatever result
-/// (complete, degraded, or the exact partial of the processed prefix) and
-/// exits 4 when a budget tripped.
-fn mine_governed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    miner: &dyn ClosedMiner,
-    budget: &Budget,
-    constraints: Option<(&ConstraintSet, bool)>,
-) -> Result<(), CliError> {
-    let start = std::time::Instant::now();
-    let outcome = match constraints {
-        None => fim_core::mine_closed_governed(
-            db,
-            supp,
-            miner,
-            budget,
-            item_order(args)?,
-            tx_order(args)?,
-        ),
-        Some((cs, push)) => fim_core::mine_closed_constrained_governed(
-            db,
-            supp,
-            miner,
-            cs,
-            budget,
-            item_order(args)?,
-            tx_order(args)?,
-            push,
-        ),
+/// A mined query on its way out, as each `fim mine` path hands it to
+/// [`finish_mine`].
+struct Mined<'a> {
+    /// The observability bundle the run fed.
+    obs: Obs,
+    /// When the query started.
+    start: Instant,
+    /// The canonical result in raw catalog codes, complete or partial.
+    outcome: MineOutcome,
+    /// Names the result's item codes.
+    catalog: &'a ItemCatalog,
+    /// The metrics document so far. Its miner name and threshold also
+    /// head the summary line.
+    report: MetricsReport<'a>,
+    /// The final heartbeat, unless the miner already sent it.
+    heartbeat: Option<ProgressSnapshot>,
+    /// Follows the threshold in the summary line and the progress in the
+    /// budget message (`under [..]`, `over N shards`).
+    scope: String,
+    /// Closes the budget message of an interrupted run.
+    note: String,
+}
+
+/// The end every `fim mine` path shares: applies `--maximal`, writes the
+/// result, emits the metrics, profile and ledger asked for, and prints the
+/// summary line — or, for an interrupted run, returns the budget error
+/// (exit 4) once the exact partial is written.
+fn finish_mine(args: &Args, obs_args: &ObsArgs, mined: Mined<'_>) -> Result<(), CliError> {
+    let Mined {
+        mut obs,
+        start,
+        outcome,
+        catalog,
+        mut report,
+        heartbeat,
+        scope,
+        note,
+    } = mined;
+    let (mut result, degradation, stop) = match outcome {
+        MineOutcome::Complete {
+            result,
+            degradation,
+        } => (result, degradation, None),
+        MineOutcome::Interrupted {
+            partial,
+            reason,
+            progress,
+        } => (partial, None, Some((reason, progress))),
     };
-    let elapsed = start.elapsed();
     let maximal = args.flag("maximal");
     let kind = if maximal { "maximal" } else { "closed" };
-    match outcome {
-        MineOutcome::Complete {
-            mut result,
-            degradation,
-        } => {
-            if maximal {
-                result = fim_core::maximal_from_closed(&result);
-            }
-            write_out(args, |w| {
-                fim_io::write_results(&result, db, w).map_err(CliError::from)
-            })?;
-            if let Some(d) = degradation {
-                eprintln!(
-                    "fim: degraded to fit the node budget: effective supp {} (requested {}, {} steps)",
-                    d.effective_minsupp, d.requested_minsupp, d.steps
-                );
-            }
+    obs.span_enter("report");
+    if maximal {
+        result = fim_core::maximal_from_closed(&result);
+    }
+    write_out(args, |w| {
+        fim_io::write_results_named(&result, catalog, w).map_err(CliError::from)
+    })?;
+    obs.span_exit();
+    report.seconds = start.elapsed().as_secs_f64();
+    report.sets = result.len() as u64;
+    if let Some(mut snapshot) = heartbeat {
+        snapshot.sets = report.sets;
+        obs.finish(&snapshot);
+    }
+    if obs_args.any() {
+        let exit = stop.map_or_else(|| "ok".to_owned(), |(reason, _)| reason.to_string());
+        obs_args.finalize(&mut obs, &mut report);
+        obs_args.emit_metrics(&report)?;
+        obs_args.emit_profile(&obs)?;
+        obs_args.emit_ledger(args, &report, &obs, &exit)?;
+    }
+    if let Some(d) = degradation {
+        eprintln!(
+            "fim: degraded to fit the node budget: effective supp {} (requested {}, {} steps)",
+            d.effective_minsupp, d.requested_minsupp, d.steps
+        );
+    }
+    let (name, supp, sets) = (report.miner, report.supp, result.len());
+    match stop {
+        None => {
             eprintln!(
-                "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-                miner.name(),
-                result.len(),
-                elapsed.as_secs_f64()
+                "{name}: {sets} {kind} sets at supp >= {supp}{scope} in {:.3}s",
+                report.seconds
             );
             Ok(())
         }
-        MineOutcome::Interrupted {
-            mut partial,
-            reason,
-            progress,
-        } => {
-            if maximal {
-                partial = fim_core::maximal_from_closed(&partial);
-            }
-            write_out(args, |w| {
-                fim_io::write_results(&partial, db, w).map_err(CliError::from)
-            })?;
-            Err(CliError::Budget(format!(
-                "{} interrupted ({reason}) at progress {progress}; wrote {} {kind} sets with exact supports",
-                miner.name(),
-                partial.len()
-            )))
-        }
+        Some((reason, progress)) => Err(CliError::Budget(format!(
+            "{name} interrupted ({reason}) at progress {progress}{scope}; \
+             wrote {sets} {kind} sets with exact supports{note}"
+        ))),
     }
 }
 
 /// The streaming path behind `--checkpoint` / `--resume`: feeds the input
 /// through an [`fim_ista::IstaStream`] one transaction at a time, so a
 /// budget trip leaves a resumable checkpoint and an exact prefix answer.
-fn cmd_mine_stream(args: &Args, algo: &str) -> Result<(), CliError> {
-    if algo != "ista" {
+fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError> {
+    if !matches!(miner, Miner::Ista(m) if m.config == IstaConfig::default()) {
         return Err(usage(format!(
             "--checkpoint/--resume stream through the cumulative ista miner, not '{algo}'"
         )));
@@ -651,7 +790,7 @@ fn cmd_mine_stream(args: &Args, algo: &str) -> Result<(), CliError> {
     // the stream counts only non-empty transactions; skip on the same basis
     // so resuming against the same input continues exactly where it stopped
     let total = db.transactions().iter().filter(|t| !t.is_empty()).count() as u64;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut gov = budget.start();
     gov.add_processed(u64::from(skip));
     let mut tripped: Option<TripReason> = None;
@@ -701,60 +840,49 @@ fn cmd_mine_stream(args: &Args, algo: &str) -> Result<(), CliError> {
         obs.instant("checkpoint", &[("transactions", u64::from(processed))]);
     }
     obs.span_enter("report");
-    let mut result = stream.closed_sets(supp);
-    let kind = if args.flag("maximal") {
-        result = fim_core::maximal_from_closed(&result);
-        "maximal"
-    } else {
-        "closed"
-    };
-    write_out(args, |w| {
-        fim_io::write_results_named(&result, &catalog, w).map_err(CliError::from)
-    })?;
+    let result = stream.closed_sets(supp);
     obs.span_exit();
-    obs.finish(&ProgressSnapshot {
+    let outcome = match tripped {
+        None => MineOutcome::complete(result),
+        Some(reason) => MineOutcome::Interrupted {
+            partial: result,
+            reason,
+            progress: Progress {
+                processed: u64::from(processed),
+                total: Some(total),
+            },
+        },
+    };
+    let mem = stream.memory_stats();
+    let mut report = MetricsReport::new("ista-stream", supp, 0.0, 0, u64::from(processed));
+    // the stream never prunes, so the arena high-water is the peak
+    report.tree = Some(mem.to_metrics(mem.total_slots));
+    report.counters = *stream.counters();
+    let heartbeat = ProgressSnapshot {
         processed: u64::from(processed),
         total: (skip == 0 && tripped.is_none()).then_some(total),
         pending: 0,
         peak_nodes: stream.node_count() as u64,
-        sets: result.len() as u64,
-    });
-    {
-        let mem = stream.memory_stats();
-        let mut report = MetricsReport::new(
-            "ista-stream",
-            supp,
-            start.elapsed().as_secs_f64(),
-            result.len() as u64,
-            u64::from(processed),
-        );
-        // the stream never prunes, so the arena high-water is the peak
-        report.tree = Some(mem.to_metrics(mem.total_slots));
-        report.counters = *stream.counters();
-        obs_args.finalize(&mut obs, &mut report);
-        obs_args.emit_metrics(&report)?;
-        let exit = tripped.map_or_else(|| "ok".to_string(), |r| r.to_string());
-        obs_args.emit_ledger(args, &report, &obs, &exit)?;
-    }
-    match tripped {
-        None => {
-            eprintln!(
-                "ista-stream: {} {kind} sets at supp >= {supp} over {processed} transactions in {:.3}s",
-                result.len(),
-                start.elapsed().as_secs_f64()
-            );
-            Ok(())
-        }
-        Some(reason) => {
-            let resume_hint = match args.get("checkpoint") {
-                Some(path) => format!("; checkpoint written, resume with --resume {path}"),
-                None => String::new(),
-            };
-            Err(CliError::Budget(format!(
-                "stream interrupted ({reason}) at progress {processed}/{total}; wrote the exact {kind} sets of the processed prefix{resume_hint}"
-            )))
-        }
-    }
+        sets: 0,
+    };
+    let note = match args.get("checkpoint") {
+        Some(path) => format!("; checkpoint written, resume with --resume {path}"),
+        None => String::new(),
+    };
+    finish_mine(
+        args,
+        &obs_args,
+        Mined {
+            obs,
+            start,
+            outcome,
+            catalog: &catalog,
+            report,
+            heartbeat: Some(heartbeat),
+            scope: format!(" over {processed} transactions"),
+            note,
+        },
+    )
 }
 
 /// Writes the stream checkpoint to `path` via a sibling temporary file,
@@ -799,12 +927,16 @@ fn write_checkpoint_atomically(
 /// its verified spills so `--resume-spill` can continue the run without
 /// re-mining completed shards. `--io-retries N` retries transient I/O
 /// failures around each spill write before giving up.
-fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
-    if algo != "ista" {
-        return Err(usage(format!(
-            "--out-of-core streams through the shard-spill ista pipeline, not '{algo}'"
-        )));
-    }
+fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError> {
+    let ista = match miner {
+        // the pipeline mines the Patricia tree with the scalar kernel
+        Miner::Ista(m) if m.config.patricia && m.config.rep == Representation::Scalar => m.config,
+        _ => {
+            return Err(usage(format!(
+                "--out-of-core streams through the shard-spill ista pipeline, not '{algo}'"
+            )))
+        }
+    };
     for f in [
         "threads",
         "checkpoint",
@@ -842,16 +974,15 @@ fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
     }
     let limits = fim_io::FimiLimits::default();
     let counts = fim_io::count_fimi_path(input, &limits)?;
-    let supp = resolve_supp_n(args, counts.transactions)?;
+    let supp = resolve_supp(args, counts.transactions)?;
+    let ista = ista_toggles(args, ista);
     let mut config = fim_ista::OutOfCoreConfig::new(mem_budget, spill_dir);
-    if args.flag("no-prune") {
-        config.policy = fim_ista::PrunePolicy::Never;
-    }
-    config.coalesce = !args.flag("no-coalesce");
-    config.compact = !args.flag("no-compact");
+    config.policy = ista.policy;
+    config.coalesce = ista.coalesce;
+    config.compact = ista.compact;
     config.retry = fim_core::fault::RetryPolicy::with_retries(io_retries);
     let mut obs = obs_args.build_with_spill(Some(std::path::Path::new(spill_dir)))?;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let run = fim_io::mine_fimi_with_counts_opts(
         input,
         &limits,
@@ -863,428 +994,63 @@ fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
         resume,
         &mut obs,
     )?;
-    let elapsed = start.elapsed();
-    let maximal = args.flag("maximal");
-    let kind = if maximal { "maximal" } else { "closed" };
     let stats = run.stats;
-    let shard_note = format!(
-        "{} shards ({} spilled, {} merge passes)",
-        stats.shards, stats.spilled, stats.merge_passes
-    );
-    let transactions = run.transactions;
-    // both arms share the report shape; only sets/exit status differ
-    let emit_observability =
-        |result: &MiningResult, obs: &mut fim_obs::Obs, exit: &str| -> Result<(), CliError> {
-            obs.finish(&ProgressSnapshot {
-                processed: transactions,
-                total: Some(transactions),
-                pending: 0,
-                peak_nodes: stats.memory.total_slots as u64,
-                sets: result.len() as u64,
-            });
-            let mut report = MetricsReport::new(
-                "ista-oocore",
-                supp,
-                elapsed.as_secs_f64(),
-                result.len() as u64,
-                transactions,
-            );
-            // no cross-shard peak is tracked; the reduced tree's arena
-            // high-water (total slots) is the closest honest figure
-            report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-            report.shards = Some(ShardMetrics {
-                shards: stats.shards,
-                recovered: 0,
-            });
-            report.spill = Some(SpillMetrics::from_counters(&stats.counters));
-            report.counters = stats.counters;
-            obs_args.finalize(obs, &mut report);
-            obs_args.emit_metrics(&report)?;
-            obs_args.emit_profile(obs)?;
-            obs_args.emit_ledger(args, &report, obs, exit)?;
-            if args.flag("stats") {
-                eprintln!(
-                    "ista-oocore: {} spills, {} faults injected, {} retries",
-                    stats.counters.get(Counter::ShardsSpilled),
-                    stats.counters.get(Counter::FaultsInjected),
-                    stats.counters.get(Counter::RetriesAttempted)
-                );
-            }
-            Ok(())
-        };
-    match run.outcome {
-        MineOutcome::Complete { mut result, .. } => {
-            if maximal {
-                result = fim_core::maximal_from_closed(&result);
-            }
-            write_out(args, |w| {
-                fim_io::write_results_named(&result, &run.catalog, w).map_err(CliError::from)
-            })?;
-            emit_observability(&result, &mut obs, "ok")?;
-            eprintln!(
-                "ista-oocore: {} {kind} sets at supp >= {supp} over {shard_note} in {:.3}s",
-                result.len(),
-                elapsed.as_secs_f64()
-            );
-            Ok(())
-        }
-        MineOutcome::Interrupted {
-            mut partial,
-            reason,
-            progress,
-        } => {
-            if maximal {
-                partial = fim_core::maximal_from_closed(&partial);
-            }
-            write_out(args, |w| {
-                fim_io::write_results_named(&partial, &run.catalog, w).map_err(CliError::from)
-            })?;
-            emit_observability(&partial, &mut obs, &reason.to_string())?;
-            // a disk-full trip is the one interruption that keeps its spill
-            // state: the manifest and verified spills stay behind so a
-            // `--resume-spill` run can pick up without re-mining them
-            let disposition = if reason == TripReason::DiskFull {
-                format!(
-                    "a resumable manifest was left in {spill_dir}; free space and re-run \
-                     with --resume-spill to continue without re-mining completed shards"
-                )
-            } else {
-                "spill files were cleaned up".to_owned()
-            };
-            Err(CliError::Budget(format!(
-                "ista-oocore interrupted ({reason}) at progress {progress} over {shard_note}; \
-                 wrote {} {kind} sets with exact supports; {disposition}",
-                partial.len()
-            )))
-        }
-    }
-}
-
-/// Builds a data-parallel ista miner carrying the sequential hot-path
-/// toggles over to its shards.
-fn parallel_ista(threads: usize, cfg: fim_ista::IstaConfig) -> Box<dyn ClosedMiner> {
-    Box::new(fim_ista::ParallelIstaMiner::with_config(
-        fim_ista::ParallelConfig {
-            threads,
-            policy: cfg.policy,
-            coalesce: cfg.coalesce,
-            compact: cfg.compact,
-        },
-    ))
-}
-
-/// The observed mining path behind `--stats`/`--metrics`/`--progress`/
-/// `--profile`: mines with an [`fim_obs::Obs`] handle threaded through the
-/// miner where supported (sequential ista records phase spans and emits
-/// the heartbeat from inside the transaction loop; the parallel, Carpenter
-/// and Eclat miners report their counters at the end), then writes one
-/// schema-versioned metrics JSON document and, if requested, a
-/// collapsed-stack profile.
-#[allow(clippy::too_many_arguments)]
-fn mine_observed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    algo: &str,
-    threads: Option<usize>,
-    ista_config: fim_ista::IstaConfig,
-    rep: Option<Representation>,
-    obs_args: &ObsArgs,
-) -> Result<(), CliError> {
-    let mut obs = obs_args.build()?;
-    let start = std::time::Instant::now();
-    obs.span_enter("recode");
-    let recoded = fim_core::RecodedDatabase::prepare(db, supp, item_order(args)?, tx_order(args)?);
-    obs.span_exit();
-    let is_ista = matches!(algo, "ista" | "ista-par" | "ista-noprune" | "ista-plain");
-    let parallel = threads.is_some() || algo == "ista-par";
-    let mut report = MetricsReport::new("", supp, 0.0, 0, recoded.num_transactions() as u64);
-    obs.span_enter("mine");
-    // sequential ista drives the heartbeat itself; every other miner gets
-    // one final progress line after the fact
-    let mut heartbeat_done = false;
-    let res = if parallel {
-        let miner = fim_ista::ParallelIstaMiner::with_config(fim_ista::ParallelConfig {
-            threads: threads.unwrap_or(0),
-            policy: ista_config.policy,
-            coalesce: ista_config.coalesce,
-            compact: ista_config.compact,
-        });
-        let (res, stats) = miner.mine_with_stats(&recoded, supp);
-        report.miner = "ista-par";
-        // no cross-shard peak is tracked; the reduced tree's arena
-        // high-water (total slots) is the closest honest figure
-        report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-        report.shards = Some(ShardMetrics {
-            shards: stats.shards as u64,
-            recovered: stats.shards_recovered as u64,
-        });
-        report.counters = stats.counters;
-        res
-    } else if is_ista {
-        let miner = fim_ista::IstaMiner::with_config(ista_config);
-        let (res, stats) = miner.mine_with_obs(&recoded, supp, &mut obs);
-        report.miner = miner.name();
-        report.transactions_total = stats.total_transactions as u64;
-        report.transactions_distinct = Some(stats.distinct_transactions as u64);
-        report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-        report.passes = Some(PassMetrics {
-            prune_passes: stats.prune_passes as u64,
-            compactions: stats.compactions as u64,
-        });
-        report.counters = stats.counters;
-        heartbeat_done = true;
-        res
-    } else {
-        let noprune = args.flag("no-prune");
-        let kernel_rep = rep.unwrap_or_default();
-        let (res, counters) = match (algo, noprune) {
-            ("carpenter-lists", false) => {
-                let miner = fim_carpenter::CarpenterListMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            ("carpenter-table", false) => {
-                report.miner = "carpenter-table";
-                fim_carpenter::CarpenterTableMiner::default().mine_with_stats(&recoded, supp)
-            }
-            ("carpenter-table", true) => {
-                report.miner = "carpenter-table-noprune";
-                fim_carpenter::CarpenterTableMiner::with_config(
-                    fim_carpenter::CarpenterConfig::unpruned(),
-                )
-                .mine_with_stats(&recoded, supp)
-            }
-            ("eclat", false) => {
-                let miner = fim_baseline::EclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            ("declat", false) => {
-                let miner = fim_baseline::DEclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            (other, _) => {
-                return Err(usage(format!(
-                    "--stats/--metrics/--progress/--profile are not available for '{other}'"
-                )));
-            }
-        };
-        report.counters = counters;
-        res
-    };
-    // the kernel section names the selected representation and its work
-    // counters; the parallel miner has no kernel selection and stays scalar
-    report.kernel = Some(fim_obs::KernelMetrics::from_counters(
-        rep.unwrap_or_default().name(),
-        &report.counters,
-    ));
-    obs.span_exit();
-    obs.span_enter("report");
-    let mut result = res.into_decoded(&recoded.recode().item_to_old);
-    result.canonicalize();
-    let kind = if args.flag("maximal") {
-        result = fim_core::maximal_from_closed(&result);
-        "maximal"
-    } else {
-        "closed"
-    };
-    write_out(args, |w| {
-        fim_io::write_results(&result, db, w).map_err(CliError::from)
-    })?;
-    obs.span_exit();
-    if !heartbeat_done {
-        obs.finish(&ProgressSnapshot {
-            processed: report.transactions_total,
-            total: Some(report.transactions_total),
-            pending: 0,
-            peak_nodes: report.tree.map_or(0, |t| t.peak_nodes),
-            sets: result.len() as u64,
-        });
-    }
-    report.seconds = start.elapsed().as_secs_f64();
-    report.sets = result.len() as u64;
-    obs_args.finalize(&mut obs, &mut report);
-    obs_args.emit_metrics(&report)?;
-    obs_args.emit_profile(&obs)?;
-    obs_args.emit_ledger(args, &report, &obs, "ok")?;
-    eprintln!(
-        "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-        report.miner,
-        result.len(),
-        report.seconds
-    );
-    Ok(())
-}
-
-/// The observed **constrained** mining path: like [`mine_observed`], but
-/// the recode projects out the excluded items, the miner runs its pushed
-/// search (or the post-filter when `--no-push` asked for the oracle path),
-/// and the metrics document gains the `constraint` section (the spec, the
-/// pushed/post-filtered disposition, and the `constraint_prunes` counter).
-#[allow(clippy::too_many_arguments)]
-fn mine_constrained_observed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    algo: &str,
-    ista_config: fim_ista::IstaConfig,
-    rep: Option<Representation>,
-    obs_args: &ObsArgs,
-    cs: &ConstraintSet,
-    push: bool,
-) -> Result<(), CliError> {
-    let mut obs = obs_args.build()?;
-    let start = std::time::Instant::now();
-    obs.span_enter("recode");
-    let recoded = fim_core::RecodedDatabase::prepare_excluding(
-        db,
-        supp,
-        item_order(args)?,
-        tx_order(args)?,
-        &cs.exclude,
-    );
-    obs.span_exit();
-    let mut report = MetricsReport::new("", supp, 0.0, 0, recoded.num_transactions() as u64);
-    // counts the sets a post-filter pass drops, so the pushed and the
-    // post-filtered run report through the same counter slot
-    fn postfiltered(
-        res: MiningResult,
-        mut counters: Counters,
-        dense: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        let before = res.sets.len();
-        let res = apply_constraints_owned(res, dense);
-        counters.add(Counter::ConstraintPrunes, (before - res.sets.len()) as u64);
-        (res, counters)
-    }
-    let dense = cs.encode(recoded.recode());
-    obs.span_enter("mine");
-    let kernel_rep = rep.unwrap_or_default();
-    let is_ista = matches!(algo, "ista" | "ista-noprune" | "ista-plain");
-    let (res, counters) = match &dense {
-        // a must-include item did not survive the frequency threshold (or
-        // the exclusion projection): nothing can satisfy, no miner runs
-        None => {
-            report.miner = miner_by_name(algo)?.name();
-            (MiningResult::new(), Counters::new())
-        }
-        Some(d) if is_ista => {
-            let miner = fim_ista::IstaMiner::with_config(ista_config);
-            report.miner = miner.name();
-            let (res, stats) = if push {
-                miner.mine_constrained_with_stats(&recoded, supp, d)
-            } else {
-                let (res, stats) = miner.mine_with_stats(&recoded, supp);
-                (apply_constraints_owned(res, d), stats)
-            };
-            report.transactions_total = stats.total_transactions as u64;
-            report.transactions_distinct = Some(stats.distinct_transactions as u64);
-            report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-            report.passes = Some(PassMetrics {
-                prune_passes: stats.prune_passes as u64,
-                compactions: stats.compactions as u64,
-            });
-            (res, stats.counters)
-        }
-        Some(d) => match algo {
-            "carpenter-lists" => {
-                let miner = fim_carpenter::CarpenterListMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "carpenter-table" => {
-                report.miner = "carpenter-table";
-                let miner = fim_carpenter::CarpenterTableMiner::default();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "eclat" => {
-                let miner = fim_baseline::EclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "declat" => {
-                let miner = fim_baseline::DEclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            other => {
-                return Err(usage(format!(
-                    "--stats/--metrics with constraint flags are not available for '{other}'"
-                )));
-            }
-        },
-    };
-    report.counters = counters;
-    let pushed = push
-        && matches!(
-            algo,
-            "ista"
-                | "ista-noprune"
-                | "ista-plain"
-                | "carpenter-lists"
-                | "carpenter-table"
-                | "eclat"
-                | "declat"
-        );
-    report.constraint = Some(ConstraintMetrics::from_counters(
-        cs.to_string(),
-        pushed,
-        &counters,
-    ));
-    report.kernel = Some(fim_obs::KernelMetrics::from_counters(
-        kernel_rep.name(),
-        &report.counters,
-    ));
-    obs.span_exit();
-    obs.span_enter("report");
-    let mut result = res.into_decoded(&recoded.recode().item_to_old);
-    result.canonicalize();
-    write_out(args, |w| {
-        fim_io::write_results(&result, db, w).map_err(CliError::from)
-    })?;
-    obs.span_exit();
-    obs.finish(&ProgressSnapshot {
-        processed: report.transactions_total,
-        total: Some(report.transactions_total),
-        pending: 0,
-        peak_nodes: report.tree.map_or(0, |t| t.peak_nodes),
-        sets: result.len() as u64,
+    let mut report = MetricsReport::new("ista-oocore", supp, 0.0, 0, run.transactions);
+    // no cross-shard peak is tracked; the reduced tree's arena high-water
+    // (total slots) is the closest honest figure
+    report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
+    report.shards = Some(ShardMetrics {
+        shards: stats.shards,
+        recovered: 0,
     });
-    report.seconds = start.elapsed().as_secs_f64();
-    report.sets = result.len() as u64;
-    obs_args.finalize(&mut obs, &mut report);
-    obs_args.emit_metrics(&report)?;
-    obs_args.emit_profile(&obs)?;
-    obs_args.emit_ledger(args, &report, &obs, "ok")?;
-    eprintln!(
-        "{}: {} closed sets at supp >= {supp} under [{cs}] in {:.3}s",
-        report.miner,
-        result.len(),
-        report.seconds
+    report.spill = Some(SpillMetrics::from_counters(&stats.counters));
+    report.counters = stats.counters;
+    let heartbeat = ProgressSnapshot {
+        processed: run.transactions,
+        total: Some(run.transactions),
+        pending: 0,
+        peak_nodes: stats.memory.total_slots as u64,
+        sets: 0,
+    };
+    // a disk-full trip is the one interruption that keeps its spill state:
+    // the manifest and verified spills stay behind so a `--resume-spill`
+    // run can pick up without re-mining them
+    let note = match &run.outcome {
+        MineOutcome::Interrupted {
+            reason: TripReason::DiskFull,
+            ..
+        } => format!(
+            "; a resumable manifest was left in {spill_dir}; free space and re-run \
+             with --resume-spill to continue without re-mining completed shards"
+        ),
+        _ => "; spill files were cleaned up".to_owned(),
+    };
+    let finished = finish_mine(
+        args,
+        &obs_args,
+        Mined {
+            obs,
+            start,
+            outcome: run.outcome,
+            catalog: &run.catalog,
+            report,
+            heartbeat: Some(heartbeat),
+            scope: format!(
+                " over {} shards ({} spilled, {} merge passes)",
+                stats.shards, stats.spilled, stats.merge_passes
+            ),
+            note,
+        },
     );
-    Ok(())
+    if args.flag("stats") {
+        eprintln!(
+            "ista-oocore: {} spills, {} faults injected, {} retries",
+            stats.counters.get(Counter::ShardsSpilled),
+            stats.counters.get(Counter::FaultsInjected),
+            stats.counters.get(Counter::RetriesAttempted)
+        );
+    }
+    finished
 }
 
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
@@ -1314,9 +1080,8 @@ fn cmd_rules(args: &Args) -> Result<(), CliError> {
     let supp: u32 = args.require_parsed("supp")?;
     let conf: f64 = args.parse_or("conf", 0.6)?;
     let db = load_db(args)?;
-    let algo = args.get("algo").unwrap_or("ista");
-    let miner = miner_by_name(algo)?;
-    let closed = fim_core::mine_closed(&db, supp, miner.as_ref());
+    let miner = table_miner(args.get("algo").unwrap_or(algos::DEFAULT))?;
+    let closed = fim_core::mine_closed(&db, supp, miner.as_dyn());
     let rules =
         fim_rules::RuleMiner::with_confidence(conf).derive(&closed, db.num_transactions() as u32);
     write_out(args, |w| {
@@ -1346,23 +1111,17 @@ fn cmd_rules(args: &Args) -> Result<(), CliError> {
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let db = load_db(args)?;
+    let density = db.density();
     let freq = db.item_frequencies();
     let nonzero = freq.iter().filter(|&&f| f > 0).count();
     let max_len = db.transactions().iter().map(|t| t.len()).max().unwrap_or(0);
-    println!("transactions       {}", db.num_transactions());
-    println!("items (catalog)    {}", db.num_items());
+    println!("transactions       {}", density.rows);
+    println!("items (catalog)    {}", density.cols);
     println!("items (occurring)  {nonzero}");
-    println!("occurrences        {}", db.total_occurrences());
-    println!(
-        "avg tx length      {:.2}",
-        db.total_occurrences() as f64 / db.num_transactions().max(1) as f64
-    );
+    println!("occurrences        {}", density.ones);
+    println!("avg tx length      {:.2}", density.avg_row_len);
     println!("max tx length      {max_len}");
-    println!(
-        "density            {:.5}",
-        db.total_occurrences() as f64
-            / (db.num_transactions().max(1) * db.num_items().max(1)) as f64
-    );
+    println!("density            {:.5}", density.fill);
     Ok(())
 }
 

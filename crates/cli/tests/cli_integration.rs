@@ -1,7 +1,8 @@
 //! End-to-end tests of the `fim` binary via `CARGO_BIN_EXE`.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
 
 fn fim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fim"))
@@ -51,52 +52,195 @@ fn mine_from_stdin() {
     assert_eq!(text.lines().count(), 3);
 }
 
-#[test]
-fn all_algorithms_agree_via_cli() {
-    let dir = std::env::temp_dir().join("fim_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let data = dir.join("data.fimi");
+/// A per-test scratch directory, removed on drop.
+struct Scratch(PathBuf);
 
-    // generate a small preset data set
-    let out = fim()
-        .args([
-            "gen", "--preset", "ncbi60", "--scale", "0.08", "--seed", "3",
-        ])
-        .args(["--out", data.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+impl Scratch {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("fim_cli_{}_{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
 
-    let mut results: Vec<String> = Vec::new();
-    for algo in [
-        "ista",
-        "carpenter-table",
-        "carpenter-lists",
-        "lcm",
-        "fpclose",
-    ] {
+    fn path(&self, file: &str) -> String {
+        self.0.join(file).to_string_lossy().into_owned()
+    }
+
+    /// Writes `fim gen --preset P --scale S --seed 1` to `file`.
+    fn preset(&self, preset: &str, scale: &str, file: &str) -> String {
+        let path = self.path(file);
         let out = fim()
-            .args(["mine", "--supp", "4", "--algo", algo])
-            .args(["--in", data.to_str().unwrap()])
+            .args(["gen", "--preset", preset, "--scale", scale, "--seed", "1"])
+            .args(["--out", &path])
             .output()
             .unwrap();
-        assert!(out.status.success(), "{algo}");
-        let mut lines: Vec<String> = String::from_utf8(out.stdout)
+        assert!(out.status.success(), "{}", stderr(&out));
+        path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn mine(data: &str, args: &[&str]) -> Output {
+    fim()
+        .args(["mine", "--supp", "4", "--in", data])
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// The `"miner"` and `search_steps` entries of a metrics document.
+fn miner_and_steps(metrics: &str) -> (String, String) {
+    let doc = std::fs::read_to_string(metrics).unwrap();
+    let field = |key: &str| {
+        let at = doc.find(key).unwrap_or_else(|| panic!("no {key} in {doc}")) + key.len();
+        doc[at..]
+            .split([',', '}', '\n'])
+            .next()
             .unwrap()
-            .lines()
-            .map(str::to_owned)
-            .collect();
-        lines.sort();
-        results.push(lines.join("\n"));
+            .trim()
+            .to_owned()
+    };
+    (field("\"miner\":"), field("\"search_steps\":"))
+}
+
+/// Every `fim algos` name in every mode of the in-memory pipeline prints
+/// the bytes `carpenter-table` prints in that mode; `--metrics` is refused
+/// exactly for the families without run counters.
+#[test]
+fn all_algorithms_agree_via_cli() {
+    let dir = Scratch::new("agree");
+    let data = dir.preset("yeast", "0.05", "data.fimi");
+    let algos = fim().arg("algos").output().unwrap();
+    let names: Vec<String> = String::from_utf8(algos.stdout)
+        .unwrap()
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(names.len(), 29);
+    let uncounted = [
+        "fpclose",
+        "lcm",
+        "lcm-noreuse",
+        "sam",
+        "apriori",
+        "naive-cumulative",
+    ];
+    let metrics = dir.path("metrics.json");
+    let modes: [&[&str]; 5] = [
+        &[],
+        &["--metrics", &metrics],
+        &["--timeout", "1000000"],
+        &["--min-size", "1"],
+        &["--maximal"],
+    ];
+    for mode in modes {
+        let want = mine(&data, &[&["--algo", "carpenter-table"], mode].concat());
+        assert!(want.status.success(), "{mode:?}: {}", stderr(&want));
+        assert!(!want.stdout.is_empty());
+        for name in &names {
+            let out = mine(&data, &[&["--algo", name.as_str()], mode].concat());
+            if mode.contains(&"--metrics") && uncounted.contains(&name.as_str()) {
+                assert_eq!(out.status.code(), Some(2), "{name} {mode:?}");
+                continue;
+            }
+            assert!(out.status.success(), "{name} {mode:?}: {}", stderr(&out));
+            assert!(
+                out.stdout == want.stdout,
+                "{name} {mode:?} disagrees with carpenter-table"
+            );
+        }
     }
-    for r in &results[1..] {
-        assert_eq!(r, &results[0], "algorithms disagree through the CLI");
+}
+
+/// `--no-prune` builds the unpruned Carpenter table whether or not a
+/// constraint flag is present.
+#[test]
+fn no_prune_survives_constraints_under_metrics() {
+    let dir = Scratch::new("noprune");
+    let data = dir.preset("ncbi60", "0.1", "data.fimi");
+    let metrics = dir.path("metrics.json");
+    let algo = [
+        "--algo",
+        "carpenter-table",
+        "--no-prune",
+        "--metrics",
+        &metrics,
+    ];
+    assert!(mine(&data, &algo).status.success());
+    let plain = miner_and_steps(&metrics);
+    assert_eq!(plain.0, "\"carpenter-table-noprune\"");
+    assert!(mine(&data, &[&algo[..], &["--min-size", "2"]].concat())
+        .status
+        .success());
+    assert_eq!(miner_and_steps(&metrics), plain);
+}
+
+/// A table name is accepted wherever its flag spelling is, and runs the
+/// same miner.
+#[test]
+fn names_are_accepted_where_their_flag_spellings_are() {
+    let dir = Scratch::new("spelling");
+    let data = dir.preset("ncbi60", "0.1", "data.fimi");
+    let run = |query: &[&str]| {
+        let out = mine(&data, query);
+        assert!(out.status.success(), "{query:?}: {}", stderr(&out));
+        out.stdout
+    };
+    let metrics = dir.path("metrics.json");
+    let observed = |algo: &[&str]| {
+        let stdout = run(&[algo, &["--metrics", &metrics]].concat());
+        (stdout, miner_and_steps(&metrics))
+    };
+    assert_eq!(
+        observed(&["--algo", "carpenter-table-noprune"]),
+        observed(&["--algo", "carpenter-table", "--no-prune"])
+    );
+    let spill = dir.path("spill");
+    let oocore = [
+        "--out-of-core",
+        "--mem-budget",
+        "512",
+        "--spill-dir",
+        &spill,
+    ];
+    assert_eq!(
+        run(&[&["--algo", "ista-noprune"], &oocore[..]].concat()),
+        run(&[&["--algo", "ista", "--no-prune"], &oocore[..]].concat())
+    );
+}
+
+/// A run where no miner runs (a must-include item does not survive the
+/// threshold) keeps the name of the miner it asked for.
+#[test]
+fn unsatisfiable_include_keeps_the_miner_name() {
+    let dir = Scratch::new("include");
+    let data = dir.preset("ncbi60", "0.1", "data.fimi");
+    let metrics = dir.path("metrics.json");
+    let query = ["--algo", "carpenter-lists-bitset", "--include", "23"];
+    for extra in [&[][..], &["--metrics", &metrics]] {
+        let out = mine(&data, &[&query[..], extra].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(out.stdout.is_empty());
+        assert!(
+            stderr(&out).starts_with("carpenter-lists-bitset: 0 closed sets"),
+            "{}",
+            stderr(&out)
+        );
     }
-    std::fs::remove_file(&data).ok();
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        doc.contains("\"miner\": \"carpenter-lists-bitset\""),
+        "{doc}"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Raw transaction databases over named items.
 
-use crate::{catalog::ItemCatalog, itemset::ItemSet, Item, Tid};
+use crate::{catalog::ItemCatalog, itemset::ItemSet, recode::Density, Item, Tid};
 
 /// A transaction database: a bag of transactions over an item base
 /// (paper §2.1).
@@ -150,6 +150,17 @@ impl TransactionDatabase {
         self.transactions.iter().map(ItemSet::len).sum()
     }
 
+    /// The shape and fill of the raw database, before any recoding: every
+    /// catalog item is a column. `fim mine --rep auto` selects its kernel
+    /// from this, once, before any miner runs.
+    pub fn density(&self) -> Density {
+        Density::new(
+            self.num_transactions(),
+            self.num_items(),
+            self.total_occurrences() as u64,
+        )
+    }
+
     /// The transposed database: items become transactions and vice versa
     /// (the gene-expression dual of paper §4).
     ///
@@ -210,6 +221,22 @@ mod tests {
         // paper: a occurs 4x, b 5x, c 5x, d 6x, e 3x
         assert_eq!(db.item_frequencies(), vec![4, 5, 5, 6, 3]);
         assert_eq!(db.total_occurrences(), 23);
+    }
+
+    #[test]
+    fn raw_density_counts_every_catalog_item() {
+        let db = paper_db();
+        let d = db.density();
+        assert_eq!((d.rows, d.cols, d.ones), (8, 5, 23));
+        assert!((d.fill - 23.0 / 40.0).abs() < 1e-12);
+        // every item is frequent at support 1, so recoding keeps the shape
+        let recoded = crate::RecodedDatabase::prepare(
+            &db,
+            1,
+            crate::ItemOrder::default(),
+            crate::TransactionOrder::default(),
+        );
+        assert_eq!(recoded.density(), d);
     }
 
     #[test]

@@ -244,27 +244,6 @@ pub fn mine_closed_relative(
     mine_closed(db, minsupp.max(1), miner)
 }
 
-/// Like [`mine_closed_with_orders`], but governed by a resource [`Budget`]:
-/// recodes `db`, runs [`ClosedMiner::mine_governed`], and decodes +
-/// canonicalizes whichever result (complete or partial) comes back.
-pub fn mine_closed_governed(
-    db: &TransactionDatabase,
-    minsupp: u32,
-    miner: &dyn ClosedMiner,
-    budget: &Budget,
-    item_order: ItemOrder,
-    tx_order: TransactionOrder,
-) -> MineOutcome {
-    let recoded = RecodedDatabase::prepare(db, minsupp, item_order, tx_order);
-    miner
-        .mine_governed(&recoded, minsupp.max(1), budget)
-        .map_result(|r| {
-            let mut decoded = r.into_decoded(&recoded.recode().item_to_old);
-            decoded.canonicalize();
-            decoded
-        })
-}
-
 /// End-to-end constrained mining: validates `constraints`, recodes `db`
 /// with the must-exclude items projected away
 /// ([`RecodedDatabase::prepare_excluding`]), translates the remaining
@@ -458,22 +437,6 @@ mod tests {
         // an unlimited budget falls through to a plain complete mine
         let outcome = SingletonMiner.mine_governed(&recoded, 1, &crate::Budget::unlimited());
         assert!(!outcome.is_interrupted());
-    }
-
-    #[test]
-    fn mine_closed_governed_decodes_and_canonicalizes() {
-        let db =
-            TransactionDatabase::from_named(&[vec!["x", "rare"], vec!["x", "y"], vec!["x", "y"]]);
-        let outcome = mine_closed_governed(
-            &db,
-            2,
-            &SingletonMiner,
-            &crate::Budget::unlimited(),
-            ItemOrder::default(),
-            TransactionOrder::default(),
-        );
-        assert!(!outcome.is_interrupted());
-        assert_eq!(outcome.result().support_of(&ItemSet::from([0])), Some(3));
     }
 
     #[test]

@@ -369,25 +369,8 @@ impl RecodedDatabase {
     /// `O(num_items)` — supports are already counted, so no pass over the
     /// transactions is needed.
     pub fn density(&self) -> Density {
-        let rows = self.num_transactions();
-        let cols = self.num_items as usize;
-        let ones: u64 = self.item_supports.iter().map(|&s| s as u64).sum();
-        let cells = rows as u64 * cols as u64;
-        Density {
-            rows,
-            cols,
-            ones,
-            fill: if cells == 0 {
-                0.0
-            } else {
-                ones as f64 / cells as f64
-            },
-            avg_row_len: if rows == 0 {
-                0.0
-            } else {
-                ones as f64 / rows as f64
-            },
-        }
+        let ones = self.item_supports.iter().map(|&s| s as u64).sum();
+        Density::new(self.num_transactions(), self.num_items as usize, ones)
     }
 }
 
@@ -409,6 +392,27 @@ pub struct Density {
 }
 
 impl Density {
+    /// The statistics of a `rows` × `cols` database holding `ones` item
+    /// occurrences.
+    pub fn new(rows: usize, cols: usize, ones: u64) -> Self {
+        let cells = rows as u64 * cols as u64;
+        Density {
+            rows,
+            cols,
+            ones,
+            fill: if cells == 0 {
+                0.0
+            } else {
+                ones as f64 / cells as f64
+            },
+            avg_row_len: if rows == 0 {
+                0.0
+            } else {
+                ones as f64 / rows as f64
+            },
+        }
+    }
+
     /// Whether the database has no cells at all (no transactions, no
     /// items, or no occurrences).
     pub fn is_degenerate(&self) -> bool {

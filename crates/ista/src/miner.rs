@@ -336,17 +336,6 @@ impl IstaMiner {
         (result, stats)
     }
 
-    /// Governed mining with both run counters and an observability bundle.
-    pub fn mine_governed_with_obs(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        budget: &Budget,
-        obs: &mut Obs,
-    ) -> (MineOutcome, MineStats) {
-        self.run(db, minsupp, Some(budget.start()), budget.degrade, Some(obs))
-    }
-
     /// The one mining loop behind both entry points. `gov` is `None` for
     /// ungoverned runs, whose per-transaction checkpoint is then a single
     /// pattern match (see [`checkpoint!`]).

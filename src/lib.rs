@@ -17,10 +17,14 @@
 //! let result = mine_closed(&db, 2, &IstaMiner::default());
 //! assert!(result.len() > 0);
 //! ```
+//!
+//! [`algos`] is the one table of algorithm names: `fim mine --algo`, `fim
+//! rules` and the experiment runners all build their miners from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod algos;
 pub mod auto;
 
 pub use fim_baseline as baseline;
