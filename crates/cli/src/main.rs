@@ -275,11 +275,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         .as_ref()
         .map(|cs| ConstraintMetrics::from_counters(cs.to_string(), query.push, &report.counters));
     obs.span_enter("report");
-    let outcome = outcome.map_result(|coded| {
-        let mut result = coded.into_decoded(&recoded.recode().item_to_old);
-        result.canonicalize();
-        result
-    });
+    let outcome = outcome.map_result(|coded| coded.into_canonical(&recoded.recode().item_to_old));
     drop(recoded);
     obs.span_exit();
     let heartbeat = (!heartbeat_sent).then(|| ProgressSnapshot {
@@ -657,10 +653,11 @@ struct Mined<'a> {
     note: String,
 }
 
-/// The end every `fim mine` path shares: applies `--maximal`, writes the
-/// result, emits the metrics, profile and ledger asked for, and prints the
-/// summary line — or, for an interrupted run, returns the budget error
-/// (exit 4) once the exact partial is written.
+/// The end every `fim mine` path shares: applies `--maximal` (a `report`
+/// span), writes the result (a `write` span), emits the metrics, profile
+/// and ledger asked for, and prints the summary line — or, for an
+/// interrupted run, returns the budget error (exit 4) once the exact
+/// partial is written.
 fn finish_mine(args: &Args, obs_args: &ObsArgs, mined: Mined<'_>) -> Result<(), CliError> {
     let Mined {
         mut obs,
@@ -689,6 +686,8 @@ fn finish_mine(args: &Args, obs_args: &ObsArgs, mined: Mined<'_>) -> Result<(), 
     if maximal {
         result = fim_core::maximal_from_closed(&result);
     }
+    obs.span_exit();
+    obs.span_enter("write");
     write_out(args, |w| {
         fim_io::write_results_named(&result, catalog, w).map_err(CliError::from)
     })?;

@@ -79,6 +79,15 @@ fn stdout_stays_clean_with_all_observability_on() {
         assert!(micros.parse::<u64>().is_ok(), "bad line: {line}");
     }
     assert!(folded.contains("mine;"), "missing miner phases: {folded}");
+    // ordering the result and writing it are separate top-level layers
+    for span in ["recode", "mine", "report", "write"] {
+        assert!(
+            folded
+                .lines()
+                .any(|l| l.rsplit_once(' ').unwrap().0 == span),
+            "missing span {span}: {folded}"
+        );
+    }
     std::fs::remove_file(&profile).ok();
 }
 
@@ -210,6 +219,13 @@ fn trace_sampler_and_ledger_end_to_end() {
     assert_eq!(entry.input_fnv, fim_obs::fnv1a(DATA));
     assert!(entry.sets > 0);
     assert!(!entry.phases.is_empty(), "ledger recorded no phases");
+    for span in ["report", "write"] {
+        assert!(
+            entry.phases.iter().any(|(path, _)| path == span),
+            "ledger lacks phase {span}: {:?}",
+            entry.phases
+        );
+    }
     // output-channel flags must not leak into the config fingerprint
     assert!(!entry.config.contains("ledger"), "{}", entry.config);
     assert!(!entry.config.contains("trace-events"), "{}", entry.config);

@@ -162,6 +162,35 @@ impl ItemSet {
         self.items.sort_unstable();
         self.items.dedup();
     }
+
+    /// Like [`translate`](Self::translate), through ranks: item `i` has
+    /// rank `rank[i]`, and rank `r` stands for `rank_to_raw[r]`, which
+    /// ascends. Sets one bit per rank in a 256-bit mask, rank 0 in the top
+    /// bit of word 0, rewrites the items from the mask's bits in ascending
+    /// rank order, and returns the mask. Neither sorts nor allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item is not an index into `rank`.
+    pub(crate) fn translate_by_rank(&mut self, rank: &[u8], rank_to_raw: &[Item]) -> [u64; 4] {
+        let mut mask = [0u64; 4];
+        for &i in &self.items {
+            let r = rank[i as usize];
+            mask[usize::from(r >> 6)] |= 1 << (63 - (r & 63));
+        }
+        let mut n = 0;
+        for (w, word) in mask.iter().enumerate() {
+            // rank w * 64 + k is bit k of the reversed word
+            let mut bits = word.reverse_bits();
+            while bits != 0 {
+                self.items[n] = rank_to_raw[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                n += 1;
+            }
+        }
+        self.items.truncate(n);
+        mask
+    }
 }
 
 /// Subset test on two strictly ascending slices.

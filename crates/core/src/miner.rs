@@ -13,6 +13,10 @@ use crate::{
 };
 use std::fmt;
 
+/// The most items [`MiningResult::into_canonical`] orders by rank masks:
+/// four words of mask keep its sort key at 48 bytes.
+const RANK_MASK_ITEMS: usize = 256;
+
 /// One mined closed frequent item set with its support.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FoundSet {
@@ -101,7 +105,52 @@ impl MiningResult {
         self
     }
 
-    /// The support of the longest set(s), useful in reports.
+    /// [`into_decoded`](Self::into_decoded) followed by
+    /// [`canonicalize`](Self::canonicalize), in one consuming pass when
+    /// `item_to_old` codes at most 256 items; wider tables take those two
+    /// steps.
+    ///
+    /// An item's rank is the position of its raw code among the raw codes
+    /// in `item_to_old`. Each set is rewritten in place from its rank mask
+    /// (`ItemSet::translate_by_rank`), and the sets are ordered by the key
+    /// `(len, !mask, support)`. Among sets of one length, the smallest rank
+    /// in which two differ is the most significant bit in which their
+    /// masks differ, and the set holding that rank is the smaller one in
+    /// item order; so ascending `!mask` is ascending item order. The sort
+    /// moves 48-byte keys, then the set headers follow them; no item is
+    /// copied and no set compared item by item.
+    pub fn into_canonical(mut self, item_to_old: &[Item]) -> MiningResult {
+        if item_to_old.len() > RANK_MASK_ITEMS {
+            let mut decoded = self.into_decoded(item_to_old);
+            decoded.canonicalize();
+            return decoded;
+        }
+        let mut rank_to_raw = item_to_old.to_vec();
+        rank_to_raw.sort_unstable();
+        let rank: Vec<u8> = item_to_old
+            .iter()
+            .map(|raw| rank_to_raw.partition_point(|r| r < raw) as u8)
+            .collect();
+        let mut keys = Vec::with_capacity(self.sets.len());
+        for (index, s) in self.sets.iter_mut().enumerate() {
+            let mask = s.items.translate_by_rank(&rank, &rank_to_raw);
+            keys.push((s.items.len() as u32, mask.map(|w| !w), s.support, index));
+        }
+        keys.sort_unstable();
+        debug_assert!(
+            keys.windows(2).all(|w| w[0].1 != w[1].1),
+            "duplicate item sets in mining result"
+        );
+        let sets = keys
+            .iter()
+            .map(|&(_, _, support, index)| {
+                FoundSet::new(std::mem::take(&mut self.sets[index].items), support)
+            })
+            .collect();
+        MiningResult { sets }
+    }
+
+    /// The length of the longest set(s), useful in reports.
     pub fn max_set_len(&self) -> usize {
         self.sets.iter().map(|s| s.items.len()).max().unwrap_or(0)
     }
@@ -283,9 +332,7 @@ pub fn mine_closed_constrained(
     } else {
         apply_constraints_owned(miner.mine(&recoded, minsupp.max(1)), &dense)
     };
-    let mut decoded = result.into_decoded(&recoded.recode().item_to_old);
-    decoded.canonicalize();
-    decoded
+    result.into_canonical(&recoded.recode().item_to_old)
 }
 
 /// Governed variant of [`mine_closed_constrained`]: same preparation and
@@ -318,11 +365,7 @@ pub fn mine_closed_constrained_governed(
             .mine_governed(&recoded, minsupp.max(1), budget)
             .map_result(|r| apply_constraints_owned(r, &dense))
     };
-    outcome.map_result(|r| {
-        let mut decoded = r.into_decoded(&recoded.recode().item_to_old);
-        decoded.canonicalize();
-        decoded
-    })
+    outcome.map_result(|r| r.into_canonical(&recoded.recode().item_to_old))
 }
 
 /// Like [`mine_closed`], with explicit orders (for the §3.4 ablations).
@@ -334,11 +377,9 @@ pub fn mine_closed_with_orders(
     tx_order: TransactionOrder,
 ) -> MiningResult {
     let recoded = RecodedDatabase::prepare(db, minsupp, item_order, tx_order);
-    let mut result = miner
+    miner
         .mine(&recoded, minsupp.max(1))
-        .into_decoded(&recoded.recode().item_to_old);
-    result.canonicalize();
-    result
+        .into_canonical(&recoded.recode().item_to_old)
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! Property tests for the core substrate: item set algebra, closure and
-//! Galois laws, representation consistency, and recoding invariants.
+//! Galois laws, representation consistency, recoding invariants, and the
+//! one-pass decode and canonical ordering of mining results.
 
 use fim_core::{
-    closure, cover, galois, itemset, BitMatrix, ItemOrder, ItemSet, RecodedDatabase,
-    SuffixCountMatrix, TidLists, TransactionDatabase, TransactionOrder,
+    closure, cover, galois, itemset, BitMatrix, FoundSet, Item, ItemOrder, ItemSet, MiningResult,
+    RecodedDatabase, SuffixCountMatrix, TidLists, TransactionDatabase, TransactionOrder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn itemset_strategy(max_item: u32) -> impl Strategy<Value = ItemSet> {
     vec(0..max_item, 0..max_item as usize).prop_map(ItemSet::new)
@@ -19,8 +21,85 @@ fn db_strategy() -> impl Strategy<Value = RecodedDatabase> {
     })
 }
 
+/// A coded mining result over `n` dense codes, with a dense → raw table
+/// like the one recoding leaves: injective, with gaps where infrequent
+/// items were, and dense order unrelated to raw order. The sets are
+/// distinct and include the empty set; each drawn set comes with a
+/// sibling that shares its first items in raw order and differs in one.
+fn coded_result(n: usize) -> impl Strategy<Value = (Vec<Item>, MiningResult)> {
+    let top = n.max(1) as u32;
+    (
+        vec(1u32..4, n),
+        vec(any::<u64>(), n),
+        vec(
+            (vec(0..top, 0..=n), 0usize..300, 0..top, 1u32..50, 1u32..50),
+            0..40usize,
+        ),
+    )
+        .prop_map(move |(gaps, shuffle, draws)| {
+            // rank k (the k-th smallest raw code) is raw[k]; dense code d
+            // has rank rank_of[d]
+            let raw: Vec<Item> = gaps
+                .iter()
+                .scan(0, |at, gap| {
+                    *at += gap;
+                    Some(*at)
+                })
+                .collect();
+            let mut rank_of: Vec<usize> = (0..n).collect();
+            rank_of.sort_by_key(|&k| shuffle[k]);
+            let item_to_old = rank_of.iter().map(|&k| raw[k]).collect();
+            let mut dense_of = vec![0; n];
+            for (d, &k) in rank_of.iter().enumerate() {
+                dense_of[k] = d as Item;
+            }
+            let coded = |ranks: &[u32]| -> ItemSet {
+                ranks
+                    .iter()
+                    .filter(|&&k| (k as usize) < n)
+                    .map(|&k| dense_of[k as usize])
+                    .collect()
+            };
+            let mut seen = HashSet::new();
+            let mut sets = Vec::new();
+            let mut push = |items: ItemSet, support| {
+                if seen.insert(items.clone()) {
+                    sets.push(FoundSet::new(items, support));
+                }
+            };
+            push(ItemSet::empty(), 1);
+            for (mut base, keep, swap, support, sibling_support) in draws {
+                base.sort_unstable();
+                base.dedup();
+                let mut sibling = base.clone();
+                if !sibling.is_empty() {
+                    let at = keep % sibling.len();
+                    sibling[at] = swap;
+                }
+                push(coded(&base), support);
+                push(coded(&sibling), sibling_support);
+            }
+            (item_to_old, MiningResult { sets })
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn into_canonical_is_decode_then_canonicalize(
+        case in prop_oneof![
+            // both sides of each mask word and of the 256-item limit
+            Just(0usize), Just(1), Just(64), Just(65), Just(255), Just(256), Just(257),
+            0usize..=300,
+        ]
+        .prop_flat_map(coded_result)
+    ) {
+        let (item_to_old, coded) = case;
+        let mut want = coded.clone().into_decoded(&item_to_old);
+        want.canonicalize();
+        prop_assert_eq!(coded.into_canonical(&item_to_old), want);
+    }
 
     #[test]
     fn itemset_lattice_laws(a in itemset_strategy(12), b in itemset_strategy(12), c in itemset_strategy(12)) {
@@ -151,4 +230,26 @@ proptest! {
             prop_assert!(itemset::is_subset(items.as_slice(), db.transaction(tid)));
         }
     }
+}
+
+#[test]
+fn into_canonical_orders_by_the_smallest_differing_item() {
+    // dense 0, 1, 2, 3 stand for raw 5, 1, 2, 0
+    let item_to_old = [5, 1, 2, 0];
+    let coded = MiningResult {
+        sets: [[0, 1], [1, 2], [0, 3], [2, 3]]
+            .into_iter()
+            .map(|dense| FoundSet::new(ItemSet::from(dense), 7))
+            .collect(),
+    };
+    let raw: Vec<Vec<Item>> = coded
+        .into_canonical(&item_to_old)
+        .sets
+        .iter()
+        .map(|s| s.items.as_slice().to_vec())
+        .collect();
+    // {0, 5} before {1, 2} fails a key sorted by the mask instead of its
+    // complement; {0, 2} before {0, 5} and {1, 2} before {1, 5} fail a
+    // mask with rank 0 in its least significant bit
+    assert_eq!(raw, [[0, 2], [0, 5], [1, 2], [1, 5]]);
 }

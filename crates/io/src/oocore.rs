@@ -276,11 +276,7 @@ pub fn mine_fimi_with_counts_opts<P: AsRef<Path>>(
         // the spill guard removed the files; the manifest goes with them
         let _ = fs::remove_file(&manifest_path);
     }
-    let outcome = outcome.map_result(|r| {
-        let mut decoded = r.into_decoded(recode.item_to_old());
-        decoded.canonicalize();
-        decoded
-    });
+    let outcome = outcome.map_result(|r| r.into_canonical(recode.item_to_old()));
     Ok(OutOfCoreRun {
         outcome,
         stats,

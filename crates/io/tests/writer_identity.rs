@@ -126,3 +126,50 @@ fn multi_chunk_result_matches_the_write_formula() {
     assert!(out.len() > 1 << 20, "{} bytes", out.len());
     assert_eq!(out, old_results(&result, &catalog));
 }
+
+#[test]
+fn names_around_the_fixed_copy_width_match_the_write_formulas() {
+    // entries (name and separator) of 7, 8 and 9 bytes; multi-byte names
+    // that end at byte 7 and byte 8; long names between short ones; and a
+    // short name last, whose 8-byte copy reaches into the table's padding
+    let names = [
+        "abcdef",
+        "abcdefg",
+        "abcdefgh",
+        "abcd日",
+        "abcde日",
+        "🦀🦀",
+        "a_name_far_longer_than_a_word",
+        "é",
+        "x_y7",
+        "abcdefghijklmnop",
+        "z",
+    ];
+    let mut catalog = ItemCatalog::new();
+    for name in names {
+        catalog.intern(name);
+    }
+    let n = names.len() as Item;
+    let mut sets = vec![FoundSet::new(ItemSet::empty(), 9)];
+    sets.push(FoundSet::new((0..n).collect(), 1));
+    for a in 0..n {
+        sets.push(FoundSet::new(ItemSet::from([a]), a + 2));
+        for b in a + 1..n {
+            sets.push(FoundSet::new(ItemSet::from([a, b]), a * n + b));
+        }
+    }
+    let result = MiningResult { sets };
+    let mut out = Vec::new();
+    write_results_named(&result, &catalog, &mut out).unwrap();
+    assert_eq!(out, old_results(&result, &catalog));
+
+    let mut txs: Vec<Vec<&str>> = vec![names.to_vec(), vec![]];
+    for a in names {
+        txs.push(vec![a]);
+        txs.extend(names.iter().map(|&b| vec![b, a]));
+    }
+    let db = TransactionDatabase::from_named(&txs);
+    let mut out = Vec::new();
+    write_fimi(&db, &mut out).unwrap();
+    assert_eq!(out, old_fimi(&db));
+}
