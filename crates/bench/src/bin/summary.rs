@@ -1,13 +1,10 @@
 //! Aggregates all recorded sweeps (`target/experiments/*.csv`) into the
 //! paper-vs-measured verdict: per data set, the fastest algorithm at the
 //! highest and lowest completed support, the IsTa-relative factors, and
-//! where each enumeration baseline dropped out. When `BENCH_scaling.json`
-//! or `BENCH_hotpath.json` records exist, their final prefix-tree memory
-//! stats are appended as a footer.
+//! where each enumeration baseline dropped out.
 
 use fim_bench::report::experiments_dir;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 #[derive(Debug, Default, Clone)]
 struct Cell {
@@ -18,8 +15,6 @@ struct Cell {
 fn main() {
     let dir = experiments_dir();
     let mut found_any = false;
-    // a missing experiments dir is not fatal: the tree-memory footer can
-    // still report on JSON records sitting in the current directory
     let mut entries: Vec<_> = match std::fs::read_dir(&dir) {
         Ok(rd) => rd.flatten().collect(),
         Err(_) => Vec::new(),
@@ -93,97 +88,11 @@ fn main() {
         }
         println!();
     }
-    print_tree_memory(&dir);
     if !found_any {
         eprintln!(
             "summary: no CSV records in {} — run the fig* binaries first",
             dir.display()
         );
         std::process::exit(1);
-    }
-}
-
-/// Pulls one numeric field out of a hand-written JSON object line.
-fn json_field(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Prints the `tree_memory` arrays of any scaling / hotpath JSON records
-/// found in the current directory or the experiments directory. Purely
-/// informational — absence is not an error.
-fn print_tree_memory(dir: &Path) {
-    let names = [
-        "BENCH_scaling.json",
-        "BENCH_hotpath.json",
-        "BENCH_patricia.json",
-    ];
-    let mut printed_header = false;
-    for name in names {
-        let path = [Path::new(name).to_path_buf(), dir.join(name)]
-            .into_iter()
-            .find(|p| p.is_file());
-        let Some(path) = path else { continue };
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let mut in_mem = false;
-        for line in text.lines() {
-            if line.contains("\"tree_memory\"") {
-                in_mem = true;
-                continue;
-            }
-            if !in_mem {
-                continue;
-            }
-            let t = line.trim();
-            if t.starts_with(']') {
-                break;
-            }
-            let (Some(live), Some(total), Some(free)) = (
-                json_field(t, "live_nodes"),
-                json_field(t, "total_slots"),
-                json_field(t, "free_slots"),
-            ) else {
-                continue;
-            };
-            let preset = t
-                .split("\"preset\": \"")
-                .nth(1)
-                .and_then(|r| r.split('"').next())
-                .unwrap_or("?");
-            if !printed_header {
-                println!("== final prefix-tree memory (sequential ista)");
-                printed_header = true;
-            }
-            // segment fields are present once the layout is Patricia
-            // (v2 JSON records); older records render as zero
-            let tree = fim_obs::TreeMetrics {
-                peak_nodes: json_field(t, "peak_nodes").unwrap_or(0),
-                live_nodes: live,
-                total_slots: total,
-                free_slots: free,
-                seg_items: json_field(t, "seg_items").unwrap_or(0),
-                seg_bytes: json_field(t, "seg_bytes").unwrap_or(0),
-                approx_bytes: json_field(t, "approx_bytes").unwrap_or(0),
-            };
-            println!(
-                "  {:<24} {preset:<14} {}",
-                path.file_name().unwrap().to_string_lossy(),
-                fim_bench::report::tree_memory_line(
-                    &tree,
-                    json_field(t, "prune_passes").unwrap_or(0),
-                    json_field(t, "compactions").unwrap_or(0),
-                ),
-            );
-        }
-    }
-    if printed_header {
-        println!();
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// Stack size for mining threads: tree depth is bounded by the longest
 /// transaction, which can reach tens of thousands of items on the
 /// gene-expression-shaped data.
-pub const MINE_STACK_BYTES: usize = 1 << 30;
+const MINE_STACK_BYTES: usize = 1 << 30;
 
 /// Result of one sweep cell.
 #[derive(Clone, Copy, Debug)]

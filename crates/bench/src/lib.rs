@@ -27,6 +27,6 @@ pub mod report;
 
 pub use harness::{
     figure_main, maybe_run_cell, parse_kv, preset_by_name, run_cell, run_cell_subprocess,
-    scaled_sweep, CellOutcome, CellRun, SweepConfig, MINE_STACK_BYTES,
+    scaled_sweep, CellOutcome, CellRun, SweepConfig,
 };
 pub use report::{write_csv, Row};

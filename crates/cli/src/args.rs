@@ -72,6 +72,14 @@ impl Args {
         self.get(key).is_some()
     }
 
+    /// The first given flag, in key order, that `known` rejects.
+    pub fn unknown_flag(&self, known: impl Fn(&str) -> bool) -> Option<&str> {
+        self.sorted_pairs()
+            .into_iter()
+            .map(|(key, _)| key)
+            .find(|key| !known(key))
+    }
+
     /// All parsed pairs sorted by key, for deterministic config
     /// summaries (the run ledger).
     pub fn sorted_pairs(&self) -> Vec<(&str, &str)> {

@@ -48,12 +48,44 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), CliError>;
+
+/// The flags of `fim mine`, in the order its usage text documents them.
+const MINE_FLAGS: &str = "supp supp-rel algo in out item-order tx-order maximal no-prune \
+    threads include exclude min-size max-size min-area no-push rep no-patricia stats metrics \
+    progress profile trace-events sample ledger timeout max-nodes max-sets degrade checkpoint \
+    resume out-of-core mem-budget spill-dir resume-spill io-retries";
+
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = argv.split_first() else {
-        print_help();
+        println!("{USAGE}");
         return Ok(());
     };
     let args = Args::parse(rest)?;
+    // each subcommand takes the flags its usage text documents, so a
+    // misspelt flag cannot silently change the query
+    let (cmd, flags): (Command, &str) = match command.as_str() {
+        "mine" => (cmd_mine, MINE_FLAGS),
+        "gen" => (cmd_gen, "preset scale seed out"),
+        "rules" => (cmd_rules, "supp conf algo in out"),
+        "stats" => (cmd_stats, "in"),
+        "compare" => (
+            cmd_compare,
+            "base new json time-tol time-floor mem-tol mem-floor-kb counter-tol",
+        ),
+        "trace-export" => (cmd_trace_export, "in out"),
+        "algos" => (cmd_algos, ""),
+        "help" | "--help" | "-h" => (cmd_help, ""),
+        other => return Err(usage(format!("unknown command '{other}'"))),
+    };
+    // `--inject-fault` is read here, before dispatch, for every subcommand
+    let known = |key: &str| key == "inject-fault" || flags.split_whitespace().any(|f| f == key);
+    if let Some(flag) = args.unknown_flag(known) {
+        return Err(usage(format!(
+            "unknown flag '--{flag}' for 'fim {command}'"
+        )));
+    }
     // the deterministic fault layer (crash-consistency testing): armed
     // from the flag and/or the env var, a single relaxed atomic load when
     // disarmed
@@ -63,25 +95,19 @@ fn run(argv: &[String]) -> Result<(), CliError> {
             fim_core::fault::arm_str(part.trim()).map_err(usage)?;
         }
     }
-    match command.as_str() {
-        "mine" => cmd_mine(&args),
-        "gen" => cmd_gen(&args),
-        "rules" => cmd_rules(&args),
-        "stats" => cmd_stats(&args),
-        "compare" => cmd_compare(&args),
-        "trace-export" => cmd_trace_export(&args),
-        "algos" => {
-            for name in algos::names() {
-                println!("{name}");
-            }
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
-        other => Err(usage(format!("unknown command '{other}'"))),
+    cmd(&args)
+}
+
+fn cmd_algos(_: &Args) -> Result<(), CliError> {
+    for name in algos::names() {
+        println!("{name}");
     }
+    Ok(())
+}
+
+fn cmd_help(_: &Args) -> Result<(), CliError> {
+    println!("{USAGE}");
+    Ok(())
 }
 
 fn load_db(args: &Args) -> Result<TransactionDatabase, CliError> {
@@ -167,10 +193,8 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         return cmd_mine_stream(args, algo, miner);
     }
     let is_ista = matches!(miner, Miner::Ista(_) | Miner::ParallelIsta(_));
-    for f in ["no-coalesce", "no-compact", "no-patricia"] {
-        if args.flag(f) && !is_ista {
-            return Err(usage(format!("--{f} is only available for ista variants")));
-        }
+    if args.flag("no-patricia") && !is_ista {
+        return Err(usage("--no-patricia is only available for ista variants"));
     }
     // `--threads N` selects the data-parallel miner with N shards
     // (0 = one per available core); only meaningful for ista variants
@@ -433,10 +457,10 @@ impl Query {
 /// once, before any miner runs.
 ///
 /// The kernelized families are sequential IsTa, eclat, declat, and
-/// carpenter-lists; the rest reject a selection. Note that ista has no
-/// galloping kernel (its epoch probe is already O(1)) and the plain layout
-/// has no bitset kernel: those combinations run the scalar path, as
-/// documented on [`fim_ista::IstaConfig`].
+/// carpenter-lists; the rest reject a selection. IsTa has no galloping
+/// kernel (its epoch probe is already O(1)) and the plain layout has no
+/// bitset kernel: [`configure`] turns those selections into the scalar
+/// kernel they run.
 fn resolve_rep(
     args: &Args,
     miner: &Miner,
@@ -479,14 +503,11 @@ fn resolve_rep(
     Ok(flag)
 }
 
-/// Applies `--no-prune`, `--no-coalesce`, `--no-compact` and
-/// `--no-patricia` to an IsTa configuration.
+/// Applies `--no-prune` and `--no-patricia` to an IsTa configuration.
 fn ista_toggles(args: &Args, mut config: IstaConfig) -> IstaConfig {
     if args.flag("no-prune") {
         config.policy = PrunePolicy::Never;
     }
-    config.coalesce &= !args.flag("no-coalesce");
-    config.compact &= !args.flag("no-compact");
     config.patricia &= !args.flag("no-patricia");
     config
 }
@@ -500,20 +521,23 @@ fn configure(
     rep: Option<Representation>,
     threads: Option<usize>,
 ) -> Result<Miner, CliError> {
-    // the shards carry the sequential toggles over
+    // the shards carry the sequential pruning policy over
     let sharded = |threads: usize, c: IstaConfig| {
         Miner::ParallelIsta(ParallelIstaMiner::with_config(ParallelConfig {
             threads,
             policy: c.policy,
-            coalesce: c.coalesce,
-            compact: c.compact,
         }))
     };
     let no_prune = args.flag("no-prune");
     Ok(match miner {
         Miner::Ista(m) => {
             let mut config = ista_toggles(args, m.config);
-            config.rep = rep.unwrap_or(config.rep);
+            // keep only a kernel the layout has, so `Miner::rep` and the
+            // metrics name the kernel that runs
+            config.rep = match rep.unwrap_or(config.rep) {
+                Representation::Bitset if config.patricia => Representation::Bitset,
+                _ => Representation::Scalar,
+            };
             match threads {
                 Some(t) => sharded(t, config),
                 None => Miner::Ista(IstaMiner::with_config(config)),
@@ -523,8 +547,6 @@ fn configure(
             let c = m.config;
             let config = IstaConfig {
                 policy: c.policy,
-                coalesce: c.coalesce,
-                compact: c.compact,
                 ..IstaConfig::default()
             };
             sharded(threads.unwrap_or(c.threads), ista_toggles(args, config))
@@ -741,8 +763,6 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         "stats",
         "profile",
         "no-prune",
-        "no-coalesce",
-        "no-compact",
         "no-patricia",
         "rep",
         "degrade",
@@ -977,8 +997,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     let ista = ista_toggles(args, ista);
     let mut config = fim_ista::OutOfCoreConfig::new(mem_budget, spill_dir);
     config.policy = ista.policy;
-    config.coalesce = ista.coalesce;
-    config.compact = ista.compact;
     config.retry = fim_core::fault::RetryPolicy::with_retries(io_retries);
     let mut obs = obs_args.build_with_spill(Some(std::path::Path::new(spill_dir)))?;
     let start = Instant::now();
@@ -1196,9 +1214,8 @@ fn cmd_trace_export(args: &Args) -> Result<(), CliError> {
     })
 }
 
-fn print_help() {
-    println!(
-        "fim — closed frequent item set mining by intersecting transactions
+/// The text `fim help` prints.
+const USAGE: &str = "fim — closed frequent item set mining by intersecting transactions
 
 USAGE:
   fim mine  --supp N | --supp-rel F   [--algo NAME] [--in FILE] [--out FILE]
@@ -1206,8 +1223,7 @@ USAGE:
             [--maximal] [--no-prune] [--threads N]
             [--include A,B] [--exclude C,D] [--min-size N] [--max-size N]
             [--min-area N] [--no-push]
-            [--rep auto|scalar|bitset|gallop]
-            [--no-coalesce] [--no-compact] [--no-patricia]
+            [--rep auto|scalar|bitset|gallop] [--no-patricia]
             [--stats] [--metrics PATH|-] [--progress SECS] [--profile FILE]
             [--trace-events FILE] [--sample SECS] [--ledger FILE]
             [--timeout SECS] [--max-nodes N] [--max-sets N] [--degrade]
@@ -1217,12 +1233,9 @@ USAGE:
             [--inject-fault POINT:NTH[:io|enospc|partial|panic]]
             (--threads N shards the database over N threads and merges the
              per-shard prefix trees; 0 = one shard per core; ista only)
-            (--no-coalesce disables merging identical transactions into
-             weighted pairs; --no-compact disables post-prune arena
-             compaction; --no-patricia mines on the uncompressed
-             one-item-per-node tree instead of the path-compressed
-             Patricia layout (equivalent to --algo ista-plain; sequential
-             only); all are ista only)
+            (--no-patricia mines on the uncompressed one-item-per-node
+             tree instead of the path-compressed Patricia layout
+             (equivalent to --algo ista-plain; sequential ista only))
             (constraints: --include/--exclude take comma-separated item
              names; --min-size/--max-size bound the item count and
              --min-area the product support x size of the reported sets.
@@ -1243,7 +1256,9 @@ USAGE:
              sorted-list merges (the default), bitset word-AND + popcount,
              gallop exponential-search merges; auto picks by database
              density. Output is identical across kernels; only the work
-             profile changes. Spelling the kernel as an algorithm-name
+             profile changes. ista has no gallop kernel and ista-plain no
+             bitset kernel: those selections run the scalar kernel, and
+             --metrics says so. Spelling the kernel as an algorithm-name
              suffix (e.g. --algo eclat-bitset) is equivalent)
             (observability: --metrics writes one fim-metrics/2 JSON
              document with run counters, tree occupancy, the kernel
@@ -1320,9 +1335,29 @@ FILE defaults to stdin/stdout ('-'). Algorithms: run 'fim algos'.
 EXIT CODES:
   0  success
   1  I/O or other failure (including an injected fault of kind io)
-  2  usage error (bad command line, unknown fault point)
+  2  usage error (bad command line, unknown flag or fault point)
   3  parse error (malformed input, corrupt checkpoint, foreign manifest)
   4  a resource budget tripped or the disk filled up (partial results
-     were still written; disk-full leaves a --resume-spill manifest)"
-    );
+     were still written; disk-full leaves a --resume-spill manifest)";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `MINE_FLAGS` lists exactly the flags the `fim mine` usage text
+    /// documents, `--inject-fault` aside.
+    #[test]
+    fn mine_flags_are_the_documented_ones() {
+        let mine = &USAGE[USAGE.find("fim mine").unwrap()..USAGE.find("fim gen").unwrap()];
+        let mut documented: Vec<&str> = mine
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|&flag| flag != "inject-fault")
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut listed: Vec<&str> = MINE_FLAGS.split_whitespace().collect();
+        listed.sort_unstable();
+        assert_eq!(listed, documented);
+    }
 }

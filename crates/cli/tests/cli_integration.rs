@@ -125,7 +125,7 @@ fn all_algorithms_agree_via_cli() {
         .lines()
         .map(str::to_owned)
         .collect();
-    assert_eq!(names.len(), 29);
+    assert_eq!(names.len(), 27);
     let uncounted = [
         "fpclose",
         "lcm",
@@ -216,6 +216,26 @@ fn names_are_accepted_where_their_flag_spellings_are() {
         run(&[&["--algo", "ista-noprune"], &oocore[..]].concat()),
         run(&[&["--algo", "ista", "--no-prune"], &oocore[..]].concat())
     );
+}
+
+/// A kernel the IsTa layout lacks runs, and is reported, as scalar:
+/// Patricia IsTa has no gallop kernel, the plain tree no bitset kernel.
+#[test]
+fn metrics_name_the_ista_kernel_that_runs() {
+    let dir = Scratch::new("istarep");
+    let data = dir.preset("ncbi60", "0.1", "data.fimi");
+    let metrics = dir.path("metrics.json");
+    let want = mine(&data, &["--algo", "ista"]);
+    for query in [["ista", "gallop"], ["ista-plain", "bitset"]] {
+        let out = mine(
+            &data,
+            &["--algo", query[0], "--rep", query[1], "--metrics", &metrics],
+        );
+        assert!(out.status.success(), "{query:?}: {}", stderr(&out));
+        assert!(out.stdout == want.stdout, "{query:?}");
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        assert!(doc.contains("\"rep\": \"scalar\""), "{query:?}: {doc}");
+    }
 }
 
 /// A run where no miner runs (a must-include item does not survive the

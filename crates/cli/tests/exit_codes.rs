@@ -103,6 +103,54 @@ fn usage_errors_exit_2() {
     }
 }
 
+/// Every subcommand takes only the flags its usage text documents: a
+/// misspelt or retired flag is a usage error naming it, never a silently
+/// different query.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    let valid = data("valid.fimi");
+    let mine = |flag: &'static str, value: Option<&'static str>| {
+        let mut argv = vec!["mine", "--supp", "1", "--in", valid.as_str(), flag];
+        argv.extend(value);
+        argv
+    };
+    for (argv, flag) in [
+        (mine("--timout", Some("0")), "--timout"),
+        (mine("--min-sise", Some("5")), "--min-sise"),
+        (mine("--no-coalesce", None), "--no-coalesce"),
+        (mine("--no-compact", None), "--no-compact"),
+        (vec!["gen", "--preset", "ncbi60", "--seeed", "5"], "--seeed"),
+        (
+            vec![
+                "rules",
+                "--supp",
+                "1",
+                "--in",
+                &valid,
+                "--confidence",
+                "0.5",
+            ],
+            "--confidence",
+        ),
+        (vec!["stats", "--in", &valid, "--bogus"], "--bogus"),
+        (vec!["compare", "--base", &valid, "--nwe", &valid], "--nwe"),
+        (vec!["trace-export", "--inn", &valid], "--inn"),
+        (vec!["algos", "--all"], "--all"),
+    ] {
+        let out = fim(&argv);
+        assert_eq!(code(&out), 2, "argv {argv:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown flag '{flag}'")),
+            "argv {argv:?}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "argv {argv:?}");
+    }
+    // the fault flag is read before dispatch, so every subcommand takes it
+    let out = fim(&["stats", "--in", &valid, "--inject-fault", "spill.write:1"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+}
+
 #[test]
 fn malformed_input_exits_3_with_line_number() {
     for file in [

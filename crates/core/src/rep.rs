@@ -20,7 +20,9 @@
 //!
 //! [`Representation::select`] makes the per-database choice from a
 //! [`Density`] estimate; the thresholds are calibrated against E14 (see
-//! EXPERIMENTS.md).
+//! EXPERIMENTS.md), which also records the cells where they pick a
+//! slower kernel: carpenter-lists at 497 rows, eclat and dEclat below
+//! the fill floor.
 
 use crate::recode::Density;
 use std::fmt;
@@ -41,9 +43,10 @@ pub enum Representation {
 /// Row count at or above which bitset tid-sets pay off. A tid-set is
 /// `rows` bits wide, so below this floor every set fits a handful of
 /// words and the scalar cursors are already cache-resident — E14 measures
-/// bitset *losing* slightly on the 30- and 249-transaction paper-axis
-/// workloads while winning 2.7–5.7× on the 1 400- and 29 801-transaction
-/// column-axis workloads, at every fill rate probed.
+/// bitset *losing* 0.79× for carpenter-lists on the 30-transaction ncbi60
+/// workload while winning 3.8–4.5× for eclat and dEclat on 200 000- and
+/// 500 000-transaction baskets. The floor is too low for carpenter-lists:
+/// at 497 rows (webview) bitset still runs 1.7× slower than scalar.
 pub const BITSET_MIN_ROWS: usize = 256;
 
 /// Fill rate at or above which the bitset representation is selected
@@ -51,8 +54,9 @@ pub const BITSET_MIN_ROWS: usize = 256;
 /// intersection against `~2·fill·rows` elements for the scalar merge, and
 /// E14 measures the branchless word ops at roughly a third of the cost of
 /// a branchy merge step, so break-even sits near `fill = 1/128·(1/3)`;
-/// `1/256` keeps a margin above it. (The lowest fill E14 probes, 0.0086
-/// on full-scale webview-basket, still has bitset 2.7× ahead.)
+/// `1/256` keeps a margin above it. The re-measured E14 puts the real
+/// break-even for eclat and dEclat far lower: at fill 0.0019 bitset is
+/// still 3.5–3.9× faster than the gallop kernel this floor selects.
 pub const BITSET_FILL_THRESHOLD: f64 = 1.0 / 256.0;
 
 /// Alias kept for the galloping hand-off: below [`BITSET_FILL_THRESHOLD`]
@@ -67,7 +71,7 @@ impl Representation {
     /// get `Scalar`: there is nothing to intersect, so the reference kernel
     /// is the only sensible default. With fewer than [`BITSET_MIN_ROWS`]
     /// rows every tid-set fits a few words and `Scalar` wins (or ties
-    /// within noise) everywhere E14 measures, so it is kept. At or above
+    /// within noise) on every such cell E14 measures, so it is kept. At or above
     /// the row floor, fill decides: `>= `[`BITSET_FILL_THRESHOLD`] →
     /// `Bitset`, else `Gallop` (lists that sparse reward exponential
     /// cursor skips over linear merges).

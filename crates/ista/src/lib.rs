@@ -50,7 +50,7 @@ pub mod stream;
 pub mod tree;
 
 pub use arena::{Node, NodeArena, PatNode, SegArena, NONE};
-pub use miner::{IstaConfig, IstaMiner, MineStats, PrunePacer, PrunePolicy};
+pub use miner::{IstaConfig, IstaMiner, MineStats, PrunePolicy};
 pub use outofcore::{
     load_spill, spill_tree, sync_parent_dir, AdoptedSpill, OutOfCoreConfig, OutOfCoreMiner,
     OutOfCoreStats, ResumePlan, SpillJournal, TxInterval,

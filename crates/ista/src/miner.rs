@@ -102,7 +102,7 @@ pub enum PrunePolicy {
 /// whether a pruning pass is due, implementing the [`PrunePolicy`]
 /// semantics in one place.
 #[derive(Clone, Copy, Debug)]
-pub struct PrunePacer {
+pub(crate) struct PrunePacer {
     policy: PrunePolicy,
     processed: usize,
     last_prune_size: usize,
@@ -110,7 +110,7 @@ pub struct PrunePacer {
 
 impl PrunePacer {
     /// A pacer implementing `policy`, starting from an empty tree.
-    pub fn new(policy: PrunePolicy) -> Self {
+    pub(crate) fn new(policy: PrunePolicy) -> Self {
         PrunePacer {
             policy,
             processed: 0,
@@ -119,7 +119,7 @@ impl PrunePacer {
     }
 
     /// Call after a transaction lands; returns whether to prune now.
-    pub fn due(&mut self, node_count: usize) -> bool {
+    pub(crate) fn due(&mut self, node_count: usize) -> bool {
         self.processed += 1;
         match self.policy {
             PrunePolicy::Never => false,
@@ -131,25 +131,23 @@ impl PrunePacer {
     }
 
     /// Call after a pruning pass with the post-prune tree size.
-    pub fn pruned(&mut self, node_count: usize) {
+    pub(crate) fn pruned(&mut self, node_count: usize) {
         self.last_prune_size = node_count.max(256);
     }
 }
 
 /// Tuning knobs for [`IstaMiner`].
+///
+/// Two hot-path steps always run and are not configurable: identical
+/// transactions merge into `(items, weight)` pairs up front
+/// ([`fim_core::coalesce`]), and the node arena is compacted into
+/// depth-first order after each pruning pass that freed slots
+/// ([`PrefixTree::compact`]). Both are output-invariant; switching either
+/// off never won a measured cell (EXPERIMENTS.md E11).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IstaConfig {
     /// Pruning placement policy.
     pub policy: PrunePolicy,
-    /// Merge identical transactions into `(items, weight)` pairs up front
-    /// (see [`fim_core::coalesce`]) and process each distinct transaction
-    /// with one weighted cumulative-intersection pass. Output-invariant;
-    /// on dense data recoding collapses many rows, so this is the default.
-    pub coalesce: bool,
-    /// Compact the node arena into depth-first order after each pruning
-    /// pass that freed slots ([`PrefixTree::compact`]), so the `isect`
-    /// traversal walks nearly-sequential memory. Output-invariant.
-    pub compact: bool,
     /// Use the path-compressed Patricia tree (paper §3.3); when `false`
     /// the miner runs on the uncompressed one-item-per-node
     /// [`PlainPrefixTree`] layout instead (ablation baseline, registered
@@ -157,9 +155,11 @@ pub struct IstaConfig {
     pub patricia: bool,
     /// Segment-scan kernel selection. [`Representation::Bitset`] switches
     /// the Patricia `isect` walk to packed-word membership probes (plus a
-    /// whole-run word-AND for contiguous segments); `Gallop` has no IsTa
-    /// kernel and runs the scalar epoch probe, as does the plain layout.
-    /// Output-invariant (proptested against the scalar path).
+    /// whole-run word-AND for contiguous segments). `Gallop` has no IsTa
+    /// kernel, and the plain layout has no bitset kernel: both run the
+    /// scalar epoch probe, and the CLI stores `Scalar` for them so its
+    /// metrics name the kernel that runs. Output-invariant (proptested
+    /// against the scalar path).
     pub rep: Representation,
 }
 
@@ -167,8 +167,6 @@ impl Default for IstaConfig {
     fn default() -> Self {
         IstaConfig {
             policy: PrunePolicy::Growth(2.0),
-            coalesce: true,
-            compact: true,
             patricia: true,
             rep: Representation::Scalar,
         }
@@ -188,22 +186,6 @@ impl IstaConfig {
     pub fn prune_every_transaction() -> Self {
         IstaConfig {
             policy: PrunePolicy::EveryN(1),
-            ..Default::default()
-        }
-    }
-
-    /// Configuration with transaction coalescing disabled (for ablations).
-    pub fn without_coalescing() -> Self {
-        IstaConfig {
-            coalesce: false,
-            ..Default::default()
-        }
-    }
-
-    /// Configuration with arena compaction disabled (for ablations).
-    pub fn without_compaction() -> Self {
-        IstaConfig {
-            compact: false,
             ..Default::default()
         }
     }
@@ -239,8 +221,8 @@ impl IstaConfig {
 pub struct MineStats {
     /// Transactions in the database (total weight processed).
     pub total_transactions: usize,
-    /// Distinct transactions after coalescing (equals
-    /// `total_transactions` when coalescing is off).
+    /// Distinct transactions after coalescing: the weighted rows the
+    /// miner inserts, one cumulative-intersection pass each.
     pub distinct_transactions: usize,
     /// Item-elimination pruning passes executed.
     pub prune_passes: usize,
@@ -375,11 +357,7 @@ impl IstaMiner {
         let mut minsupp_eff = requested;
         let mut degradation: Option<Degradation> = None;
         span_enter(&mut obs, "coalesce");
-        let txs: Vec<(&[Item], u32)> = if self.config.coalesce {
-            prepare::coalesce(db.transactions())
-        } else {
-            db.transactions().iter().map(|t| (t.as_ref(), 1)).collect()
-        };
+        let txs = prepare::coalesce(db.transactions());
         span_exit(&mut obs);
         let mut stats = MineStats {
             total_transactions: db.transactions().len(),
@@ -449,7 +427,7 @@ impl IstaMiner {
                         stats.prune_passes += 1;
                     }
                     d.effective_minsupp = minsupp_eff;
-                    if self.config.compact && tree.compact_if_fragmented() {
+                    if tree.compact_if_fragmented() {
                         stats.compactions += 1;
                     }
                     pacer.pruned(tree.node_count());
@@ -480,26 +458,22 @@ impl IstaMiner {
                 span_exit(&mut obs);
                 pacer.pruned(tree.node_count());
                 stats.prune_passes += 1;
-                if self.config.compact {
-                    span_enter(&mut obs, "compact");
-                    if tree.compact_if_fragmented() {
-                        stats.compactions += 1;
-                    }
-                    span_exit(&mut obs);
+                span_enter(&mut obs, "compact");
+                if tree.compact_if_fragmented() {
+                    stats.compactions += 1;
                 }
+                span_exit(&mut obs);
             }
         }
         span_exit(&mut obs); // transactions
 
         // one last compaction before reporting: `report` walks the whole
         // tree in DFS order, which is exactly the order compact lays out
-        if self.config.compact {
-            span_enter(&mut obs, "compact");
-            if tree.compact_if_fragmented() {
-                stats.compactions += 1;
-            }
-            span_exit(&mut obs);
+        span_enter(&mut obs, "compact");
+        if tree.compact_if_fragmented() {
+            stats.compactions += 1;
         }
+        span_exit(&mut obs);
         stats.memory = tree.memory_stats();
         stats.counters = tree.counters();
         span_enter(&mut obs, "report");
@@ -635,26 +609,19 @@ mod tests {
         for minsupp in 1..=8 {
             let want = mine_reference(&db, minsupp);
             for policy in policies {
-                for coalesce in [false, true] {
-                    for compact in [false, true] {
-                        for patricia in [false, true] {
-                            for rep in [Representation::Scalar, Representation::Bitset] {
-                                let got = IstaMiner::with_config(IstaConfig {
-                                    policy,
-                                    coalesce,
-                                    compact,
-                                    patricia,
-                                    rep,
-                                })
-                                .mine(&db, minsupp)
-                                .canonicalized();
-                                assert_eq!(
-                                    got, want,
-                                    "policy={policy:?} coalesce={coalesce} compact={compact} \
-                                     patricia={patricia} rep={rep} minsupp={minsupp}"
-                                );
-                            }
-                        }
+                for patricia in [false, true] {
+                    for rep in [Representation::Scalar, Representation::Bitset] {
+                        let got = IstaMiner::with_config(IstaConfig {
+                            policy,
+                            patricia,
+                            rep,
+                        })
+                        .mine(&db, minsupp)
+                        .canonicalized();
+                        assert_eq!(
+                            got, want,
+                            "policy={policy:?} patricia={patricia} rep={rep} minsupp={minsupp}"
+                        );
                     }
                 }
             }
@@ -666,12 +633,12 @@ mod tests {
         let db = duplicated_db();
         for minsupp in 1..=6 {
             let want = mine_reference(&db, minsupp);
-            let on = IstaMiner::default().mine(&db, minsupp).canonicalized();
-            let off = IstaMiner::with_config(IstaConfig::without_coalescing())
-                .mine(&db, minsupp)
-                .canonicalized();
-            assert_eq!(on, want, "coalesced, minsupp={minsupp}");
-            assert_eq!(off, want, "uncoalesced, minsupp={minsupp}");
+            for config in [IstaConfig::default(), IstaConfig::without_patricia()] {
+                let got = IstaMiner::with_config(config)
+                    .mine(&db, minsupp)
+                    .canonicalized();
+                assert_eq!(got, want, "{config:?}, minsupp={minsupp}");
+            }
         }
     }
 
@@ -680,8 +647,6 @@ mod tests {
         let db = duplicated_db();
         let (result, stats) = IstaMiner::with_config(IstaConfig {
             policy: PrunePolicy::EveryN(2),
-            coalesce: true,
-            compact: true,
             patricia: true,
             rep: Representation::Scalar,
         })
@@ -699,11 +664,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_without_coalescing_keep_all_rows_distinct() {
+    fn stats_without_pruning_report_no_compaction() {
         let db = duplicated_db();
         let (_, stats) =
-            IstaMiner::with_config(IstaConfig::without_coalescing()).mine_with_stats(&db, 1);
-        assert_eq!(stats.distinct_transactions, stats.total_transactions);
+            IstaMiner::with_config(IstaConfig::without_pruning()).mine_with_stats(&db, 1);
+        assert_eq!(stats.distinct_transactions, 4);
+        assert_eq!(stats.prune_passes, 0);
         assert_eq!(stats.compactions, 0, "nothing pruned, nothing compacted");
     }
 
@@ -811,8 +777,10 @@ mod tests {
 
     #[test]
     fn transaction_budget_yields_exact_prefix_result() {
+        // the paper database has no duplicate rows, so coalescing keeps
+        // the database order and every row weighs 1
         let db = paper_db();
-        let miner = IstaMiner::with_config(IstaConfig::without_coalescing());
+        let miner = IstaMiner::default();
         for k in 1..db.transactions().len() {
             let budget = fim_core::Budget::unlimited().with_max_transactions(k as u64);
             let (outcome, _) = miner.mine_governed_with_stats(&db, 2, &budget);

@@ -65,13 +65,6 @@ pub struct OutOfCoreConfig {
     /// Per-shard and per-merge pruning placement policy (same semantics
     /// as the sequential miner's).
     pub policy: PrunePolicy,
-    /// Coalesce each shard's (hopeless-item-filtered) transactions into
-    /// `(items, weight)` pairs before insertion (same semantics as
-    /// [`IstaConfig::coalesce`]).
-    pub coalesce: bool,
-    /// Compact shard/merge trees after pruning passes that freed slots
-    /// (same semantics as [`IstaConfig::compact`]).
-    pub compact: bool,
     /// Bounded retry for transient spill-write failures (the CLI's
     /// `--io-retries`). The default retries nothing.
     pub retry: RetryPolicy,
@@ -79,15 +72,13 @@ pub struct OutOfCoreConfig {
 
 impl OutOfCoreConfig {
     /// Configuration with an explicit byte budget and spill directory and
-    /// the sequential miner's default policy toggles.
+    /// the sequential miner's default pruning policy.
     pub fn new(mem_budget: u64, spill_dir: impl Into<PathBuf>) -> Self {
         let seq = IstaConfig::default();
         OutOfCoreConfig {
             mem_budget,
             spill_dir: spill_dir.into(),
             policy: seq.policy,
-            coalesce: seq.coalesce,
-            compact: seq.compact,
             retry: RetryPolicy::default(),
         }
     }
@@ -816,9 +807,7 @@ impl OutOfCoreMiner {
         if !matches!(cfg.policy, PrunePolicy::Never) {
             // terminal-reducing prune: this tree is only reported now
             tree.prune(&remaining, minsupp);
-            if cfg.compact {
-                tree.compact_if_fragmented();
-            }
+            tree.compact_if_fragmented();
         }
         counters.merge(tree.counters());
         counters.add(Counter::ShardsSpilled, stats.spilled);
@@ -888,11 +877,7 @@ fn mine_shard(
         }
         filtered.push(f);
     }
-    let weighted: Vec<(&[Item], u32)> = if cfg.coalesce {
-        fim_core::coalesce(&filtered)
-    } else {
-        filtered.iter().map(|t| (t.as_slice(), 1)).collect()
-    };
+    let weighted = fim_core::coalesce(&filtered);
     for (t, w) in &weighted {
         for &i in t.iter() {
             remaining[i as usize] -= w;
@@ -915,9 +900,7 @@ fn mine_shard(
         if pacer.due(tree.node_count()) {
             tree.prune_keeping_terminals(&remaining, minsupp);
             pacer.pruned(tree.node_count());
-            if cfg.compact {
-                tree.compact_if_fragmented();
-            }
+            tree.compact_if_fragmented();
         }
     }
     (tree, remaining)
@@ -948,9 +931,7 @@ fn merge_spilled(
         } else {
             tree.prune_keeping_terminals(remaining, minsupp);
         }
-        if cfg.compact {
-            tree.compact_if_fragmented();
-        }
+        tree.compact_if_fragmented();
     }
     pacer.pruned(tree.node_count());
     let replay: Result<(), TripReason> = tree.try_merge_with(&right.0, |tree, t, w| {
@@ -964,9 +945,7 @@ fn merge_spilled(
                 tree.prune_keeping_terminals(remaining, minsupp);
             }
             pacer.pruned(tree.node_count());
-            if cfg.compact {
-                tree.compact_if_fragmented();
-            }
+            tree.compact_if_fragmented();
         }
         match checkpoint!(gov, tree.node_count(), tree.memory_stats().approx_bytes, 0) {
             Some(reason) => Err(reason),
@@ -1438,7 +1417,7 @@ mod tests {
     use std::sync::Mutex;
 
     #[test]
-    fn policies_and_toggles_agree_with_reference() {
+    fn policies_agree_with_reference() {
         let db = paper_db();
         let dir = temp_dir("pol");
         let policies = [
@@ -1447,40 +1426,34 @@ mod tests {
             PrunePolicy::Growth(1.1),
         ];
         for policy in policies {
-            for coalesce in [false, true] {
-                for minsupp in [1u32, 2, 3, 5] {
-                    let want = mine_reference(&db, minsupp);
-                    let mut config = OutOfCoreConfig::new(100, &dir);
-                    config.policy = policy;
-                    config.coalesce = coalesce;
-                    let miner = OutOfCoreMiner::with_config(config);
-                    let txs = db.transactions();
-                    let mut i = 0usize;
-                    let (outcome, _) = miner
-                        .mine_stream(
-                            db.num_items(),
-                            db.item_supports(),
-                            None,
-                            minsupp,
-                            &Budget::unlimited(),
-                            move |buf| {
-                                buf.clear();
-                                if i < txs.len() {
-                                    buf.extend_from_slice(&txs[i]);
-                                    i += 1;
-                                    Ok(true)
-                                } else {
-                                    Ok(false)
-                                }
-                            },
-                        )
-                        .expect("pipeline");
-                    let got = outcome.into_result().canonicalized();
-                    assert_eq!(
-                        got, want,
-                        "policy={policy:?} coalesce={coalesce} ms={minsupp}"
-                    );
-                }
+            for minsupp in [1u32, 2, 3, 5] {
+                let want = mine_reference(&db, minsupp);
+                let mut config = OutOfCoreConfig::new(100, &dir);
+                config.policy = policy;
+                let miner = OutOfCoreMiner::with_config(config);
+                let txs = db.transactions();
+                let mut i = 0usize;
+                let (outcome, _) = miner
+                    .mine_stream(
+                        db.num_items(),
+                        db.item_supports(),
+                        None,
+                        minsupp,
+                        &Budget::unlimited(),
+                        move |buf| {
+                            buf.clear();
+                            if i < txs.len() {
+                                buf.extend_from_slice(&txs[i]);
+                                i += 1;
+                                Ok(true)
+                            } else {
+                                Ok(false)
+                            }
+                        },
+                    )
+                    .expect("pipeline");
+                let got = outcome.into_result().canonicalized();
+                assert_eq!(got, want, "policy={policy:?} ms={minsupp}");
             }
         }
         let _ = fs::remove_dir_all(&dir);

@@ -81,13 +81,6 @@ pub struct ParallelConfig {
     /// Per-shard pruning placement policy (same semantics as the
     /// sequential miner's).
     pub policy: PrunePolicy,
-    /// Coalesce each shard's (hopeless-item-filtered) transactions into
-    /// `(items, weight)` pairs before insertion (same semantics as
-    /// [`IstaConfig::coalesce`]).
-    pub coalesce: bool,
-    /// Compact shard/merge trees after pruning passes that freed slots
-    /// (same semantics as [`IstaConfig::compact`]).
-    pub compact: bool,
 }
 
 impl Default for ParallelConfig {
@@ -96,8 +89,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads: 0,
             policy: seq.policy,
-            coalesce: seq.coalesce,
-            compact: seq.compact,
         }
     }
 }
@@ -200,8 +191,6 @@ impl ParallelIstaMiner {
         if threads <= 1 || txs.len() <= 1 {
             let seq = IstaMiner::with_config(IstaConfig {
                 policy: self.config.policy,
-                coalesce: self.config.coalesce,
-                compact: self.config.compact,
                 patricia: true,
                 rep: fim_core::Representation::Scalar,
             });
@@ -346,11 +335,7 @@ fn mine_shard(txs: &[Box<[Item]>], ctx: &RunCtx) -> ShardTree {
         }
         filtered.push(f);
     }
-    let weighted: Vec<(&[Item], u32)> = if cfg.coalesce {
-        fim_core::coalesce(&filtered)
-    } else {
-        filtered.iter().map(|t| (t.as_slice(), 1)).collect()
-    };
+    let weighted = fim_core::coalesce(&filtered);
     for (t, w) in &weighted {
         for &i in t.iter() {
             remaining[i as usize] -= w;
@@ -374,9 +359,7 @@ fn mine_shard(txs: &[Box<[Item]>], ctx: &RunCtx) -> ShardTree {
         if pacer.due(tree.node_count()) {
             tree.prune_keeping_terminals(&remaining, minsupp);
             pacer.pruned(tree.node_count());
-            if cfg.compact {
-                tree.compact_if_fragmented();
-            }
+            tree.compact_if_fragmented();
         }
     }
     if let (Some(gs), Some(g)) = (ctx.gov.as_ref(), gov.as_ref()) {
@@ -424,9 +407,7 @@ fn merge_pruned(left: &mut ShardTree, mut right: ShardTree, ctx: &RunCtx, is_fin
         } else {
             tree.prune_keeping_terminals(remaining, minsupp);
         }
-        if cfg.compact {
-            tree.compact_if_fragmented();
-        }
+        tree.compact_if_fragmented();
     }
     pacer.pruned(tree.node_count());
     let replay: Result<(), TripReason> = tree.try_merge_with(&right.tree, |tree, t, w| {
@@ -440,9 +421,7 @@ fn merge_pruned(left: &mut ShardTree, mut right: ShardTree, ctx: &RunCtx, is_fin
                 tree.prune_keeping_terminals(remaining, minsupp);
             }
             pacer.pruned(tree.node_count());
-            if cfg.compact {
-                tree.compact_if_fragmented();
-            }
+            tree.compact_if_fragmented();
         }
         match checkpoint!(gov, tree.node_count(), tree.memory_stats().approx_bytes, 0) {
             Some(reason) => Err(reason),
@@ -621,40 +600,12 @@ mod tests {
             for threads in [2, 3] {
                 for minsupp in 1..=8 {
                     let want = mine_reference(&db, minsupp);
-                    let got = ParallelIstaMiner::with_config(ParallelConfig {
-                        threads,
-                        policy,
-                        ..Default::default()
-                    })
-                    .mine(&db, minsupp)
-                    .canonicalized();
+                    let got = ParallelIstaMiner::with_config(ParallelConfig { threads, policy })
+                        .mine(&db, minsupp)
+                        .canonicalized();
                     assert_eq!(
                         got, want,
                         "policy={policy:?} threads={threads} ms={minsupp}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coalesce_and_compact_toggles_agree_with_reference() {
-        let db = paper_db();
-        for coalesce in [false, true] {
-            for compact in [false, true] {
-                for minsupp in 1..=8 {
-                    let want = mine_reference(&db, minsupp);
-                    let got = ParallelIstaMiner::with_config(ParallelConfig {
-                        threads: 3,
-                        policy: PrunePolicy::EveryN(1),
-                        coalesce,
-                        compact,
-                    })
-                    .mine(&db, minsupp)
-                    .canonicalized();
-                    assert_eq!(
-                        got, want,
-                        "coalesce={coalesce} compact={compact} ms={minsupp}"
                     );
                 }
             }

@@ -46,8 +46,8 @@ pub struct TreeMemoryStats {
 impl TreeMemoryStats {
     /// This snapshot as the fim-metrics/1 `tree` section, with the given
     /// peak node count (pass the arena high-water when no peak was
-    /// tracked). One conversion point keeps the CLI metrics documents and
-    /// the BENCH_* files rendering identical field sets.
+    /// tracked). One conversion point keeps every path of the CLI metrics
+    /// documents rendering identical field sets.
     pub fn to_metrics(self, peak_nodes: usize) -> fim_obs::TreeMetrics {
         fim_obs::TreeMetrics {
             peak_nodes: peak_nodes as u64,

@@ -14,7 +14,7 @@
 //!   effective threshold it reports.
 
 use fim_core::reference::mine_reference;
-use fim_core::{Budget, Item, MineOutcome, RecodedDatabase, TripReason};
+use fim_core::{coalesce, Budget, Item, MineOutcome, RecodedDatabase, TripReason};
 use fim_ista::{IstaConfig, IstaMiner, IstaStream, PrunePolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -36,46 +36,54 @@ fn dedup(mut t: Vec<Item>) -> Vec<Item> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Interrupting at a random transaction index yields exactly the
-    /// result of mining the prefix alone, for every pruning policy.
+    /// Interrupting at a random transaction budget yields exactly the
+    /// result of mining the processed rows alone, for every pruning policy.
     #[test]
     fn interruption_equals_mining_the_prefix(
         txs_items in raw_txs(),
         cut in 0usize..20,
         minsupp in 1u32..5,
         policy_idx in 0usize..3,
-        compact in any::<bool>(),
     ) {
         let (txs, num_items) = txs_items;
         let policy =
             [PrunePolicy::Never, PrunePolicy::EveryN(1), PrunePolicy::Growth(1.2)][policy_idx];
         let db = RecodedDatabase::from_dense(txs, num_items);
-        let k = cut % (db.transactions().len() + 1);
-        // coalescing reorders transactions, so "prefix of the processed
-        // sequence" only matches "prefix of the database" without it
+        let k = (cut % (db.transactions().len() + 1)) as u64;
         let miner = IstaMiner::with_config(IstaConfig {
             policy,
-            coalesce: false,
-            compact,
             ..IstaConfig::default()
         });
-        let budget = Budget::unlimited().with_max_transactions(k as u64);
+        let budget = Budget::unlimited().with_max_transactions(k);
         let (outcome, _) = miner.mine_governed_with_stats(&db, minsupp, &budget);
-        let prefix = RecodedDatabase::from_dense(
-            db.transactions()[..k].iter().map(|t| t.to_vec()).collect(),
-            num_items,
-        );
-        let want = mine_reference(&prefix, minsupp);
+        // the miner processes the distinct rows in first-occurrence order,
+        // one weighted row at a time, and checks the budget after each: it
+        // stops after the shortest leading run of rows that weighs `k`
+        let mut rows = Vec::new();
+        let mut weight = 0u64;
+        for (t, w) in coalesce(db.transactions()) {
+            if weight >= k {
+                break;
+            }
+            for _ in 0..w {
+                rows.push(t.to_vec());
+            }
+            weight += u64::from(w);
+        }
+        let want = mine_reference(&RecodedDatabase::from_dense(rows, num_items), minsupp);
         match outcome {
             MineOutcome::Interrupted { partial, reason, progress } => {
                 prop_assert_eq!(reason, TripReason::TransactionBudget);
-                prop_assert_eq!(progress.processed, k as u64);
-                prop_assert_eq!(partial.canonicalized(), want, "cut at {}", k);
+                // at least the budget, overshooting by less than one row's
+                // weight
+                prop_assert_eq!(progress.processed, weight);
+                prop_assert!(weight >= k);
+                prop_assert_eq!(partial.canonicalized(), want, "budget {}", k);
             }
             MineOutcome::Complete { result, .. } => {
                 // the transaction budget trips at the boundary, so a
                 // governed run only completes when it covers the database
-                prop_assert!(k >= db.transactions().len());
+                prop_assert!(k > weight);
                 prop_assert_eq!(result.canonicalized(), want);
             }
         }

@@ -71,27 +71,19 @@ fn canon_tree(t: &PrefixTree, minsupp: u32) -> Vec<(Vec<Item>, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Every (coalesce, compact) toggle combination must reproduce the
-    /// reference on duplicated-row databases, under every prune policy.
+    /// The miner, which always coalesces and compacts, must reproduce the
+    /// reference on duplicated-row databases under every prune policy.
     #[test]
-    fn toggle_grid_matches_reference_on_duplicated_rows(
+    fn policies_match_reference_on_duplicated_rows(
         db in dup_db(),
         minsupp in 1u32..6,
         policy in any_policy(),
     ) {
         let want = mine_reference(&db, minsupp).canonicalized();
-        for coalesce in [false, true] {
-            for compact in [false, true] {
-                let got = IstaMiner::with_config(IstaConfig { policy, coalesce, compact, ..IstaConfig::default() })
-                    .mine(&db, minsupp)
-                    .canonicalized();
-                prop_assert_eq!(
-                    &got, &want,
-                    "coalesce = {}, compact = {}, policy = {:?}",
-                    coalesce, compact, policy
-                );
-            }
-        }
+        let got = IstaMiner::with_config(IstaConfig { policy, ..IstaConfig::default() })
+            .mine(&db, minsupp)
+            .canonicalized();
+        prop_assert_eq!(got, want, "policy = {:?}", policy);
     }
 
     /// The tree-level identity behind coalescing: one weighted insertion
@@ -160,19 +152,12 @@ proptest! {
 
 #[test]
 fn coalescing_handles_empty_and_all_empty_transactions() {
-    // empty databases and item-less rows must survive every toggle
+    // empty databases and item-less rows must survive coalescing
     for db in [
         RecodedDatabase::from_dense(vec![], 4),
         RecodedDatabase::from_dense(vec![vec![], vec![], vec![]], 4),
     ] {
-        for coalesce in [false, true] {
-            let got = IstaMiner::with_config(IstaConfig {
-                coalesce,
-                ..IstaConfig::default()
-            })
-            .mine(&db, 1);
-            assert!(got.sets.is_empty(), "coalesce = {coalesce}");
-        }
+        assert!(IstaMiner::default().mine(&db, 1).sets.is_empty());
     }
 }
 

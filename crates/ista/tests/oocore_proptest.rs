@@ -40,6 +40,26 @@ fn small_db() -> impl Strategy<Value = RecodedDatabase> {
     })
 }
 
+/// Strategy: a database whose rows carry explicit multiplicities 1..=3, so
+/// coalescing always has duplicates to merge.
+fn dup_db() -> impl Strategy<Value = RecodedDatabase> {
+    (2u32..=8).prop_flat_map(|num_items| {
+        vec(
+            (vec(0..num_items, 0..=num_items as usize), 1usize..=3),
+            0..8,
+        )
+        .prop_map(move |rows| {
+            let mut txs = Vec::new();
+            for (t, mult) in rows {
+                for _ in 0..mult {
+                    txs.push(t.clone());
+                }
+            }
+            RecodedDatabase::from_dense(txs, num_items)
+        })
+    })
+}
+
 /// Canonical (items, support) view of a mining result, for comparison.
 fn canon(r: &MiningResult) -> Vec<(Vec<Item>, u32)> {
     let mut v: Vec<(Vec<Item>, u32)> = r
@@ -108,43 +128,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The full pipeline across arbitrary byte budgets: identical to the
-    /// reference, spill directory left clean.
+    /// reference, spill directory left clean — on random rows and on rows
+    /// that are certain to repeat (which each shard coalesces).
     #[test]
     fn mine_stream_matches_reference_for_any_byte_budget(
         db in small_db(),
+        dups in dup_db(),
         minsupp in 1u32..6,
         mem_budget in 1u64..400,
     ) {
-        let dir = case_dir("stream");
-        let miner = OutOfCoreMiner::with_config(OutOfCoreConfig::new(mem_budget, &dir));
-        let txs = db.transactions();
-        let mut i = 0usize;
-        let (outcome, stats) = miner
-            .mine_stream(
-                db.num_items(),
-                db.item_supports(),
-                Some(txs.len() as u64),
-                minsupp,
-                &Budget::unlimited(),
-                |buf| {
-                    buf.clear();
-                    if i < txs.len() {
-                        buf.extend_from_slice(&txs[i]);
-                        i += 1;
-                        Ok(true)
-                    } else {
-                        Ok(false)
-                    }
-                },
-            )
-            .expect("pipeline");
-        prop_assert!(!outcome.is_interrupted());
-        let got = outcome.into_result().canonicalized();
-        let want = mine_reference(&db, minsupp).canonicalized();
-        prop_assert_eq!(got, want, "budget={} shards={}", mem_budget, stats.shards);
-        let leftover = fs::read_dir(&dir).map_or(0, |d| d.count());
-        prop_assert_eq!(leftover, 0, "spill dir not clean");
-        let _ = fs::remove_dir_all(&dir);
+        for db in [db, dups] {
+            let dir = case_dir("stream");
+            let miner = OutOfCoreMiner::with_config(OutOfCoreConfig::new(mem_budget, &dir));
+            let txs = db.transactions();
+            let mut i = 0usize;
+            let (outcome, stats) = miner
+                .mine_stream(
+                    db.num_items(),
+                    db.item_supports(),
+                    Some(txs.len() as u64),
+                    minsupp,
+                    &Budget::unlimited(),
+                    |buf| {
+                        buf.clear();
+                        if i < txs.len() {
+                            buf.extend_from_slice(&txs[i]);
+                            i += 1;
+                            Ok(true)
+                        } else {
+                            Ok(false)
+                        }
+                    },
+                )
+                .expect("pipeline");
+            prop_assert!(!outcome.is_interrupted());
+            let got = outcome.into_result().canonicalized();
+            let want = mine_reference(&db, minsupp).canonicalized();
+            prop_assert_eq!(got, want, "budget={} shards={}", mem_budget, stats.shards);
+            let leftover = fs::read_dir(&dir).map_or(0, |d| d.count());
+            prop_assert_eq!(leftover, 0, "spill dir not clean");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     /// Merge-order invariance: any pairwise reduction order over disk

@@ -26,6 +26,26 @@ fn small_db() -> impl Strategy<Value = RecodedDatabase> {
     })
 }
 
+/// Strategy: a database whose rows carry explicit multiplicities 1..=3, so
+/// coalescing always has duplicates to merge.
+fn dup_db() -> impl Strategy<Value = RecodedDatabase> {
+    (2u32..=8).prop_flat_map(|num_items| {
+        vec(
+            (vec(0..num_items, 0..=num_items as usize), 1usize..=3),
+            0..8,
+        )
+        .prop_map(move |rows| {
+            let mut txs = Vec::new();
+            for (t, mult) in rows {
+                for _ in 0..mult {
+                    txs.push(t.clone());
+                }
+            }
+            RecodedDatabase::from_dense(txs, num_items)
+        })
+    })
+}
+
 /// Strategy: every pruning-placement policy the miners support.
 fn any_policy() -> impl Strategy<Value = PrunePolicy> {
     prop_oneof![
@@ -63,17 +83,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// ParallelIstaMiner == IstaMiner == mine_reference for every shard
-    /// count, across a minimum-support sweep.
+    /// count, across a minimum-support sweep, on random rows and on rows
+    /// that are certain to repeat (which the shards coalesce).
     #[test]
-    fn parallel_matches_sequential_and_reference(db in small_db(), minsupp in 1u32..6) {
-        let want = mine_reference(&db, minsupp).canonicalized();
-        let seq = IstaMiner::default().mine(&db, minsupp).canonicalized();
-        prop_assert_eq!(&seq, &want);
-        for threads in SHARDS {
-            let got = ParallelIstaMiner::with_threads(threads)
-                .mine(&db, minsupp)
-                .canonicalized();
-            prop_assert_eq!(&got, &want, "threads = {}", threads);
+    fn parallel_matches_sequential_and_reference(
+        db in small_db(),
+        dups in dup_db(),
+        minsupp in 1u32..6,
+    ) {
+        for db in [db, dups] {
+            let want = mine_reference(&db, minsupp).canonicalized();
+            let seq = IstaMiner::default().mine(&db, minsupp).canonicalized();
+            prop_assert_eq!(&seq, &want);
+            for threads in SHARDS {
+                let got = ParallelIstaMiner::with_threads(threads)
+                    .mine(&db, minsupp)
+                    .canonicalized();
+                prop_assert_eq!(&got, &want, "threads = {}", threads);
+            }
         }
     }
 
@@ -90,7 +117,6 @@ proptest! {
         let got = ParallelIstaMiner::with_config(ParallelConfig {
             threads,
             policy,
-            ..Default::default()
         })
         .mine(&db, minsupp)
         .canonicalized();

@@ -199,7 +199,6 @@ proptest! {
             let sharded = ParallelIstaMiner::with_config(fim_ista::ParallelConfig {
                 threads,
                 policy,
-                ..Default::default()
             })
             .mine(&db, minsupp)
             .canonicalized();

@@ -1,9 +1,9 @@
 //! Unified observability for the closed-set miners.
 //!
-//! Four instrumentation islands grew up with the repo — `MineStats`,
-//! `TreeMemoryStats`, governor progress, and the per-bench JSON written by
-//! the bench bins — each with its own field names and plumbing. This crate
-//! replaces the reporting side of all of them with one layer:
+//! Three instrumentation islands grew up with the repo — `MineStats`,
+//! `TreeMemoryStats` and governor progress — each with its own field names
+//! and plumbing. This crate replaces the reporting side of all of them
+//! with one layer:
 //!
 //! * [`Counters`]: a fixed registry of hot-loop counters ([`Counter`])
 //!   incremented as plain adjacent `u64` adds (no atomics, no locks, no
@@ -18,8 +18,8 @@
 //!   as JSON lines, always on `stderr` or an explicit writer so `stdout`
 //!   stays clean result output.
 //! * [`MetricsReport`]: the schema-versioned metrics JSON
-//!   ([`METRICS_SCHEMA`]) that the CLI `--metrics` flag and the `BENCH_*`
-//!   files share, plus [`validate_metrics_json`] pinning its required keys.
+//!   ([`METRICS_SCHEMA`]) that the CLI `--metrics` and `--stats` flags
+//!   write, plus [`validate_metrics_json`] pinning its required keys.
 //! * [`TraceWriter`]: the flight recorder — a Chrome `trace_event` stream
 //!   (`--trace-events`) of phase begin/end and discrete events (spill,
 //!   adopt, merge pass, checkpoint, fault, retry, budget trip) that opens
@@ -62,8 +62,8 @@ pub use metrics::{
 };
 pub use progress::{ProgressEmitter, ProgressSnapshot, ProgressStyle};
 pub use resource::{
-    dir_bytes, vm_status, vmhwm_kb, PhaseHistograms, ResourceGauges, ResourceSample,
-    ResourceSampler, VmStatus, HIST_BUCKETS,
+    dir_bytes, vm_status, PhaseHistograms, ResourceGauges, ResourceSample, ResourceSampler,
+    VmStatus, HIST_BUCKETS,
 };
 pub use span::SpanRecorder;
 pub use trace::{

@@ -1,12 +1,10 @@
 //! Schema-versioned metrics JSON.
 //!
 //! One JSON document describes a finished mining run. The CLI `--metrics`
-//! flag, the `--stats` flag, and the bench bins all emit this shape, so
-//! `BENCH_*` files and CLI output agree on field names. The schema is
-//! pinned: [`METRICS_SCHEMA`] names the version and
-//! [`REQUIRED_METRICS_KEYS`] the keys every document must carry;
-//! [`validate_metrics_json`] enforces both (the CI smoke step and the
-//! schema unit test share it).
+//! and `--stats` flags emit this shape. The schema is pinned:
+//! [`METRICS_SCHEMA`] names the version and [`REQUIRED_METRICS_KEYS`] the
+//! keys every document must carry; [`validate_metrics_json`] enforces both
+//! (the CI smoke step and the schema unit test share it).
 
 use crate::counters::Counters;
 use crate::resource::{ResourceSample, HIST_BUCKETS};
@@ -20,7 +18,7 @@ pub const METRICS_SCHEMA: &str = "fim-metrics/2";
 
 /// The previous schema tag. [`validate_metrics_json`] still accepts v1
 /// documents (under the v1 key set) so committed baselines and old
-/// `BENCH_*` files keep validating and comparing.
+/// metrics documents keep validating and comparing.
 pub const METRICS_SCHEMA_V1: &str = "fim-metrics/1";
 
 /// Keys every current (v2) metrics document must contain. v1 documents

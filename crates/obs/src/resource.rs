@@ -58,12 +58,6 @@ pub fn vm_status() -> Result<VmStatus, String> {
     Ok(status)
 }
 
-/// Peak resident set size in kB — the single-shot probe the bench bins
-/// use for their `vmhwm_kb` result column.
-pub fn vmhwm_kb() -> Result<u64, String> {
-    vm_status().map(|s| s.hwm_kb)
-}
-
 /// Total size in bytes of the regular files directly inside `dir`
 /// (spill directories are flat). Missing directory reads as 0 — the
 /// spill dir legitimately disappears when the run cleans up.
@@ -261,7 +255,7 @@ mod tests {
         assert!(vm.hwm_kb >= vm.rss_kb);
         // sibling test threads allocate between the two reads, and the
         // high-water mark only grows
-        let later = vmhwm_kb().unwrap();
+        let later = vm_status().unwrap().hwm_kb;
         assert!(later >= vm.hwm_kb && later >= vm.rss_kb, "{later} < {vm:?}");
     }
 

@@ -2,7 +2,7 @@
 //!
 //! `fixtures/metrics-v1.json` is verbatim `--stats` output from the
 //! fim-metrics/1 era. It must keep validating and comparing forever —
-//! old `BENCH_*` files and committed baselines are read with today's
+//! old metrics documents and committed baselines are read with today's
 //! reader. The same document under the v2 tag must be *rejected*: v2
 //! made the `resources` section mandatory, and a v2 document without it
 //! is a producer bug, not an old file.

@@ -6,8 +6,8 @@
 //! `carpenter-table-noelim`, …) are rows of their own that mean "family +
 //! configuration": the family's miner with one setting changed. Adding such
 //! a name is a one-row change. A caller that configures a miner further, as
-//! the CLI does with `--rep`, `--no-prune`, `--threads` and the IsTa
-//! toggles, changes the same fields a row sets, so a name and its flag
+//! the CLI does with `--rep`, `--no-prune`, `--no-patricia` and
+//! `--threads`, changes the same fields a row sets, so a name and its flag
 //! spelling build the same miner.
 
 use fim_baseline::{
@@ -46,19 +46,13 @@ type Row = (&'static str, fn() -> Miner);
 
 /// Every algorithm in `fim algos` order, grouped by family, each family's
 /// default miner first.
-const TABLE: [Row; 29] = [
+const TABLE: [Row; 27] = [
     ("ista", || Miner::Ista(IstaMiner::default())),
     ("ista-par", || {
         Miner::ParallelIsta(ParallelIstaMiner::default())
     }),
     ("ista-noprune", || {
         Miner::Ista(IstaMiner::with_config(IstaConfig::without_pruning()))
-    }),
-    ("ista-nocoalesce", || {
-        Miner::Ista(IstaMiner::with_config(IstaConfig::without_coalescing()))
-    }),
-    ("ista-nocompact", || {
-        Miner::Ista(IstaMiner::with_config(IstaConfig::without_compaction()))
     }),
     ("ista-plain", || {
         Miner::Ista(IstaMiner::with_config(IstaConfig::without_patricia()))
@@ -204,13 +198,13 @@ mod tests {
     #[test]
     fn names_are_unique_and_resolve() {
         let mut names: Vec<&str> = names().collect();
-        assert_eq!(names.len(), 29);
+        assert_eq!(names.len(), 27);
         for name in &names {
             assert!(Miner::by_name(name).is_ok(), "{name}");
         }
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 29, "duplicate table rows");
+        assert_eq!(names.len(), 27, "duplicate table rows");
         let err = Miner::by_name("bogus").err().unwrap();
         assert_eq!(err, "unknown algorithm 'bogus'");
     }

@@ -14,7 +14,8 @@
 //! word-AND + popcount stream to pay (tid-sets spanning several words),
 //! galloping merges in the many-rows ultra-sparse tail, and sorted lists
 //! everywhere tid-sets are short (see [`Representation::select`] for the
-//! thresholds, calibrated against EXPERIMENTS.md E14).
+//! thresholds, calibrated against EXPERIMENTS.md E14, which also records
+//! the shapes where they pick a slower kernel).
 
 use fim_baseline::{EclatMiner, LcmMiner};
 use fim_core::{ClosedMiner, MiningResult, RecodedDatabase, Representation};
