@@ -18,7 +18,7 @@ use crate::filter::{apply_constraints_owned, candidate_prunable, filter_closed, 
 use crate::kernel::{with_kernel, TidSetKernel};
 use fim_core::{
     ClosedMiner, ConstraintSet, FoundSet, Item, ItemSet, MiningResult, RecodedDatabase,
-    Representation, TidLists,
+    Representation, TidLists, TransactionOrder,
 };
 use fim_obs::{Counter, Counters};
 
@@ -90,6 +90,12 @@ impl ClosedMiner for DEclatMiner {
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
         self.mine_with_stats(db, minsupp).0
+    }
+
+    /// The file order: the search reads the rows once, to build its tid
+    /// sets, so the §3.4 sort would buy nothing.
+    fn transaction_order(&self) -> TransactionOrder {
+        TransactionOrder::Original
     }
 
     fn supports_constraints(&self) -> bool {

@@ -19,7 +19,8 @@ use crate::filter::{apply_constraints_owned, candidate_prunable, filter_closed, 
 use crate::kernel::{with_kernel, TidSetKernel};
 use fim_core::{
     checkpoint, BitCover, Budget, ClosedMiner, ConstraintSet, FoundSet, Governor, Item, ItemSet,
-    MineOutcome, MiningResult, Progress, RecodedDatabase, Representation, TidLists, TripReason,
+    MineOutcome, MiningResult, Progress, RecodedDatabase, Representation, TidLists,
+    TransactionOrder, TripReason,
 };
 use fim_obs::{Counter, Counters};
 
@@ -59,6 +60,12 @@ impl ClosedMiner for EclatMiner {
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
         self.mine_with_stats(db, minsupp).0
+    }
+
+    /// The file order: the search reads the rows once, to build its tid
+    /// sets, so the §3.4 sort would buy nothing.
+    fn transaction_order(&self) -> TransactionOrder {
+        TransactionOrder::Original
     }
 
     fn supports_constraints(&self) -> bool {

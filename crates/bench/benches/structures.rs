@@ -81,9 +81,8 @@ fn prefix_tree(c: &mut Criterion) {
         b.iter(|| tree.report(3).len())
     });
     group.bench_function("merge/two_halves", |b| {
-        let (first, second) = recoded
-            .transactions()
-            .split_at(recoded.num_transactions() / 2);
+        let (txs, half) = (recoded.transactions(), recoded.num_transactions() / 2);
+        let (first, second) = (txs.slice(0..half), txs.slice(half..txs.len()));
         b.iter(|| {
             let mut left = PrefixTree::new(recoded.num_items());
             for t in first {

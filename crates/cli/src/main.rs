@@ -132,11 +132,16 @@ fn item_order(args: &Args) -> Result<ItemOrder, CliError> {
     }
 }
 
-fn tx_order(args: &Args) -> Result<TransactionOrder, CliError> {
-    match args.get("tx-order").unwrap_or("asc") {
-        "asc" => Ok(TransactionOrder::AscendingSize),
-        "desc" => Ok(TransactionOrder::DescendingSize),
-        "orig" => Ok(TransactionOrder::Original),
+/// `--tx-order`, or `None` without the flag: the database is then prepared
+/// in the miner's own [`transaction_order`](fim_core::ClosedMiner::transaction_order).
+fn tx_order(args: &Args) -> Result<Option<TransactionOrder>, CliError> {
+    let Some(order) = args.get("tx-order") else {
+        return Ok(None);
+    };
+    match order {
+        "asc" => Ok(Some(TransactionOrder::AscendingSize)),
+        "desc" => Ok(Some(TransactionOrder::DescendingSize)),
+        "orig" => Ok(Some(TransactionOrder::Original)),
         other => Err(usage(format!("bad --tx-order '{other}' (asc|desc|orig)"))),
     }
 }
@@ -224,16 +229,13 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
             "the uncompressed tree (--no-patricia / ista-plain) is sequential only",
         ));
     }
-    // `--rep auto` needs the database shape, so the load happens before
-    // the miner is configured (every flag-validation error above still
-    // fires without touching the input)
-    let db = load_db(args)?;
-    let supp = resolve_supp(args, db.num_transactions() as u64)?;
-    let rep = resolve_rep(args, &miner, &db, parallel)?;
-    let miner = configure(args, miner, rep, threads)?;
+    let item_order = item_order(args)?;
+    let tx_order = tx_order(args)?;
     let obs_args = ObsArgs::from_args(args)?;
-    let constraints = constraints_from(args, &db)?;
-    if constraints.is_some() && args.flag("maximal") {
+    // constraint flags resolve item names against the catalog, so only
+    // their presence is known before the load
+    let constrained = has_constraints(args);
+    if constrained && args.flag("maximal") {
         return Err(usage(
             "--maximal cannot be combined with constraint flags (maximal sets are \
              derived from the unconstrained closed family)",
@@ -245,13 +247,13 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
                 "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
             ));
         }
-        if constraints.is_some() && parallel {
+        if constrained && parallel {
             return Err(usage(
                 "constraint flags with --stats/--metrics run the sequential miners only",
             ));
         }
         if let Miner::Uncounted(_) = miner {
-            let what = if constraints.is_some() {
+            let what = if constrained {
                 "--stats/--metrics with constraint flags are"
             } else {
                 "--stats/--metrics/--progress/--profile are"
@@ -262,6 +264,17 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
             )));
         }
     }
+    // `--rep auto` needs the database shape, so the load happens before
+    // the miner is configured (every flag-validation error above still
+    // fires without touching the input)
+    let mut obs = obs_args.build()?;
+    obs.span_enter("parse");
+    let db = load_db(args)?;
+    obs.span_exit();
+    let supp = resolve_supp(args, db.num_transactions() as u64)?;
+    let rep = resolve_rep(args, &miner, &db, parallel)?;
+    let miner = configure(args, miner, rep, threads)?;
+    let constraints = constraints_from(args, &db)?;
     let query = Query {
         miner,
         supp,
@@ -269,7 +282,6 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         push: !args.flag("no-push") && miner.as_dyn().supports_constraints(),
         constraints,
     };
-    let mut obs = obs_args.build()?;
     let start = Instant::now();
     obs.span_enter("recode");
     let no_exclusion = ItemSet::empty();
@@ -277,8 +289,11 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         .constraints
         .as_ref()
         .map_or(&no_exclusion, |cs| &cs.exclude);
-    let recoded =
-        RecodedDatabase::prepare_excluding(&db, supp, item_order(args)?, tx_order(args)?, exclude);
+    let tx_order = tx_order.unwrap_or_else(|| miner.as_dyn().transaction_order());
+    let recoded = RecodedDatabase::prepare_excluding(&db, supp, item_order, tx_order, exclude);
+    // the miner reads only the recoded rows; of the raw database, only
+    // the catalog is still needed, to name the result
+    let catalog = db.into_catalog();
     obs.span_exit();
     let mut report = MetricsReport::new(
         miner.as_dyn().name(),
@@ -300,8 +315,8 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         .map(|cs| ConstraintMetrics::from_counters(cs.to_string(), query.push, &report.counters));
     obs.span_enter("report");
     let outcome = outcome.map_result(|coded| coded.into_canonical(&recoded.recode().item_to_old));
-    drop(recoded);
     obs.span_exit();
+    drop(recoded);
     let heartbeat = (!heartbeat_sent).then(|| ProgressSnapshot {
         processed: report.transactions_total,
         total: Some(report.transactions_total),
@@ -320,7 +335,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
             obs,
             start,
             outcome,
-            catalog: db.catalog(),
+            catalog: &catalog,
             report,
             heartbeat,
             scope,
@@ -584,6 +599,13 @@ const CONSTRAINT_FLAGS: [&str; 6] = [
     "include", "exclude", "min-size", "max-size", "min-area", "no-push",
 ];
 
+/// Whether a constraint flag other than `--no-push` is given.
+fn has_constraints(args: &Args) -> bool {
+    CONSTRAINT_FLAGS
+        .iter()
+        .any(|&f| f != "no-push" && args.get(f).is_some())
+}
+
 /// Builds the [`ConstraintSet`] from `--include`/`--exclude` (comma-
 /// separated item names, resolved against the database catalog) and
 /// `--min-size`/`--max-size`/`--min-area`. Returns `None` when no
@@ -594,10 +616,7 @@ fn constraints_from(
     args: &Args,
     db: &TransactionDatabase,
 ) -> Result<Option<ConstraintSet>, CliError> {
-    let any = ["include", "exclude", "min-size", "max-size", "min-area"]
-        .iter()
-        .any(|f| args.get(f).is_some());
-    if !any {
+    if !has_constraints(args) {
         if args.flag("no-push") {
             return Err(usage("--no-push needs at least one constraint flag"));
         }
@@ -991,6 +1010,7 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
             "--stats/--metrics cannot be combined with budget flags",
         ));
     }
+    let item_order = item_order(args)?;
     let limits = fim_io::FimiLimits::default();
     let counts = fim_io::count_fimi_path(input, &limits)?;
     let supp = resolve_supp(args, counts.transactions)?;
@@ -1001,15 +1021,7 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     let mut obs = obs_args.build_with_spill(Some(std::path::Path::new(spill_dir)))?;
     let start = Instant::now();
     let run = fim_io::mine_fimi_with_counts_opts(
-        input,
-        &limits,
-        counts,
-        supp,
-        item_order(args)?,
-        config,
-        &budget,
-        resume,
-        &mut obs,
+        input, &limits, counts, supp, item_order, config, &budget, resume, &mut obs,
     )?;
     let stats = run.stats;
     let mut report = MetricsReport::new("ista-oocore", supp, 0.0, 0, run.transactions);
@@ -1096,8 +1108,8 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 fn cmd_rules(args: &Args) -> Result<(), CliError> {
     let supp: u32 = args.require_parsed("supp")?;
     let conf: f64 = args.parse_or("conf", 0.6)?;
-    let db = load_db(args)?;
     let miner = table_miner(args.get("algo").unwrap_or(algos::DEFAULT))?;
+    let db = load_db(args)?;
     let closed = fim_core::mine_closed(&db, supp, miner.as_dyn());
     let rules =
         fim_rules::RuleMiner::with_confidence(conf).derive(&closed, db.num_transactions() as u32);
@@ -1231,6 +1243,12 @@ USAGE:
             [--out-of-core --mem-budget BYTES --spill-dir DIR]
             [--resume-spill] [--io-retries N]
             [--inject-fault POINT:NTH[:io|enospc|partial|panic]]
+            (--item-order and --tx-order choose how the database is
+             prepared for the miner and never change the output. Item
+             codes default to ascending frequency (asc). Transactions
+             default to the paper's §3.4 order, ascending size (asc),
+             except for eclat and declat, which keep the file order (orig):
+             their vertical search never reads the rows in order)
             (--threads N shards the database over N threads and merges the
              per-shard prefix trees; 0 = one shard per core; ista only)
             (--no-patricia mines on the uncompressed one-item-per-node

@@ -135,12 +135,16 @@ fn all_algorithms_agree_via_cli() {
         "naive-cumulative",
     ];
     let metrics = dir.path("metrics.json");
-    let modes: [&[&str]; 5] = [
+    // an explicit transaction order and each miner's own give the same
+    // bytes
+    let modes: [&[&str]; 7] = [
         &[],
         &["--metrics", &metrics],
         &["--timeout", "1000000"],
         &["--min-size", "1"],
         &["--maximal"],
+        &["--tx-order", "asc"],
+        &["--tx-order", "orig"],
     ];
     for mode in modes {
         let want = mine(&data, &[&["--algo", "carpenter-table"], mode].concat());

@@ -298,6 +298,51 @@ fn missing_input_file_exits_1() {
     assert_eq!(code(&out), 1, "{}", stderr(&out));
 }
 
+/// A bad order or algorithm name is a usage error found before the input
+/// is opened, so a missing input does not hide it.
+#[test]
+fn order_and_algorithm_flags_are_checked_before_the_input() {
+    let missing = "/nonexistent/nowhere.fimi";
+    for (argv, flag) in [
+        (
+            vec![
+                "mine",
+                "--supp",
+                "2",
+                "--tx-order",
+                "bogus",
+                "--in",
+                missing,
+            ],
+            "--tx-order",
+        ),
+        (
+            vec![
+                "mine",
+                "--supp",
+                "2",
+                "--item-order",
+                "bogus",
+                "--in",
+                missing,
+            ],
+            "--item-order",
+        ),
+        (
+            vec!["rules", "--supp", "2", "--algo", "bogus", "--in", missing],
+            "unknown algorithm",
+        ),
+    ] {
+        let out = fim(&argv);
+        assert_eq!(code(&out), 2, "argv {argv:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(flag),
+            "argv {argv:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// A result smaller than any write buffer reaches the device only at the
 /// final flush; a failing flush must still exit 1, not 0.
 #[test]

@@ -23,8 +23,14 @@ fn run_mine(extra: &[&str]) -> std::process::Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child.stdin.as_mut().unwrap().write_all(DATA).unwrap();
-    child.wait_with_output().unwrap()
+    // a run refused at its flags exits without reading its input, so the
+    // pipe may already be closed
+    let fed = child.stdin.as_mut().unwrap().write_all(DATA);
+    let out = child.wait_with_output().unwrap();
+    if out.status.success() {
+        fed.unwrap();
+    }
+    out
 }
 
 /// Every stdout line must be an item-set line: `name name ... (support)`.
@@ -79,8 +85,9 @@ fn stdout_stays_clean_with_all_observability_on() {
         assert!(micros.parse::<u64>().is_ok(), "bad line: {line}");
     }
     assert!(folded.contains("mine;"), "missing miner phases: {folded}");
-    // ordering the result and writing it are separate top-level layers
-    for span in ["recode", "mine", "report", "write"] {
+    // parsing, ordering the result and writing it are separate top-level
+    // layers
+    for span in ["parse", "recode", "mine", "report", "write"] {
         assert!(
             folded
                 .lines()

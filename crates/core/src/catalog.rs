@@ -1,6 +1,7 @@
 //! Item name interning.
 
 use crate::Item;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Bidirectional mapping between external item names and dense item codes.
@@ -48,9 +49,10 @@ impl ItemCatalog {
         self.codes.get(name).copied()
     }
 
-    /// Looks up the name of a code.
-    pub fn name(&self, code: Item) -> Option<&str> {
-        self.names.get(code as usize).map(String::as_str)
+    /// Looks up the name of a code, given by value or, as iterating a
+    /// transaction's `&[Item]` yields it, by reference.
+    pub fn name(&self, code: impl Borrow<Item>) -> Option<&str> {
+        self.names.get(*code.borrow() as usize).map(String::as_str)
     }
 
     /// Number of interned items.

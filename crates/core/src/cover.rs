@@ -5,24 +5,35 @@
 //! transposed [`BitMatrix`], where support counting is word-AND + popcount
 //! instead of a per-transaction subset scan).
 
-use crate::{itemset::ItemSet, matrix::BitMatrix, recode::RecodedDatabase, Item, Tid};
+use crate::{
+    itemset::{is_subset, ItemSet},
+    matrix::BitMatrix,
+    recode::RecodedDatabase,
+    Item, Tid,
+};
 
 /// The cover `K_T(I)` of an item set: ascending indices of the transactions
 /// that contain it (paper §2.1).
-pub fn cover(transactions: &[ItemSet], items: &ItemSet) -> Vec<Tid> {
+pub fn cover<T: AsRef<[Item]>>(
+    transactions: impl IntoIterator<Item = T>,
+    items: &ItemSet,
+) -> Vec<Tid> {
     transactions
-        .iter()
+        .into_iter()
         .enumerate()
-        .filter(|(_, t)| items.is_subset_of(t))
+        .filter(|(_, t)| is_subset(items.as_slice(), t.as_ref()))
         .map(|(k, _)| k as Tid)
         .collect()
 }
 
 /// The support `s_T(I)` of an item set: the size of its cover.
-pub fn support(transactions: &[ItemSet], items: &ItemSet) -> u32 {
+pub fn support<T: AsRef<[Item]>>(
+    transactions: impl IntoIterator<Item = T>,
+    items: &ItemSet,
+) -> u32 {
     transactions
-        .iter()
-        .filter(|t| items.is_subset_of(t))
+        .into_iter()
+        .filter(|t| is_subset(items.as_slice(), t.as_ref()))
         .count() as u32
 }
 

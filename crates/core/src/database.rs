@@ -1,12 +1,20 @@
 //! Raw transaction databases over named items.
 
-use crate::{catalog::ItemCatalog, itemset::ItemSet, recode::Density, Item, Tid};
+use crate::{
+    catalog::ItemCatalog,
+    itemset::ItemSet,
+    recode::Density,
+    rows::{ItemRows, Rows},
+    Item, Tid,
+};
 
 /// A transaction database: a bag of transactions over an item base
 /// (paper §2.1).
 ///
-/// Transactions are stored in insertion order; duplicates are allowed (the
-/// database is a multiset of item sets). Item codes are "raw" catalog codes;
+/// Transactions are stored in insertion order, in one flat [`ItemRows`]
+/// pool; duplicates are allowed (the database is a multiset of item sets),
+/// and each transaction is strictly ascending, as [`ItemSet::new`] leaves
+/// it. Item codes are "raw" catalog codes;
 /// mining algorithms operate on a [`RecodedDatabase`](crate::RecodedDatabase)
 /// produced by [`RecodedDatabase::prepare`](crate::RecodedDatabase::prepare),
 /// which filters infrequent items and applies the item/transaction orders of
@@ -14,7 +22,7 @@ use crate::{catalog::ItemCatalog, itemset::ItemSet, recode::Density, Item, Tid};
 #[derive(Clone, Debug, Default)]
 pub struct TransactionDatabase {
     catalog: ItemCatalog,
-    transactions: Vec<ItemSet>,
+    transactions: ItemRows,
 }
 
 impl TransactionDatabase {
@@ -51,16 +59,17 @@ impl TransactionDatabase {
     ///
     /// Panics if a transaction contains a code `>= num_items`.
     pub fn from_codes_with_base(transactions: Vec<Vec<Item>>, num_items: usize) -> Self {
+        let occurrences = transactions.iter().map(Vec::len).sum();
         let mut db = Self {
             catalog: ItemCatalog::anonymous(num_items),
-            transactions: Vec::with_capacity(transactions.len()),
+            transactions: ItemRows::with_capacity(transactions.len(), occurrences),
         };
         for t in transactions {
             assert!(
                 t.iter().all(|&i| (i as usize) < num_items),
                 "item code out of range for the declared item base"
             );
-            db.transactions.push(ItemSet::new(t));
+            db.transactions.push_set(t);
         }
         db
     }
@@ -71,11 +80,12 @@ impl TransactionDatabase {
     /// # Panics
     ///
     /// Panics if a transaction holds a code the catalog does not name.
-    pub fn from_parts(catalog: ItemCatalog, transactions: Vec<ItemSet>) -> Self {
+    pub fn from_parts(catalog: ItemCatalog, transactions: ItemRows) -> Self {
         assert!(
             transactions
+                .view()
                 .iter()
-                .all(|t| t.max_item().is_none_or(|i| (i as usize) < catalog.len())),
+                .all(|t| t.last().is_none_or(|&i| (i as usize) < catalog.len())),
             "item code out of range for the catalog"
         );
         Self {
@@ -86,16 +96,14 @@ impl TransactionDatabase {
 
     /// Appends a transaction given by item names, interning new names.
     pub fn push_named<S: AsRef<str>>(&mut self, items: &[S]) {
-        let codes: Vec<Item> = items
-            .iter()
-            .map(|s| self.catalog.intern(s.as_ref()))
-            .collect();
-        self.transactions.push(ItemSet::new(codes));
+        let catalog = &mut self.catalog;
+        self.transactions
+            .push_set(items.iter().map(|s| catalog.intern(s.as_ref())));
     }
 
     /// Appends a transaction given as an item set over existing codes.
     pub fn push(&mut self, items: ItemSet) {
-        self.transactions.push(items);
+        self.transactions.push_sorted(items.as_slice());
     }
 
     /// The item catalog.
@@ -119,15 +127,21 @@ impl TransactionDatabase {
     }
 
     /// The transactions in insertion order.
-    pub fn transactions(&self) -> &[ItemSet] {
-        &self.transactions
+    pub fn transactions(&self) -> Rows<'_> {
+        self.transactions.view()
+    }
+
+    /// Gives up the transactions and keeps the catalog, which names the
+    /// codes of everything mined from them.
+    pub fn into_catalog(self) -> ItemCatalog {
+        self.catalog
     }
 
     /// Occurrence count of every item code (index = code).
     pub fn item_frequencies(&self) -> Vec<u32> {
         let mut freq = vec![0u32; self.num_items()];
-        for t in &self.transactions {
-            for it in t.iter() {
+        for t in self.transactions() {
+            for &it in t {
                 freq[it as usize] += 1;
             }
         }
@@ -137,7 +151,7 @@ impl TransactionDatabase {
     /// The cover of `items`: indices of transactions containing the set
     /// (paper §2.1, `K_T(I)`).
     pub fn cover(&self, items: &ItemSet) -> Vec<Tid> {
-        crate::cover::cover(&self.transactions, items)
+        crate::cover::cover(self.transactions(), items)
     }
 
     /// The support of `items`: the size of its cover (paper §2.1, `s_T(I)`).
@@ -147,7 +161,7 @@ impl TransactionDatabase {
 
     /// Total number of item occurrences over all transactions.
     pub fn total_occurrences(&self) -> usize {
-        self.transactions.iter().map(ItemSet::len).sum()
+        self.transactions().total_items()
     }
 
     /// The shape and fill of the raw database, before any recoding: every
@@ -169,18 +183,18 @@ impl TransactionDatabase {
     /// `self` rendered in decimal.
     pub fn transpose(&self) -> TransactionDatabase {
         let mut rows: Vec<Vec<Item>> = vec![Vec::new(); self.num_items()];
-        for (tid, t) in self.transactions.iter().enumerate() {
-            for it in t.iter() {
+        for (tid, t) in self.transactions().iter().enumerate() {
+            for &it in t {
                 rows[it as usize].push(tid as Item);
             }
         }
         let mut db = TransactionDatabase {
             catalog: ItemCatalog::anonymous(self.num_transactions()),
-            transactions: Vec::with_capacity(rows.len()),
+            transactions: ItemRows::with_capacity(rows.len(), self.total_occurrences()),
         };
         for row in rows {
             // tids were visited in ascending order, so rows are sorted
-            db.transactions.push(ItemSet::from_sorted(row));
+            db.transactions.push_sorted(&row);
         }
         db
     }
@@ -212,7 +226,7 @@ mod tests {
         assert!(!db.is_empty());
         // a=0 b=1 c=2 d=3 e=4 in order of first appearance
         assert_eq!(db.catalog().code("e"), Some(4));
-        assert_eq!(db.transactions()[3], ItemSet::from([0, 1, 2, 3]));
+        assert_eq!(db.transactions()[3], [0, 1, 2, 3]);
     }
 
     #[test]
@@ -253,15 +267,14 @@ mod tests {
     fn from_codes_roundtrip() {
         let db = TransactionDatabase::from_codes(vec![vec![2, 0], vec![1]]);
         assert_eq!(db.num_items(), 3);
-        assert_eq!(db.transactions()[0], ItemSet::from([0, 2]));
+        assert_eq!(db.transactions()[0], [0, 2]);
         assert_eq!(db.catalog().name(2), Some("2"));
     }
 
     #[test]
     fn from_parts_keeps_catalog_and_transactions() {
         let db = paper_db();
-        let parts =
-            TransactionDatabase::from_parts(db.catalog().clone(), db.transactions().to_vec());
+        let parts = TransactionDatabase::from_parts(db.catalog().clone(), db.transactions.clone());
         assert_eq!(parts.transactions(), db.transactions());
         assert_eq!(parts.catalog().name(4), Some("e"));
     }
@@ -269,7 +282,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn from_parts_rejects_unnamed_codes() {
-        TransactionDatabase::from_parts(ItemCatalog::anonymous(2), vec![ItemSet::from([2])]);
+        let mut rows = ItemRows::new();
+        rows.push_sorted(&[2]);
+        TransactionDatabase::from_parts(ItemCatalog::anonymous(2), rows);
     }
 
     #[test]
@@ -279,7 +294,7 @@ mod tests {
         assert_eq!(tdb.num_transactions(), db.num_items());
         assert_eq!(tdb.num_items(), db.num_transactions());
         // item a (=0) occurs in t1,t2,t4,t6 → tids 0,1,3,5
-        assert_eq!(tdb.transactions()[0], ItemSet::from([0, 1, 3, 5]));
+        assert_eq!(tdb.transactions()[0], [0, 1, 3, 5]);
         let back = tdb.transpose();
         assert_eq!(back.transactions(), db.transactions());
     }

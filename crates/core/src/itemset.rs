@@ -281,6 +281,12 @@ pub fn gallop_intersect_into(a: &[Item], b: &[Item], out: &mut Vec<Item>) -> u64
     probes
 }
 
+impl AsRef<[Item]> for ItemSet {
+    fn as_ref(&self) -> &[Item] {
+        self.as_slice()
+    }
+}
+
 impl From<Vec<Item>> for ItemSet {
     fn from(v: Vec<Item>) -> Self {
         ItemSet::new(v)

@@ -13,6 +13,8 @@
 //! * [`RecodedDatabase`] — the mining-ready form: infrequent items removed,
 //!   item codes reassigned according to an [`ItemOrder`], transactions
 //!   reordered according to a [`TransactionOrder`] (paper §3.4),
+//! * [`ItemRows`] — the flat storage of both databases: one item pool plus
+//!   row offsets, read through the [`Rows`] view of `&[Item]` slices,
 //! * [`TidLists`] — the vertical representation (per-item transaction-index
 //!   lists) used by the list-based Carpenter variant,
 //! * [`BitMatrix`] and [`SuffixCountMatrix`] — the table representation of
@@ -56,6 +58,7 @@ pub mod prepare;
 pub mod recode;
 pub mod reference;
 pub mod rep;
+pub mod rows;
 
 pub use catalog::ItemCatalog;
 pub use closure::{closure, closure_with, is_closed, is_closed_with};
@@ -75,6 +78,7 @@ pub use order::{ItemOrder, TransactionOrder};
 pub use prepare::{cmp_size_then_desc_lex, coalesce};
 pub use recode::{Density, Recode, RecodedDatabase, StreamingRecode};
 pub use rep::Representation;
+pub use rows::{ItemRows, RowIter, Rows};
 
 /// Dense item code used throughout the workspace.
 pub type Item = u32;

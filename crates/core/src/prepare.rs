@@ -27,7 +27,7 @@
 //!
 //! [`RecodedDatabase::prepare`]: crate::RecodedDatabase::prepare
 
-use crate::Item;
+use crate::{rows::Rows, Item};
 use std::cmp::Ordering;
 
 /// Compare two transactions by size first, then lexicographically on the
@@ -62,27 +62,26 @@ pub fn cmp_size_then_desc_lex(a: &[Item], b: &[Item]) -> Ordering {
 /// output-invariant, so it must not second-guess the processing order
 /// either.
 ///
-/// The input slices are borrowed, not cloned; empty transactions are kept
-/// (with their multiplicity) so callers that track processed weight can
-/// account for them. The sum of all weights equals `txs.len()`.
-pub fn coalesce<T: AsRef<[Item]>>(txs: &[T]) -> Vec<(&[Item], u32)> {
+/// The input rows are borrowed from their pool, not cloned; empty
+/// transactions are kept (with their multiplicity) so callers that track
+/// processed weight can account for them. The sum of all weights equals
+/// `txs.len()`.
+pub fn coalesce(txs: Rows<'_>) -> Vec<(&[Item], u32)> {
     let mut idx: Vec<usize> = (0..txs.len()).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        cmp_size_then_desc_lex(txs[a].as_ref(), txs[b].as_ref()).then(a.cmp(&b))
-    });
+    idx.sort_unstable_by(|&a, &b| cmp_size_then_desc_lex(&txs[a], &txs[b]).then(a.cmp(&b)));
     // (first-occurrence index, weight) per distinct row; the index
     // tie-break above guarantees the group leader is the earliest copy
     let mut groups: Vec<(usize, u32)> = Vec::new();
     for &i in &idx {
         match groups.last_mut() {
-            Some((rep, w)) if txs[*rep].as_ref() == txs[i].as_ref() => *w += 1,
+            Some((rep, w)) if txs[*rep] == txs[i] => *w += 1,
             _ => groups.push((i, 1)),
         }
     }
     groups.sort_unstable_by_key(|&(rep, _)| rep);
     groups
         .into_iter()
-        .map(|(rep, w)| (txs[rep].as_ref(), w))
+        .map(|(rep, w)| (txs.row(rep), w))
         .collect()
 }
 
@@ -102,6 +101,15 @@ pub fn weighted_item_counts(txs: &[(&[Item], u32)], num_items: u32) -> Vec<u32> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::ItemRows;
+
+    fn pool(txs: &[Vec<Item>]) -> ItemRows {
+        let mut rows = ItemRows::new();
+        for t in txs {
+            rows.push_sorted(t);
+        }
+        rows
+    }
 
     #[test]
     fn desc_lex_tie_break() {
@@ -122,7 +130,8 @@ mod tests {
             vec![0, 1, 2],
             vec![3],
         ];
-        let got = coalesce(&txs);
+        let rows = pool(&txs);
+        let got = coalesce(rows.view());
         assert_eq!(
             got,
             vec![(&[0, 1, 2][..], 3), (&[3][..], 2), (&[1, 4][..], 1)]
@@ -134,7 +143,8 @@ mod tests {
     fn coalesce_of_distinct_rows_round_trips_order() {
         // no duplicates → the exact input list back, all weights 1
         let txs: Vec<Vec<Item>> = vec![vec![2, 3], vec![0], vec![1, 2, 4], vec![0, 1]];
-        let got = coalesce(&txs);
+        let rows = pool(&txs);
+        let got = coalesce(rows.view());
         let want: Vec<(&[Item], u32)> = txs.iter().map(|t| (t.as_slice(), 1)).collect();
         assert_eq!(got, want);
     }
@@ -142,14 +152,16 @@ mod tests {
     #[test]
     fn coalesce_keeps_empty_transactions() {
         let txs: Vec<Vec<Item>> = vec![vec![], vec![0], vec![]];
-        let got = coalesce(&txs);
+        let rows = pool(&txs);
+        let got = coalesce(rows.view());
         assert_eq!(got, vec![(&[][..], 2), (&[0][..], 1)]);
     }
 
     #[test]
     fn coalesce_of_distinct_is_identity_multiset() {
         let txs: Vec<Vec<Item>> = vec![vec![0], vec![1], vec![0, 1]];
-        let got = coalesce(&txs);
+        let rows = pool(&txs);
+        let got = coalesce(rows.view());
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|&(_, w)| w == 1));
     }
@@ -157,13 +169,14 @@ mod tests {
     #[test]
     fn coalesce_empty_input() {
         let txs: Vec<Vec<Item>> = vec![];
-        assert!(coalesce(&txs).is_empty());
+        assert!(coalesce(pool(&txs).view()).is_empty());
     }
 
     #[test]
     fn weighted_counts_match_flat_scan() {
         let txs: Vec<Vec<Item>> = vec![vec![0, 2], vec![0, 2], vec![1, 2], vec![0, 2]];
-        let coalesced = coalesce(&txs);
+        let rows = pool(&txs);
+        let coalesced = coalesce(rows.view());
         let counts = weighted_item_counts(&coalesced, 3);
         assert_eq!(counts, vec![3, 1, 4]);
     }

@@ -17,6 +17,7 @@ use crate::{
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
     prepare::cmp_size_then_desc_lex,
+    rows::{ItemRows, Rows},
     Item, Tid,
 };
 
@@ -155,12 +156,31 @@ fn decode_with(item_to_old: &[Item], items: &ItemSet) -> ItemSet {
     raw
 }
 
-/// A mining-ready database: dense recoded items, ordered transactions.
+/// Stable-sorts the rows of `rows` by `cmp` into a fresh pool, carrying
+/// each row's source tid along: the sort moves `(tid, &[Item])` pairs
+/// that borrow the pool, then the rows are gathered in their new order.
+fn reorder(
+    rows: &ItemRows,
+    tx_to_old: &[Tid],
+    cmp: impl Fn(&[Item], &[Item]) -> std::cmp::Ordering,
+) -> (ItemRows, Vec<Tid>) {
+    let view = rows.view();
+    let mut pairs: Vec<(Tid, &[Item])> = tx_to_old.iter().copied().zip(view).collect();
+    pairs.sort_by(|a, b| cmp(a.1, b.1));
+    let mut sorted = ItemRows::with_capacity(pairs.len(), view.total_items());
+    for &(_, t) in &pairs {
+        sorted.push_sorted(t);
+    }
+    (sorted, pairs.iter().map(|&(tid, _)| tid).collect())
+}
+
+/// A mining-ready database: dense recoded items, ordered transactions in
+/// one flat [`ItemRows`] pool.
 ///
 /// All miner implementations in this workspace take a `&RecodedDatabase`.
 #[derive(Clone, Debug)]
 pub struct RecodedDatabase {
-    transactions: Vec<Box<[Item]>>,
+    transactions: ItemRows,
     num_items: u32,
     item_supports: Vec<u32>,
     recode: Recode,
@@ -217,42 +237,34 @@ impl RecodedDatabase {
         for (new, &old) in surviving.iter().enumerate() {
             item_to_new[old as usize] = Some(new as Item);
         }
+        // a transaction that holds a surviving item keeps it and is not
+        // dropped, so each survivor's support is its raw frequency
+        let item_supports: Vec<u32> = surviving.iter().map(|&old| freq[old as usize]).collect();
+        let kept: u64 = item_supports.iter().map(|&s| u64::from(s)).sum();
 
-        // Map transactions, dropping empties.
-        let mut txs: Vec<(Tid, Box<[Item]>)> = Vec::with_capacity(db.num_transactions());
-        let mut buf: Vec<Item> = Vec::new();
-        for (tid, t) in db.transactions().iter().enumerate() {
-            buf.clear();
-            for it in t.iter() {
-                if let Some(new) = item_to_new[it as usize] {
-                    buf.push(new);
-                }
+        // One pass: each kept transaction's codes go straight into the
+        // pool and are sorted there; emptied transactions are dropped.
+        let raw = db.transactions();
+        let mut transactions = ItemRows::with_capacity(raw.len(), kept as usize);
+        let mut tx_to_old: Vec<Tid> = Vec::with_capacity(raw.len());
+        for (tid, t) in raw.iter().enumerate() {
+            let codes = t.iter().filter_map(|&it| item_to_new[it as usize]);
+            if transactions.push_nonempty_set(codes) {
+                tx_to_old.push(tid as Tid);
             }
-            if buf.is_empty() {
-                continue;
-            }
-            buf.sort_unstable();
-            txs.push((tid as Tid, buf.clone().into_boxed_slice()));
         }
-
         match tx_order {
             TransactionOrder::AscendingSize => {
-                txs.sort_by(|a, b| cmp_size_then_desc_lex(&a.1, &b.1));
+                (transactions, tx_to_old) =
+                    reorder(&transactions, &tx_to_old, cmp_size_then_desc_lex);
             }
             TransactionOrder::DescendingSize => {
-                txs.sort_by(|a, b| cmp_size_then_desc_lex(&b.1, &a.1));
+                (transactions, tx_to_old) = reorder(&transactions, &tx_to_old, |a, b| {
+                    cmp_size_then_desc_lex(b, a)
+                });
             }
             TransactionOrder::Original => {}
         }
-
-        let mut item_supports = vec![0u32; surviving.len()];
-        for (_, t) in &txs {
-            for &i in t.iter() {
-                item_supports[i as usize] += 1;
-            }
-        }
-
-        let (tx_to_old, transactions): (Vec<Tid>, Vec<Box<[Item]>>) = txs.into_iter().unzip();
 
         RecodedDatabase {
             transactions,
@@ -275,25 +287,22 @@ impl RecodedDatabase {
     /// preprocessed. Transactions are canonicalized (sorted, deduplicated
     /// within each transaction); empty transactions are kept out.
     pub fn from_dense(transactions: Vec<Vec<Item>>, num_items: u32) -> Self {
-        let mut txs: Vec<Box<[Item]>> = Vec::with_capacity(transactions.len());
+        let occurrences = transactions.iter().map(Vec::len).sum();
+        let mut txs = ItemRows::with_capacity(transactions.len(), occurrences);
         let mut tx_to_old = Vec::new();
         let original = transactions.len() as u32;
-        for (tid, mut t) in transactions.into_iter().enumerate() {
-            t.sort_unstable();
-            t.dedup();
+        for (tid, t) in transactions.into_iter().enumerate() {
             assert!(
                 t.iter().all(|&i| i < num_items),
                 "item code out of range for num_items"
             );
-            if t.is_empty() {
-                continue;
+            if txs.push_nonempty_set(t) {
+                tx_to_old.push(tid as Tid);
             }
-            tx_to_old.push(tid as Tid);
-            txs.push(t.into_boxed_slice());
         }
         let mut item_supports = vec![0u32; num_items as usize];
-        for t in &txs {
-            for &i in t.iter() {
+        for t in txs.view() {
+            for &i in t {
                 item_supports[i as usize] += 1;
             }
         }
@@ -312,13 +321,13 @@ impl RecodedDatabase {
     }
 
     /// The transactions, each a strictly ascending slice of dense codes.
-    pub fn transactions(&self) -> &[Box<[Item]>] {
-        &self.transactions
+    pub fn transactions(&self) -> Rows<'_> {
+        self.transactions.view()
     }
 
     /// One transaction by index.
     pub fn transaction(&self, tid: Tid) -> &[Item] {
-        &self.transactions[tid as usize]
+        self.transactions.view().row(tid as usize)
     }
 
     /// Number of (surviving, non-empty) transactions.
@@ -353,15 +362,16 @@ impl RecodedDatabase {
 
     /// Support of an item set by scanning (used by tests and verification).
     pub fn support(&self, items: &ItemSet) -> u32 {
-        self.transactions
-            .iter()
-            .filter(|t| crate::itemset::is_subset(items.as_slice(), t))
-            .count() as u32
+        crate::cover::support(self.transactions(), items)
     }
 
     /// Largest transaction size.
     pub fn max_transaction_len(&self) -> usize {
-        self.transactions.iter().map(|t| t.len()).max().unwrap_or(0)
+        self.transactions()
+            .iter()
+            .map(<[Item]>::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The fill-rate estimate driving representation selection.
@@ -482,7 +492,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sizes, sorted);
         assert_eq!(r.transactions()[0].len(), 2);
-        assert_eq!(r.transactions().last().unwrap().len(), 4);
+        assert_eq!(r.transactions().iter().last().unwrap().len(), 4);
     }
 
     #[test]
@@ -586,7 +596,7 @@ mod tests {
                 let mut buf = Vec::new();
                 let mut encoded: Vec<Vec<Item>> = Vec::new();
                 for t in db.transactions() {
-                    if sr.encode_transaction(t.as_slice(), &mut buf) {
+                    if sr.encode_transaction(t, &mut buf) {
                         encoded.push(buf.clone());
                     }
                 }

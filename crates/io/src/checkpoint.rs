@@ -197,7 +197,7 @@ mod tests {
         let db = read_fimi(text.as_bytes()).expect("valid text");
         let mut stream = IstaStream::new(db.num_items() as u32);
         for t in db.transactions() {
-            stream.push(t.as_slice());
+            stream.push(t);
         }
         (stream, db.catalog().clone())
     }

@@ -11,12 +11,15 @@
 //! characters — is a [`FimError::Parse`] carrying the 1-based line number,
 //! never a panic.
 //!
-//! [`read_fimi`] and [`FimiCursor`] share one line loop and one tokenizer,
-//! which works on bytes for ASCII lines and on `str` for lines with other
-//! characters, so both apply exactly the same rules.
+//! [`read_fimi`], [`FimiCursor`] and [`count_fimi_path`] share one line
+//! loop and one tokenizer, so all three apply exactly the same rules. The
+//! tokenizer reads each byte of an ASCII line once, finding the tokens and
+//! the values of the numeric ones in the same pass; lines with other
+//! characters are split as a `str`. [`read_fimi`] appends each line's item
+//! codes straight to the database's flat item pool.
 
 use crate::text::ItemLines;
-use fim_core::{FimError, Item, ItemCatalog, ItemSet, TransactionDatabase};
+use fim_core::{FimError, Item, ItemCatalog, ItemRows, TransactionDatabase};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -64,28 +67,24 @@ pub fn read_fimi_with_limits<R: Read>(
 ) -> Result<TransactionDatabase, FimError> {
     let mut lines = Lines::new(BufReader::with_capacity(READ_BUF, reader), limits);
     let mut names = Interner::default();
-    let mut transactions = Vec::new();
-    let mut codes: Vec<Item> = Vec::new();
-    while let Some(()) = lines.next_transaction(|tokens| {
-        codes.clear();
-        codes.extend(tokens.iter().map(|t| names.intern(t)));
-    })? {
-        transactions.push(ItemSet::from(&codes[..]));
-    }
-    Ok(TransactionDatabase::from_parts(names.catalog, transactions))
+    let mut rows = ItemRows::new();
+    // each line's codes go straight into the pool, sorted and
+    // deduplicated there
+    while let Some(()) = lines.next_transaction(|tokens| rows.push_set(names.codes(tokens)))? {}
+    Ok(TransactionDatabase::from_parts(names.catalog, rows))
 }
 
-/// Read buffer of both readers.
+/// Read buffer of every reader.
 const READ_BUF: usize = 64 << 10;
 
 /// Reads one newline-terminated line through the byte-bounded window into
-/// `buf` (cleared first, terminator stripped). Returns `false` at end of
-/// input; rejects over-long lines as [`FimError::Parse`] at `lineno`.
+/// `buf` (cleared first, terminator stripped), for a line that does not end
+/// inside the read buffer. Returns `false` at end of input. A line over the
+/// cap is cut at the window, which [`Lines`] then rejects.
 fn read_bounded_line<R: BufRead>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     limits: &FimiLimits,
-    lineno: usize,
 ) -> Result<bool, FimError> {
     buf.clear();
     // bounded read: never buffer more than the cap plus the room needed
@@ -101,23 +100,19 @@ fn read_bounded_line<R: BufRead>(
             buf.pop();
         }
     }
-    if buf.len() > limits.max_line_bytes {
-        return Err(FimError::Parse {
-            line: lineno,
-            message: format!("line exceeds {} bytes", limits.max_line_bytes),
-        });
-    }
     Ok(true)
 }
 
-/// The line loop of both readers: a bounded read, then [`tokenize_line`],
-/// skipping comment lines.
+/// The line loop of every reader: a line that ends inside the read buffer
+/// is tokenized where it lies, any other is first copied through the
+/// byte-bounded window; over-long lines are rejected and comment lines
+/// skipped.
 struct Lines<R> {
     reader: R,
     limits: FimiLimits,
     lineno: usize,
     buf: Vec<u8>,
-    tokens: Vec<Range<usize>>,
+    tokens: Vec<Token>,
 }
 
 impl<R: BufRead> Lines<R> {
@@ -136,65 +131,96 @@ impl<R: BufRead> Lines<R> {
         f: impl FnOnce(FimiTokens<'_>) -> T,
     ) -> Result<Option<T>, FimError> {
         loop {
-            if !read_bounded_line(
-                &mut self.reader,
-                &mut self.buf,
-                &self.limits,
-                self.lineno + 1,
-            )? {
+            let lineno = self.lineno + 1;
+            let buffered = self.reader.fill_buf()?;
+            // (the line, the buffered bytes it takes up)
+            let (line, used) = if let Some(end) = buffered.iter().position(|&b| b == b'\n') {
+                let line = &buffered[..end];
+                (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
+            } else if read_bounded_line(&mut self.reader, &mut self.buf, &self.limits)? {
+                (&self.buf[..], 0)
+            } else {
                 return Ok(None);
+            };
+            if line.len() > self.limits.max_line_bytes {
+                return Err(FimError::Parse {
+                    line: lineno,
+                    message: format!("line exceeds {} bytes", self.limits.max_line_bytes),
+                });
             }
-            self.lineno += 1;
-            if let Some(text) =
-                tokenize_line(&self.buf, &self.limits, self.lineno, &mut self.tokens)?
-            {
-                return Ok(Some(f(FimiTokens {
-                    text,
-                    ranges: &self.tokens,
-                })));
+            self.lineno = lineno;
+            let transaction = tokenize_line(line, &self.limits, lineno, &mut self.tokens)?;
+            if transaction {
+                let out = f(FimiTokens {
+                    line,
+                    tokens: &self.tokens,
+                });
+                self.reader.consume(used);
+                return Ok(Some(out));
             }
+            self.reader.consume(used);
         }
     }
 }
 
+/// One item token of a line.
+#[derive(Clone, Debug)]
+struct Token {
+    /// Its bytes in the line.
+    range: Range<usize>,
+    /// Its value when it is a canonical decimal below
+    /// [`NUMERIC_CACHE_CAP`], so that [`Interner`] finds its code without
+    /// reading it again.
+    small: Option<u32>,
+}
+
+/// The text of token `t` of an accepted `line`.
+fn token_str<'a>(line: &'a [u8], t: &Token) -> &'a str {
+    std::str::from_utf8(&line[t.range.clone()]).expect("the tokens of an accepted line are UTF-8")
+}
+
 /// Splits one line (terminator stripped) into item tokens under every
-/// reader rule, filling `tokens` with their byte ranges in the returned
-/// text. Returns `None` for a comment line; every violation is a
-/// [`FimError::Parse`] at `lineno`.
+/// reader rule, filling `tokens`. Returns `false` for a comment line;
+/// every violation is a [`FimError::Parse`] at `lineno`.
 ///
 /// The rules, in the order they apply: the line must be UTF-8; it is
 /// trimmed of whitespace; a line starting with `#` is a comment; a control
 /// character other than tab is an error; whitespace separates tokens; the
 /// token count is capped; numeric tokens must be non-negative codes within
-/// the cap. An ASCII line is split byte by byte. A line with any byte
-/// ≥ 0x80 is split as a `str`, so Unicode whitespace (NBSP, U+3000, …)
-/// trims and separates and U+0080–U+009F count as control characters.
-fn tokenize_line<'a>(
-    line: &'a [u8],
+/// the cap, and the first one that is not is reported. An ASCII line is
+/// checked, split and its tokens classified in one pass over its bytes,
+/// which hands the line on at its first byte ≥ 0x80. Such a line is
+/// split as a `str`, so Unicode whitespace (NBSP, U+3000, …) trims and
+/// separates and U+0080–U+009F count as control characters; its ASCII
+/// tokens are classified by the same [`scan_token`].
+fn tokenize_line(
+    line: &[u8],
     limits: &FimiLimits,
     lineno: usize,
-    tokens: &mut Vec<Range<usize>>,
-) -> Result<Option<&'a str>, FimError> {
+    tokens: &mut Vec<Token>,
+) -> Result<bool, FimError> {
     tokens.clear();
-    let text = std::str::from_utf8(line).map_err(|_| FimError::Parse {
-        line: lineno,
-        message: "invalid UTF-8".into(),
-    })?;
-    let split = if text.is_ascii() {
-        split_ascii(line, tokens)
-    } else {
-        split_unicode(text, tokens)
+    let split = match split_ascii(line, limits, tokens) {
+        Some(split) => split,
+        None => {
+            tokens.clear();
+            let text = std::str::from_utf8(line).map_err(|_| FimError::Parse {
+                line: lineno,
+                message: "invalid UTF-8".into(),
+            })?;
+            split_unicode(text, limits, tokens)
+        }
     };
-    match split {
-        Split::Comment => return Ok(None),
+    let first_bad = match split {
+        Split::Tokens { first_bad } => first_bad,
+        Split::Comment => return Ok(false),
         Split::Control => {
             return Err(FimError::Parse {
                 line: lineno,
                 message: "unexpected control character".into(),
             })
         }
-        Split::Tokens => {}
-    }
+    };
     if tokens.len() > limits.max_items_per_transaction {
         return Err(FimError::Parse {
             line: lineno,
@@ -205,17 +231,43 @@ fn tokenize_line<'a>(
             ),
         });
     }
-    for r in tokens.iter() {
-        check_code(&text[r.clone()], limits, lineno)?;
+    if let Some(k) = first_bad {
+        let token = token_str(line, &tokens[k]);
+        let message = if token.starts_with('-') {
+            format!("negative item code `{token}`")
+        } else {
+            format!(
+                "item code `{token}` exceeds the cap of {}",
+                limits.max_item_code
+            )
+        };
+        return Err(FimError::Parse {
+            line: lineno,
+            message,
+        });
     }
-    Ok(Some(text))
+    Ok(true)
 }
 
 /// What splitting a line found.
 enum Split {
-    Tokens,
+    /// Tokens, and the index of the first numeric one outside the code
+    /// range.
+    Tokens {
+        first_bad: Option<usize>,
+    },
     Comment,
     Control,
+}
+
+/// What a token is as a number.
+enum Class {
+    /// Not all digits (after an optional leading `-`): an opaque name.
+    Name,
+    /// A code within the cap; `small` as in [`Token`].
+    Code { small: Option<u32> },
+    /// Negative, or above the cap.
+    Bad,
 }
 
 /// The ASCII whitespace `char::is_whitespace` counts: tab, LF, VT, FF, CR
@@ -224,40 +276,51 @@ fn is_space(b: u8) -> bool {
     matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-/// Splits an ASCII line. Inside the trimmed line the only whitespace that
-/// is not a control character is space and tab, so they alone separate.
-fn split_ascii(line: &[u8], tokens: &mut Vec<Range<usize>>) -> Split {
+/// Splits an ASCII line and classifies its tokens in one pass, or returns
+/// `None` for a line that is not ASCII. Inside the trimmed line the only
+/// whitespace that is not a control character is space and tab, so they
+/// alone separate. A comment or a control character ends the pass early,
+/// so the rest of the line is checked for non-ASCII bytes first: invalid
+/// UTF-8 anywhere in a line is the first error it reports.
+fn split_ascii(line: &[u8], limits: &FimiLimits, tokens: &mut Vec<Token>) -> Option<Split> {
+    let early = |split: Split| line.is_ascii().then_some(split);
     let end = line
         .iter()
         .rposition(|&b| !is_space(b))
         .map_or(0, |p| p + 1);
-    let start = line[..end]
+    let mut i = line[..end]
         .iter()
         .position(|&b| !is_space(b))
         .unwrap_or(end);
-    if line[start..end].first() == Some(&b'#') {
-        return Split::Comment;
+    if line[i..end].first() == Some(&b'#') {
+        return early(Split::Comment);
     }
-    let mut token_start = None;
-    for (i, &b) in line.iter().enumerate().take(end).skip(start) {
+    let mut first_bad = None;
+    while i < end {
+        let b = line[i];
         if b == b' ' || b == b'\t' {
-            if let Some(s) = token_start.take() {
-                tokens.push(s..i);
+            i += 1;
+            continue;
+        }
+        match scan_token(line, i, end, limits) {
+            Ok((token_end, class)) => {
+                tokens.push(classified(
+                    i..token_end,
+                    class,
+                    tokens.len(),
+                    &mut first_bad,
+                ));
+                i = token_end;
             }
-        } else if b.is_ascii_control() {
-            return Split::Control;
-        } else if token_start.is_none() {
-            token_start = Some(i);
+            Err(Stop::Control) => return early(Split::Control),
+            Err(Stop::NotAscii) => return None,
         }
     }
-    if let Some(s) = token_start {
-        tokens.push(s..end);
-    }
-    Split::Tokens
+    Some(Split::Tokens { first_bad })
 }
 
 /// Splits a line with non-ASCII characters by Unicode whitespace.
-fn split_unicode(text: &str, tokens: &mut Vec<Range<usize>>) -> Split {
+fn split_unicode(text: &str, limits: &FimiLimits, tokens: &mut Vec<Token>) -> Split {
     let trimmed = text.trim();
     if trimmed.starts_with('#') {
         return Split::Comment;
@@ -265,42 +328,103 @@ fn split_unicode(text: &str, tokens: &mut Vec<Range<usize>>) -> Split {
     if trimmed.chars().any(|c| c.is_control() && c != '\t') {
         return Split::Control;
     }
-    let base = text.as_ptr() as usize;
-    tokens.extend(trimmed.split_whitespace().map(|t| {
+    let (base, mut first_bad) = (text.as_ptr() as usize, None);
+    for t in trimmed.split_whitespace() {
         let at = t.as_ptr() as usize - base;
-        at..at + t.len()
-    }));
-    Split::Tokens
+        // a token holds no whitespace or control character, so the scan of
+        // an ASCII one runs to its end; any other is a name
+        let class = match scan_token(t.as_bytes(), 0, t.len(), limits) {
+            Ok((_, class)) => class,
+            Err(_) => Class::Name,
+        };
+        tokens.push(classified(
+            at..at + t.len(),
+            class,
+            tokens.len(),
+            &mut first_bad,
+        ));
+    }
+    Split::Tokens { first_bad }
 }
 
-/// Rejects numeric tokens outside the configured item-code range. A token
-/// is *numeric* when it is all ASCII digits (or a `-` followed by digits);
-/// anything else is an opaque item name and passes.
-fn check_code(token: &str, limits: &FimiLimits, lineno: usize) -> Result<(), FimError> {
-    let bytes = token.as_bytes();
-    let digits = bytes.strip_prefix(b"-").unwrap_or(bytes);
-    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
-        return Ok(());
+/// The token at `range`, the `k`-th of its line, noting it in `first_bad`
+/// when it is the line's first bad code.
+fn classified(range: Range<usize>, class: Class, k: usize, first_bad: &mut Option<usize>) -> Token {
+    let small = match class {
+        Class::Code { small } => small,
+        Class::Name => None,
+        Class::Bad => {
+            first_bad.get_or_insert(k);
+            None
+        }
+    };
+    Token { range, small }
+}
+
+/// Why [`scan_token`] stopped before the token's end.
+enum Stop {
+    /// At an ASCII control character other than tab.
+    Control,
+    /// At a byte ≥ 0x80.
+    NotAscii,
+}
+
+/// Scans the token starting at `line[start]` up to the next space or tab
+/// (or `end`), reading each byte once, and returns the token's end and
+/// class. A token is numeric when it is all ASCII digits or a `-` followed
+/// by digits; a numeric token must be non-negative and within
+/// `limits.max_item_code`.
+fn scan_token(
+    line: &[u8],
+    start: usize,
+    end: usize,
+    limits: &FimiLimits,
+) -> Result<(usize, Class), Stop> {
+    let negative = line[start] == b'-';
+    let mut i = start + usize::from(negative);
+    // exact for up to 19 digits; longer runs are re-read with checked
+    // arithmetic
+    let mut value = 0u64;
+    let mut digits = true;
+    while i < end {
+        let b = line[i];
+        let d = b.wrapping_sub(b'0');
+        if d < 10 {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(d));
+        } else if b == b' ' || b == b'\t' {
+            break;
+        } else if b.is_ascii_control() {
+            return Err(Stop::Control);
+        } else if !b.is_ascii() {
+            return Err(Stop::NotAscii);
+        } else {
+            digits = false;
+        }
+        i += 1;
     }
-    if digits.len() < bytes.len() {
-        return Err(FimError::Parse {
-            line: lineno,
-            message: format!("negative item code `{token}`"),
-        });
+    let body = &line[start + usize::from(negative)..i];
+    if !digits || body.is_empty() {
+        return Ok((i, Class::Name));
     }
-    let code = digits.iter().try_fold(0u64, |v, &d| {
-        v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-    });
-    match code {
-        Some(code) if code <= limits.max_item_code => Ok(()),
-        _ => Err(FimError::Parse {
-            line: lineno,
-            message: format!(
-                "item code `{token}` exceeds the cap of {}",
-                limits.max_item_code
-            ),
-        }),
+    if negative {
+        return Ok((i, Class::Bad));
     }
+    let code = if body.len() < 20 {
+        Some(value)
+    } else {
+        body.iter().try_fold(0u64, |v, &d| {
+            v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })
+    };
+    let class = match code {
+        Some(v) if v <= limits.max_item_code => Class::Code {
+            // canonical: no leading zero unless the token is `0`
+            small: (v < NUMERIC_CACHE_CAP as u64 && (body[0] != b'0' || body.len() == 1))
+                .then_some(v as u32),
+        },
+        _ => Class::Bad,
+    };
+    Ok((i, class))
 }
 
 /// Canonical decimal names below this value find their code in
@@ -325,39 +449,34 @@ struct Interner {
 }
 
 impl Interner {
-    fn intern(&mut self, token: &str) -> Item {
-        let Some(v) = small_decimal(token.as_bytes()) else {
-            return self.catalog.intern(token);
-        };
-        match self.numeric.get(v) {
+    /// The code of the token `t` of `line`.
+    fn intern(&mut self, line: &[u8], t: &Token) -> Item {
+        match t.small.and_then(|v| self.numeric.get(v as usize)) {
             Some(&code) if code != UNSEEN => code,
-            _ => {
-                let code = self.catalog.intern(token);
-                if v >= self.numeric.len() {
-                    self.numeric.resize(v + 1, UNSEEN);
-                }
-                self.numeric[v] = code;
-                code
-            }
+            _ => self.intern_new(line, t),
         }
     }
-}
 
-/// The value of a canonical decimal token below [`NUMERIC_CACHE_CAP`]:
-/// ASCII digits without a leading zero (or `0` itself), at most seven of
-/// them (the cap has seven digits).
-fn small_decimal(token: &[u8]) -> Option<usize> {
-    if token.is_empty() || token.len() > 7 || (token[0] == b'0' && token.len() > 1) {
-        return None;
-    }
-    let mut v = 0usize;
-    for &b in token {
-        if !b.is_ascii_digit() {
-            return None;
+    /// [`intern`](Self::intern) for a name the numeric table does not
+    /// hold yet.
+    fn intern_new(&mut self, line: &[u8], t: &Token) -> Item {
+        let code = self.catalog.intern(token_str(line, t));
+        if let Some(v) = t.small.map(|v| v as usize) {
+            if v >= self.numeric.len() {
+                self.numeric.resize(v + 1, UNSEEN);
+            }
+            self.numeric[v] = code;
         }
-        v = v * 10 + usize::from(b - b'0');
+        code
     }
-    (v < NUMERIC_CACHE_CAP).then_some(v)
+
+    /// The codes of a line's tokens, in line order.
+    fn codes<'s>(&'s mut self, tokens: FimiTokens<'s>) -> impl Iterator<Item = Item> + 's {
+        tokens
+            .tokens
+            .iter()
+            .map(move |t| self.intern(tokens.line, t))
+    }
 }
 
 /// Reads a FIMI file from disk with the default [`FimiLimits`].
@@ -377,26 +496,26 @@ pub fn read_fimi_path_with_limits<P: AsRef<Path>>(
 /// them.
 #[derive(Clone, Copy, Debug)]
 pub struct FimiTokens<'a> {
-    text: &'a str,
-    ranges: &'a [Range<usize>],
+    line: &'a [u8],
+    tokens: &'a [Token],
 }
 
 impl<'a> FimiTokens<'a> {
     /// Number of tokens.
     pub fn len(&self) -> usize {
-        self.ranges.len()
+        self.tokens.len()
     }
 
     /// Whether the line holds no token (a blank line: an empty
     /// transaction).
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.tokens.is_empty()
     }
 
     /// The tokens in line order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
-        let text = self.text;
-        self.ranges.iter().map(move |r| &text[r.clone()])
+        let line = self.line;
+        self.tokens.iter().map(move |t| token_str(line, t))
     }
 }
 
@@ -477,7 +596,7 @@ pub fn count_fimi_path<P: AsRef<Path>>(
     let mut codes: Vec<Item> = Vec::new();
     while let Some(()) = cursor.next_transaction(|tokens| {
         codes.clear();
-        codes.extend(tokens.iter().map(|t| names.intern(t)));
+        codes.extend(names.codes(tokens));
     })? {
         fim_core::fault::hit(fim_core::fault::points::COUNTS_PASS1)?;
         transactions += 1;
@@ -500,7 +619,7 @@ pub fn count_fimi_path<P: AsRef<Path>>(
 pub fn write_fimi<W: Write>(db: &TransactionDatabase, writer: W) -> Result<(), FimError> {
     let mut out = ItemLines::new(db.catalog(), writer);
     for t in db.transactions() {
-        out.names(t.as_slice())?;
+        out.names(t)?;
         out.end_line()?;
     }
     out.finish()
@@ -521,7 +640,7 @@ mod tests {
         let text = "1 2 3\n2 4\n\n1 4\n";
         let db = read_fimi(text.as_bytes()).unwrap();
         assert_eq!(db.num_transactions(), 4);
-        assert_eq!(db.transactions()[2], ItemSet::empty());
+        assert!(db.transactions()[2].is_empty());
         // names "1","2","3" interned in order of appearance
         assert_eq!(db.catalog().code("4"), Some(3));
     }
@@ -678,28 +797,73 @@ mod tests {
         assert_eq!(parse_line(e), 2);
     }
 
+    /// Interns one token as the reader does: scanned, then looked up.
+    fn intern(names: &mut Interner, token: &str) -> Item {
+        let limits = FimiLimits::default();
+        let small = match scan_token(token.as_bytes(), 0, token.len(), &limits) {
+            Ok((_, Class::Code { small })) => small,
+            _ => None,
+        };
+        let range = 0..token.len();
+        names.intern(token.as_bytes(), &Token { range, small })
+    }
+
     #[test]
     fn numeric_cache_holds_canonical_codes_below_the_cap_only() {
         let mut names = Interner::default();
-        assert_eq!(names.intern("7"), 0);
-        assert_eq!(names.intern("007"), 1);
-        assert_eq!(names.intern("7"), 0);
+        assert_eq!(intern(&mut names, "7"), 0);
+        assert_eq!(intern(&mut names, "007"), 1);
+        assert_eq!(intern(&mut names, "7"), 0);
         assert_eq!(names.numeric.len(), 8);
         // a huge canonical code, and the cap itself, take the hashed path
         // and leave the table as it is
-        assert_eq!(names.intern("4294967295"), 2);
-        assert_eq!(names.intern("1048576"), 3);
+        assert_eq!(intern(&mut names, "4294967295"), 2);
+        assert_eq!(intern(&mut names, "1048576"), 3);
         assert_eq!(names.numeric.len(), 8);
-        assert_eq!(names.intern("1048575"), 4);
+        assert_eq!(intern(&mut names, "1048575"), 4);
         assert_eq!(names.numeric.len(), NUMERIC_CACHE_CAP);
+        assert_eq!(intern(&mut names, "0"), 5);
+        assert_eq!(names.numeric[0], 5);
         assert_eq!(names.catalog.code("007"), Some(1));
         assert_eq!(names.catalog.code("4294967295"), Some(2));
     }
 
     #[test]
+    fn scan_classifies_each_token_in_one_pass() {
+        let limits = FimiLimits::default();
+        let class = |token: &str| match scan_token(token.as_bytes(), 0, token.len(), &limits) {
+            Ok((end, Class::Code { small })) => {
+                assert_eq!(end, token.len());
+                format!("code {small:?}")
+            }
+            Ok((_, Class::Name)) => "name".into(),
+            Ok((_, Class::Bad)) => "bad".into(),
+            Err(Stop::Control) => "control".into(),
+            Err(Stop::NotAscii) => "not ascii".into(),
+        };
+        assert_eq!(class("0"), "code Some(0)");
+        assert_eq!(class("1048575"), "code Some(1048575)");
+        assert_eq!(class("00"), "code None");
+        assert_eq!(class("4294967295"), "code None");
+        assert_eq!(class("4294967296"), "bad");
+        assert_eq!(class("00000000000000000000000000000042"), "code None");
+        assert_eq!(class("18446744073709551616"), "bad");
+        assert_eq!(class("-7"), "bad");
+        assert_eq!(class("-"), "name");
+        assert_eq!(class("7a"), "name");
+        assert_eq!(class("a\x07"), "control");
+        assert_eq!(class("7é"), "not ascii");
+        // a scan stops at the separator after its token
+        assert!(matches!(
+            scan_token(b"12 34", 0, 5, &limits),
+            Ok((2, Class::Code { small: Some(12) }))
+        ));
+    }
+
+    #[test]
     fn write_fimi_unknown_code_is_invalid_input() {
         let mut db = read_fimi("a b\n".as_bytes()).unwrap();
-        db.push(ItemSet::from([7]));
+        db.push(fim_core::ItemSet::from([7]));
         match write_fimi(&db, Vec::new()) {
             Err(FimError::InvalidInput(m)) => assert_eq!(m, "item code 7 has no catalog name"),
             other => panic!("expected InvalidInput, got {other:?}"),
@@ -710,5 +874,40 @@ mod tests {
     fn control_character_line_number_is_exact() {
         let e = read_fimi("a\nb\nc\x07 d\n".as_bytes()).unwrap_err();
         assert_eq!(parse_line(e), 3);
+    }
+
+    /// Lines that end inside the read buffer are tokenized in place, the
+    /// rest through the window: lines across buffer boundaries, one longer
+    /// than the buffer, CRLF endings and a last line without a newline all
+    /// read alike.
+    #[test]
+    fn lines_across_read_buffer_boundaries() {
+        let mut text = String::new();
+        let mut want: Vec<Vec<String>> = Vec::new();
+        for k in 0..30_000usize {
+            let row: Vec<String> = (0..k % 9)
+                .map(|j| format!("{}", (k * 7 + j * 13) % 500))
+                .collect();
+            text.push_str(&row.join(" "));
+            text.push_str(if k % 3 == 0 { "\r\n" } else { "\n" });
+            want.push(row);
+        }
+        let long: Vec<String> = (0..20_000).map(|j| format!("x{j}")).collect();
+        text.push_str(&long.join(" "));
+        text.push('\n');
+        want.push(long);
+        text.push_str("7 8");
+        want.push(vec!["7".into(), "8".into()]);
+        assert!(text.len() > 3 * READ_BUF);
+        let db = read_fimi(text.as_bytes()).unwrap();
+        assert_eq!(db.num_transactions(), want.len());
+        for (t, w) in db.transactions().iter().zip(&want) {
+            let mut names: Vec<&str> = t.iter().map(|&c| db.catalog().name(c).unwrap()).collect();
+            let mut w: Vec<&str> = w.iter().map(String::as_str).collect();
+            names.sort_unstable();
+            w.sort_unstable();
+            w.dedup();
+            assert_eq!(names, w);
+        }
     }
 }

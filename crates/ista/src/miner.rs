@@ -785,7 +785,11 @@ mod tests {
             let budget = fim_core::Budget::unlimited().with_max_transactions(k as u64);
             let (outcome, _) = miner.mine_governed_with_stats(&db, 2, &budget);
             let prefix = RecodedDatabase::from_dense(
-                db.transactions()[..k].iter().map(|t| t.to_vec()).collect(),
+                db.transactions()
+                    .iter()
+                    .take(k)
+                    .map(<[_]>::to_vec)
+                    .collect(),
                 db.num_items(),
             );
             let want = mine_reference(&prefix, 2);

@@ -37,7 +37,8 @@ use crate::snapshot;
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::fault::{self, points, RetryPolicy};
 use fim_core::{
-    checkpoint, Budget, FimError, Governor, Item, MineOutcome, MiningResult, Progress, TripReason,
+    checkpoint, Budget, FimError, Governor, Item, ItemRows, MineOutcome, MiningResult, Progress,
+    TripReason,
 };
 use fim_obs::{Counter, Counters, Obs, ProgressSnapshot};
 use std::collections::VecDeque;
@@ -865,19 +866,18 @@ fn mine_shard(
     let mut tree = PrefixTree::new(num_items);
     let mut remaining: Vec<u32> = global_supports.to_vec();
     let mut pacer = PrunePacer::new(cfg.policy);
-    let mut filtered: Vec<Vec<Item>> = Vec::with_capacity(txs.len());
+    let occurrences = txs.iter().map(Vec::len).sum();
+    let mut filtered = ItemRows::with_capacity(txs.len(), occurrences);
     for t in txs {
-        let mut f = Vec::with_capacity(t.len());
-        for i in t {
-            if global_supports[i as usize] >= minsupp {
-                f.push(i);
-            } else {
+        filtered.push_set(t.into_iter().filter(|&i| {
+            let viable = global_supports[i as usize] >= minsupp;
+            if !viable {
                 remaining[i as usize] -= 1;
             }
-        }
-        filtered.push(f);
+            viable
+        }));
     }
-    let weighted = fim_core::coalesce(&filtered);
+    let weighted = fim_core::coalesce(filtered.view());
     for (t, w) in &weighted {
         for &i in t.iter() {
             remaining[i as usize] -= w;

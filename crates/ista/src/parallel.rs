@@ -26,8 +26,8 @@
 use crate::miner::{IstaConfig, IstaMiner, PrunePacer, PrunePolicy};
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::{
-    checkpoint, Budget, CancelToken, ClosedMiner, Governor, Item, MineOutcome, MiningResult,
-    Progress, RecodedDatabase, TripReason,
+    checkpoint, Budget, CancelToken, ClosedMiner, Governor, ItemRows, MineOutcome, MiningResult,
+    Progress, RecodedDatabase, Rows, TripReason,
 };
 use fim_obs::Counters;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -308,7 +308,7 @@ impl GovShared {
 /// transaction and so keeps the merge replay exact for viable sets (the
 /// plain per-node prune may eliminate locally hopeless but globally viable
 /// items from a transaction, under-counting subsets after the merge).
-fn mine_shard(txs: &[Box<[Item]>], ctx: &RunCtx) -> ShardTree {
+fn mine_shard(txs: Rows<'_>, ctx: &RunCtx) -> ShardTree {
     let RunCtx {
         num_items,
         global_supports,
@@ -323,19 +323,17 @@ fn mine_shard(txs: &[Box<[Item]>], ctx: &RunCtx) -> ShardTree {
     // Filter globally hopeless items out of every transaction. Their
     // remaining counts can be settled immediately: no tree node ever
     // carries a hopeless item, so pruning never consults those entries.
-    let mut filtered: Vec<Vec<Item>> = Vec::with_capacity(txs.len());
-    for t in txs.iter() {
-        let mut f = Vec::with_capacity(t.len());
-        for &i in t.iter() {
-            if global_supports[i as usize] >= minsupp {
-                f.push(i);
-            } else {
+    let mut filtered = ItemRows::with_capacity(txs.len(), txs.total_items());
+    for t in txs {
+        filtered.push_set(t.iter().copied().filter(|&i| {
+            let viable = global_supports[i as usize] >= minsupp;
+            if !viable {
                 remaining[i as usize] -= 1;
             }
-        }
-        filtered.push(f);
+            viable
+        }));
     }
-    let weighted = fim_core::coalesce(&filtered);
+    let weighted = fim_core::coalesce(filtered.view());
     for (t, w) in &weighted {
         for &i in t.iter() {
             remaining[i as usize] -= w;
@@ -449,7 +447,7 @@ fn merge_pruned(left: &mut ShardTree, mut right: ShardTree, ctx: &RunCtx, is_fin
 /// concurrently as their inputs finish — no global barrier between the
 /// mining and merging phases.
 fn mine_reduce(
-    txs: &[Box<[Item]>],
+    txs: Rows<'_>,
     nchunks: usize,
     shard_base: usize,
     ctx: &RunCtx,
@@ -473,12 +471,13 @@ fn mine_reduce(
                     .stack_size(SHARD_STACK_BYTES)
                     .spawn_scoped(s, || {
                         catch_unwind(AssertUnwindSafe(|| {
-                            mine_reduce(&txs[tx_mid..], n - mid, shard_base + mid, ctx, false)
+                            let right = txs.slice(tx_mid..txs.len());
+                            mine_reduce(right, n - mid, shard_base + mid, ctx, false)
                         }))
                     })
                     .expect("failed to spawn shard thread");
                 let left = catch_unwind(AssertUnwindSafe(|| {
-                    mine_reduce(&txs[..tx_mid], mid, shard_base, ctx, false)
+                    mine_reduce(txs.slice(0..tx_mid), mid, shard_base, ctx, false)
                 }));
                 // a panic that escaped the catch (impossible in practice)
                 // still surfaces as Err through join
@@ -501,15 +500,9 @@ fn mine_reduce(
 /// shards) sequentially after its thread panicked. Runs on the surviving
 /// thread with no further catch: a second panic over the same data is a
 /// deterministic bug and must propagate.
-fn recover_range(
-    txs: &[Box<[Item]>],
-    lo: usize,
-    hi: usize,
-    nshards: usize,
-    ctx: &RunCtx,
-) -> ShardTree {
+fn recover_range(txs: Rows<'_>, lo: usize, hi: usize, nshards: usize, ctx: &RunCtx) -> ShardTree {
     ctx.recovered.fetch_add(nshards, Ordering::SeqCst);
-    mine_shard(&txs[lo..hi], ctx)
+    mine_shard(txs.slice(lo..hi), ctx)
 }
 
 impl ClosedMiner for ParallelIstaMiner {

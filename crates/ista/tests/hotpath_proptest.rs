@@ -131,7 +131,7 @@ proptest! {
         let mut remaining = db.item_supports().to_vec();
         let mut tree = PrefixTree::new(db.num_items());
         for (i, t) in db.transactions().iter().enumerate() {
-            for &item in t.as_ref() {
+            for &item in t {
                 remaining[item as usize] -= 1;
             }
             tree.add_transaction(t);

@@ -187,7 +187,8 @@ proptest! {
         // one terminal-pruned tree per contiguous shard, each reloaded
         // from its on-disk snapshot before entering the reduction
         let mut trees = Vec::new();
-        for (k, shard) in db.transactions().chunks(chunk).enumerate() {
+        let rows: Vec<_> = db.transactions().iter().collect();
+        for (k, shard) in rows.chunks(chunk).enumerate() {
             let mut t = PrefixTree::new(db.num_items());
             for tx in shard {
                 t.add_transaction(tx);

@@ -136,11 +136,11 @@ proptest! {
         let txs = db.transactions();
         let cut = if txs.is_empty() { 0 } else { cut_seed % (txs.len() + 1) };
         let mut left = PrefixTree::new(db.num_items());
-        for t in &txs[..cut] {
+        for t in txs.slice(0..cut) {
             left.add_transaction(t);
         }
         let mut right = PrefixTree::new(db.num_items());
-        for t in &txs[cut..] {
+        for t in txs.slice(cut..txs.len()) {
             right.add_transaction(t);
         }
         left.merge(&right);
@@ -164,12 +164,12 @@ proptest! {
         // itemset can still gain from the other shard
         let remaining = db.item_supports().to_vec();
         let mut left = PrefixTree::new(db.num_items());
-        for t in &txs[..cut] {
+        for t in txs.slice(0..cut) {
             left.add_transaction(t);
             left.prune_keeping_terminals(&remaining, minsupp);
         }
         let mut right = PrefixTree::new(db.num_items());
-        for t in &txs[cut..] {
+        for t in txs.slice(cut..txs.len()) {
             right.add_transaction(t);
             right.prune_keeping_terminals(&remaining, minsupp);
         }

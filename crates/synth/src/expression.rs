@@ -292,7 +292,7 @@ mod tests {
         let m = ExpressionMatrix::from_values(2, 2, vec![0.5, -0.5, 0.1, 0.0]);
         let db = m.discretize(0.2);
         // gene 0: cond 0 over (item 0), cond 1 under (item 3)
-        assert_eq!(db.transactions()[0], fim_core::ItemSet::from([0, 3]));
+        assert_eq!(db.transactions()[0], [0, 3]);
         // gene 1: nothing passes the threshold
         assert!(db.transactions()[1].is_empty());
         assert_eq!(db.num_items(), 4);

@@ -209,7 +209,7 @@ mod tests {
         };
         let db = generate(&cfg);
         for t in db.transactions() {
-            assert!(t.iter().all(|i| i < 10));
+            assert!(t.iter().all(|&i| i < 10));
         }
     }
 }

@@ -38,8 +38,7 @@ fn main() {
         "tx", "repo nodes", "closed>=4", "probe support"
     );
     for (k, t) in db.transactions().iter().enumerate() {
-        let items: Vec<u32> = t.iter().collect();
-        stream.push_sorted(&items);
+        stream.push_sorted(t);
         if (k + 1) % 5 == 0 || k + 1 == db.num_transactions() {
             let closed = stream.closed_sets(minsupp);
             println!(

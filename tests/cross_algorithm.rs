@@ -102,10 +102,10 @@ fn mined_sets_are_closed_and_supports_exact() {
         let cover = db.cover(&fs.items);
         let mut inter: Option<ItemSet> = None;
         for &tid in &cover {
-            let t = &db.transactions()[tid as usize];
+            let t = ItemSet::from(&db.transactions()[tid as usize]);
             inter = Some(match inter {
-                None => t.clone(),
-                Some(acc) => acc.intersect(t),
+                None => t,
+                Some(acc) => acc.intersect(&t),
             });
         }
         assert_eq!(inter.unwrap(), fs.items, "not closed");

@@ -1,11 +1,20 @@
 //! Paper §3.4: item-code and transaction orders affect only the running
 //! time — the mined output (decoded to raw codes) must be identical under
-//! every order combination, for every algorithm.
+//! every order combination, and under the miner's own transaction order,
+//! for every algorithm.
 
+use closed_fim::algos::{self, Miner};
 use closed_fim::prelude::*;
 use fim_core::TransactionDatabase;
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// The miner of every row of the algorithm table.
+fn every_miner() -> Vec<Miner> {
+    algos::names()
+        .map(|name| Miner::by_name(name).unwrap())
+        .collect()
+}
 
 fn order_pairs() -> Vec<(ItemOrder, TransactionOrder)> {
     let mut out = Vec::new();
@@ -33,6 +42,13 @@ fn check_invariance(db: &TransactionDatabase, minsupp: u32, miner: &dyn ClosedMi
             ),
         }
     }
+    assert_eq!(
+        mine_closed(db, minsupp, miner),
+        reference.unwrap(),
+        "{} changed output under its own order {}",
+        miner.name(),
+        miner.transaction_order().label()
+    );
 }
 
 #[test]
@@ -47,16 +63,9 @@ fn paper_example_every_order_every_miner() {
         vec!["d", "e"],
         vec!["c", "d", "e"],
     ]);
-    let miners: Vec<Box<dyn ClosedMiner>> = vec![
-        Box::new(IstaMiner::default()),
-        Box::new(CarpenterTableMiner::default()),
-        Box::new(CarpenterListMiner::default()),
-        Box::new(FpCloseMiner),
-        Box::new(LcmMiner),
-    ];
     for minsupp in [1, 2, 3, 5] {
-        for miner in &miners {
-            check_invariance(&db, minsupp, miner.as_ref());
+        for miner in every_miner() {
+            check_invariance(&db, minsupp, miner.as_dyn());
         }
     }
 }
@@ -77,8 +86,8 @@ proptest! {
         minsupp in 1u32..4,
     ) {
         let db = TransactionDatabase::from_codes(txs);
-        check_invariance(&db, minsupp, &IstaMiner::default());
-        check_invariance(&db, minsupp, &CarpenterTableMiner::default());
-        check_invariance(&db, minsupp, &LcmMiner);
+        for miner in every_miner() {
+            check_invariance(&db, minsupp, miner.as_dyn());
+        }
     }
 }
