@@ -137,7 +137,7 @@ impl EclatMiner {
     /// constraints (include, min-size, min-area) prune the lattice walk:
     /// the min-area support floor raises the effective minimum support for
     /// the whole recursion, and per-node envelope bounds cut subtrees (see
-    /// [`subtree_prunable`] for the closedness-safety argument). Max-size,
+    /// `subtree_prunable` for the closedness-safety argument). Max-size,
     /// the anti-monotone one, must wait for [`filter_closed`] — dropping a
     /// same-support superset early would let non-closed subsets survive —
     /// so it lands in the final [`apply_constraints_owned`] gate.

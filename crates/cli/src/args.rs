@@ -11,8 +11,10 @@ pub struct Args {
 
 impl Args {
     /// Parses `--key value` pairs; bare `--flag` (followed by another flag
-    /// or end of input) gets the value `"true"`.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// or end of input) gets the value `"true"`. A flag named in `bare`
+    /// takes no value: a non-flag token after it is an error naming the
+    /// flag, never a value it silently swallows.
+    pub fn parse(argv: &[String], bare: &[&str]) -> Result<Args, String> {
         let mut values = HashMap::new();
         let mut i = 0;
         while i < argv.len() {
@@ -24,6 +26,9 @@ impl Args {
                 return Err("empty flag '--'".into());
             }
             let value = match argv.get(i + 1) {
+                Some(v) if bare.contains(&key) && !v.starts_with("--") => {
+                    return Err(format!("--{key} takes no value (got '{v}')"));
+                }
                 Some(v) if !v.starts_with("--") => {
                     i += 1;
                     v.clone()
@@ -103,7 +108,7 @@ mod tests {
 
     #[test]
     fn key_value_pairs() -> Result<(), String> {
-        let a = Args::parse(&sv(&["--supp", "8", "--algo", "ista"]))?;
+        let a = Args::parse(&sv(&["--supp", "8", "--algo", "ista"]), &[])?;
         assert_eq!(a.get("supp"), Some("8"));
         assert_eq!(a.get("algo"), Some("ista"));
         assert_eq!(a.get("missing"), None);
@@ -112,7 +117,7 @@ mod tests {
 
     #[test]
     fn bare_flags() -> Result<(), String> {
-        let a = Args::parse(&sv(&["--verbose", "--supp", "3"]))?;
+        let a = Args::parse(&sv(&["--verbose", "--supp", "3"]), &[])?;
         assert!(a.flag("verbose"));
         assert_eq!(a.require_parsed::<u32>("supp")?, 3);
         Ok(())
@@ -120,16 +125,31 @@ mod tests {
 
     #[test]
     fn trailing_flag() -> Result<(), String> {
-        let a = Args::parse(&sv(&["--supp", "3", "--no-prune"]))?;
+        let a = Args::parse(&sv(&["--supp", "3", "--no-prune"]), &[])?;
         assert!(a.flag("no-prune"));
         Ok(())
     }
 
     #[test]
+    fn bare_flags_take_no_value() -> Result<(), String> {
+        let bare = ["stats", "no-push"];
+        let a = Args::parse(&sv(&["--stats", "--supp", "3", "--no-push"]), &bare)?;
+        assert!(a.flag("stats") && a.flag("no-push"));
+        let err = Args::parse(&sv(&["--no-push", "false"]), &bare).unwrap_err();
+        assert_eq!(err, "--no-push takes no value (got 'false')");
+        // a valued flag still takes its value
+        assert_eq!(
+            Args::parse(&sv(&["--supp", "3"]), &bare)?.get("supp"),
+            Some("3")
+        );
+        Ok(())
+    }
+
+    #[test]
     fn errors() -> Result<(), String> {
-        assert!(Args::parse(&sv(&["supp", "8"])).is_err());
-        assert!(Args::parse(&sv(&["--"])).is_err());
-        let a = Args::parse(&sv(&["--supp", "x"]))?;
+        assert!(Args::parse(&sv(&["supp", "8"]), &[]).is_err());
+        assert!(Args::parse(&sv(&["--"]), &[]).is_err());
+        let a = Args::parse(&sv(&["--supp", "x"]), &[])?;
         assert!(a.require_parsed::<u32>("supp").is_err());
         assert!(a.require("absent").is_err());
         Ok(())
@@ -137,9 +157,9 @@ mod tests {
 
     #[test]
     fn parse_or_default() -> Result<(), String> {
-        let a = Args::parse(&sv(&[]))?;
+        let a = Args::parse(&sv(&[]), &[])?;
         assert_eq!(a.parse_or("scale", 1.5)?, 1.5);
-        let a = Args::parse(&sv(&["--scale", "0.25"]))?;
+        let a = Args::parse(&sv(&["--scale", "0.25"]), &[])?;
         assert_eq!(a.parse_or("scale", 1.5)?, 0.25);
         Ok(())
     }

@@ -53,16 +53,28 @@ type Command = fn(&Args) -> Result<(), CliError>;
 
 /// The flags of `fim mine`, in the order its usage text documents them.
 const MINE_FLAGS: &str = "supp supp-rel algo in out item-order tx-order maximal no-prune \
-    threads include exclude min-size max-size min-area no-push rep no-patricia stats metrics \
+    threads include exclude min-size max-size min-area no-push rep stats metrics \
     progress profile trace-events sample ledger timeout max-nodes max-sets degrade checkpoint \
     resume out-of-core mem-budget spill-dir resume-spill io-retries";
+
+/// The flags that take no value, across every subcommand.
+const BARE_FLAGS: [&str; 8] = [
+    "maximal",
+    "no-prune",
+    "no-push",
+    "stats",
+    "degrade",
+    "out-of-core",
+    "resume-spill",
+    "json",
+];
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = argv.split_first() else {
         println!("{USAGE}");
         return Ok(());
     };
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &BARE_FLAGS)?;
     // each subcommand takes the flags its usage text documents, so a
     // misspelt flag cannot silently change the query
     let (cmd, flags): (Command, &str) = match command.as_str() {
@@ -198,17 +210,17 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         return cmd_mine_stream(args, algo, miner);
     }
     let is_ista = matches!(miner, Miner::Ista(_) | Miner::ParallelIsta(_));
-    if args.flag("no-patricia") && !is_ista {
-        return Err(usage("--no-patricia is only available for ista variants"));
-    }
-    // `--threads N` selects the data-parallel miner with N shards
-    // (0 = one per available core); only meaningful for ista variants
+    // `--threads N` selects the data-parallel miner with N shards (0 = one
+    // per available core); only meaningful for ista variants. Every shard
+    // thread reserves a large stack, so N is capped at the core count.
     let threads: Option<usize> = match args.get("threads") {
         None => None,
-        Some(t) => Some(
-            t.parse()
-                .map_err(|e| usage(format!("bad --threads: {e}")))?,
-        ),
+        Some(t) => {
+            let n: usize = t
+                .parse()
+                .map_err(|e| usage(format!("bad --threads: {e}")))?;
+            Some(n.min(std::thread::available_parallelism().map_or(1, |c| c.get())))
+        }
     };
     if threads.is_some() && !is_ista {
         return Err(usage(format!(
@@ -221,12 +233,6 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     if budget.degrade && (!is_ista || parallel) {
         return Err(usage(
             "--degrade is only available for the sequential ista miner",
-        ));
-    }
-    let plain = args.flag("no-patricia") || matches!(miner, Miner::Ista(m) if !m.config.patricia);
-    if plain && parallel {
-        return Err(usage(
-            "the uncompressed tree (--no-patricia / ista-plain) is sequential only",
         ));
     }
     let item_order = item_order(args)?;
@@ -473,9 +479,8 @@ impl Query {
 ///
 /// The kernelized families are sequential IsTa, eclat, declat, and
 /// carpenter-lists; the rest reject a selection. IsTa has no galloping
-/// kernel (its epoch probe is already O(1)) and the plain layout has no
-/// bitset kernel: [`configure`] turns those selections into the scalar
-/// kernel they run.
+/// kernel (its epoch probe is already O(1)): [`configure`] turns that
+/// selection into the scalar kernel it runs.
 fn resolve_rep(
     args: &Args,
     miner: &Miner,
@@ -518,12 +523,11 @@ fn resolve_rep(
     Ok(flag)
 }
 
-/// Applies `--no-prune` and `--no-patricia` to an IsTa configuration.
+/// Applies `--no-prune` to an IsTa configuration.
 fn ista_toggles(args: &Args, mut config: IstaConfig) -> IstaConfig {
     if args.flag("no-prune") {
         config.policy = PrunePolicy::Never;
     }
-    config.patricia &= !args.flag("no-patricia");
     config
 }
 
@@ -547,10 +551,10 @@ fn configure(
     Ok(match miner {
         Miner::Ista(m) => {
             let mut config = ista_toggles(args, m.config);
-            // keep only a kernel the layout has, so `Miner::rep` and the
+            // keep only a kernel IsTa has, so `Miner::rep` and the
             // metrics name the kernel that runs
             config.rep = match rep.unwrap_or(config.rep) {
-                Representation::Bitset if config.patricia => Representation::Bitset,
+                Representation::Bitset => Representation::Bitset,
                 _ => Representation::Scalar,
             };
             match threads {
@@ -782,7 +786,6 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         "stats",
         "profile",
         "no-prune",
-        "no-patricia",
         "rep",
         "degrade",
         "item-order",
@@ -967,8 +970,8 @@ fn write_checkpoint_atomically(
 /// failures around each spill write before giving up.
 fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError> {
     let ista = match miner {
-        // the pipeline mines the Patricia tree with the scalar kernel
-        Miner::Ista(m) if m.config.patricia && m.config.rep == Representation::Scalar => m.config,
+        // the pipeline mines with the scalar kernel
+        Miner::Ista(m) if m.config.rep == Representation::Scalar => m.config,
         _ => {
             return Err(usage(format!(
                 "--out-of-core streams through the shard-spill ista pipeline, not '{algo}'"
@@ -980,7 +983,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         "checkpoint",
         "resume",
         "rep",
-        "no-patricia",
         "tx-order",
         "degrade",
     ]
@@ -1235,7 +1237,7 @@ USAGE:
             [--maximal] [--no-prune] [--threads N]
             [--include A,B] [--exclude C,D] [--min-size N] [--max-size N]
             [--min-area N] [--no-push]
-            [--rep auto|scalar|bitset|gallop] [--no-patricia]
+            [--rep auto|scalar|bitset|gallop]
             [--stats] [--metrics PATH|-] [--progress SECS] [--profile FILE]
             [--trace-events FILE] [--sample SECS] [--ledger FILE]
             [--timeout SECS] [--max-nodes N] [--max-sets N] [--degrade]
@@ -1250,10 +1252,8 @@ USAGE:
              except for eclat and declat, which keep the file order (orig):
              their vertical search never reads the rows in order)
             (--threads N shards the database over N threads and merges the
-             per-shard prefix trees; 0 = one shard per core; ista only)
-            (--no-patricia mines on the uncompressed one-item-per-node
-             tree instead of the path-compressed Patricia layout
-             (equivalent to --algo ista-plain; sequential ista only))
+             per-shard prefix trees; 0 = one shard per core, and N is
+             capped at the core count; ista only)
             (constraints: --include/--exclude take comma-separated item
              names; --min-size/--max-size bound the item count and
              --min-area the product support x size of the reported sets.
@@ -1274,10 +1274,10 @@ USAGE:
              sorted-list merges (the default), bitset word-AND + popcount,
              gallop exponential-search merges; auto picks by database
              density. Output is identical across kernels; only the work
-             profile changes. ista has no gallop kernel and ista-plain no
-             bitset kernel: those selections run the scalar kernel, and
-             --metrics says so. Spelling the kernel as an algorithm-name
-             suffix (e.g. --algo eclat-bitset) is equivalent)
+             profile changes. ista has no gallop kernel: that selection
+             runs the scalar kernel, and --metrics says so. Spelling the
+             kernel as an algorithm-name suffix (e.g. --algo
+             eclat-bitset) is equivalent)
             (observability: --metrics writes one fim-metrics/2 JSON
              document with run counters, tree occupancy, the kernel
              section (selected representation, words ANDed, gallop

@@ -125,7 +125,7 @@ fn all_algorithms_agree_via_cli() {
         .lines()
         .map(str::to_owned)
         .collect();
-    assert_eq!(names.len(), 27);
+    assert_eq!(names.len(), 26);
     let uncounted = [
         "fpclose",
         "lcm",
@@ -222,24 +222,44 @@ fn names_are_accepted_where_their_flag_spellings_are() {
     );
 }
 
-/// A kernel the IsTa layout lacks runs, and is reported, as scalar:
-/// Patricia IsTa has no gallop kernel, the plain tree no bitset kernel.
+/// A kernel IsTa lacks runs, and is reported, as scalar: IsTa has no
+/// gallop kernel.
 #[test]
 fn metrics_name_the_ista_kernel_that_runs() {
     let dir = Scratch::new("istarep");
     let data = dir.preset("ncbi60", "0.1", "data.fimi");
     let metrics = dir.path("metrics.json");
     let want = mine(&data, &["--algo", "ista"]);
-    for query in [["ista", "gallop"], ["ista-plain", "bitset"]] {
-        let out = mine(
-            &data,
-            &["--algo", query[0], "--rep", query[1], "--metrics", &metrics],
-        );
-        assert!(out.status.success(), "{query:?}: {}", stderr(&out));
-        assert!(out.stdout == want.stdout, "{query:?}");
-        let doc = std::fs::read_to_string(&metrics).unwrap();
-        assert!(doc.contains("\"rep\": \"scalar\""), "{query:?}: {doc}");
-    }
+    let out = mine(
+        &data,
+        &["--algo", "ista", "--rep", "gallop", "--metrics", &metrics],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(out.stdout == want.stdout);
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    assert!(doc.contains("\"rep\": \"scalar\""), "{doc}");
+}
+
+/// `--threads` is capped at the core count: every shard thread reserves a
+/// large stack, so an oversized count must not start one thread per row.
+#[test]
+fn threads_are_capped_at_the_core_count() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let dir = Scratch::new("threads");
+    let data = dir.path("rows.fimi");
+    let rows: String = (0..cores + 2).map(|r| format!("a b c{r}\n")).collect();
+    std::fs::write(&data, rows).unwrap();
+    let out = fim()
+        .args(["mine", "--supp", "1", "--in", &data, "--threads", "1000"])
+        .args(["--metrics", "-"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let doc = stderr(&out);
+    let key = "\"shards\": {\"total\": ";
+    let at = doc.find(key).unwrap_or_else(|| panic!("no {key} in {doc}")) + key.len();
+    let shards: usize = doc[at..].split(',').next().unwrap().parse().unwrap();
+    assert!(shards <= cores, "{shards} shards on {cores} cores");
 }
 
 /// A run where no miner runs (a must-include item does not survive the

@@ -90,6 +90,15 @@ fn usage_errors_exit_2() {
             "--supp",
             "1",
             "--algo",
+            "ista-plain",
+            "--in",
+            &data("valid.fimi"),
+        ],
+        vec![
+            "mine",
+            "--supp",
+            "1",
+            "--algo",
             "eclat",
             "--in",
             &data("valid.fimi"),
@@ -119,6 +128,7 @@ fn unknown_flags_exit_2_naming_the_flag() {
         (mine("--min-sise", Some("5")), "--min-sise"),
         (mine("--no-coalesce", None), "--no-coalesce"),
         (mine("--no-compact", None), "--no-compact"),
+        (mine("--no-patricia", None), "--no-patricia"),
         (vec!["gen", "--preset", "ncbi60", "--seeed", "5"], "--seeed"),
         (
             vec![
@@ -149,6 +159,41 @@ fn unknown_flags_exit_2_naming_the_flag() {
     // the fault flag is read before dispatch, so every subcommand takes it
     let out = fim(&["stats", "--in", &valid, "--inject-fault", "spill.write:1"]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
+}
+
+/// A flag that takes no value rejects one, naming the flag, instead of
+/// silently swallowing the next argument (`--no-push false` would turn the
+/// post-filter on, `--maximal extra.txt` would drop the file name).
+#[test]
+fn bare_flags_given_a_value_exit_2_naming_the_flag() {
+    let valid = data("valid.fimi");
+    for flag in [
+        "--maximal",
+        "--no-prune",
+        "--no-push",
+        "--stats",
+        "--degrade",
+        "--out-of-core",
+        "--resume-spill",
+    ] {
+        let out = fim(&["mine", "--supp", "1", "--in", &valid, flag, "extra.txt"]);
+        assert_eq!(code(&out), 2, "{flag}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("{flag} takes no value (got 'extra.txt')")),
+            "{flag}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
+    let out = fim(&[
+        "compare", "--base", &valid, "--new", &valid, "--json", "yes",
+    ]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--json takes no value"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

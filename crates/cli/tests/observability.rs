@@ -104,7 +104,7 @@ fn metrics_file_passes_schema_validation() {
     std::fs::create_dir_all(&dir).unwrap();
     for algo in [
         "ista",
-        "ista-plain",
+        "ista-bitset",
         "ista-par",
         "carpenter-lists",
         "carpenter-table",

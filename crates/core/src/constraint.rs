@@ -8,7 +8,7 @@
 //! | constraint   | class            | sound push for closed sets          |
 //! |--------------|------------------|-------------------------------------|
 //! | must-exclude | anti-monotone    | database projection: drop the item  |
-//! |              |                  | at recode time ([`RecodedDatabase::prepare_excluding`]) |
+//! |              |                  | at recode time ([`RecodedDatabase::prepare_excluding`](crate::RecodedDatabase::prepare_excluding)) |
 //! | max-size     | anti-monotone    | cut enumeration below the bound —   |
 //! |              |                  | but **only** where closedness is    |
 //! |              |                  | decided independently per node      |

@@ -97,7 +97,7 @@ pub enum FaultKind {
     Enospc,
     /// At a write point: silently truncate the artifact to half its
     /// length and *continue* — the torn bytes must be caught by the next
-    /// validated read. At a non-write point this degrades to [`Io`].
+    /// validated read. At a non-write point this degrades to [`Io`](Self::Io).
     Partial,
     /// Kill the process mid-pipeline (a panic), leaving whatever is on
     /// disk exactly as the crash would.

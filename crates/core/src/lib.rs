@@ -26,7 +26,7 @@
 //! * the [`govern`] resource-governance layer: [`Budget`]s (wall-clock
 //!   deadline, node/byte caps, cancellation), the [`checkpoint!`] hot-loop
 //!   macro, and structured [`MineOutcome`]s with exact partial results,
-//! * a brute-force [`reference`] miner used as ground truth in tests.
+//! * a brute-force [`reference`](mod@reference) miner used as ground truth in tests.
 //!
 //! Item codes inside a [`RecodedDatabase`] are dense `u32` values
 //! `0..num_items`; transaction indices ("tids") are dense `u32` values

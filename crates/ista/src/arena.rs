@@ -1,4 +1,4 @@
-//! Index-based node arenas for the IsTa prefix trees.
+//! The index-based node arena of the IsTa prefix tree.
 //!
 //! The paper's C implementation links nodes with raw pointers (Fig. 1);
 //! here nodes live in one `Vec` and link through `u32` indices, which keeps
@@ -6,12 +6,13 @@
 //! are kept on an intrusive free list threaded through the `sibling` field
 //! so pruning can recycle them.
 //!
-//! Two arenas live here: [`NodeArena`] backs the uncompressed
-//! [`PlainPrefixTree`](crate::plain::PlainPrefixTree) (one item per node,
-//! 20 bytes), and [`SegArena`] backs the path-compressed Patricia
+//! [`SegArena`] backs the path-compressed Patricia
 //! [`PrefixTree`](crate::tree::PrefixTree), whose nodes store an item
 //! *segment* — a `(offset, length)` slice into one shared item vector — so
 //! unary chains collapse into single nodes (paper §3.3's Patricia variant).
+//! Each node also keeps its segment's first item inline: sibling walks and
+//! membership probes of a length-1 segment, the paper's one-item node and
+//! by far the most common node on dense data, never read the item store.
 
 use fim_core::Item;
 use fim_obs::{Counter, Counters};
@@ -19,211 +20,38 @@ use fim_obs::{Counter, Counters};
 /// Sentinel index meaning "no node".
 pub const NONE: u32 = u32::MAX;
 
-/// One prefix tree node (paper Fig. 1).
-#[derive(Clone, Copy, Debug)]
-pub struct Node {
-    /// The item associated with this node (the largest item of the set it
-    /// represents is at the top of its path; this node holds the *last*,
-    /// i.e. smallest-so-far item of the represented set).
-    pub item: Item,
-    /// Support of the represented item set within the processed prefix.
-    pub supp: u32,
-    /// Most recent update step (index of the transaction whose processing
-    /// last touched this node); the incremental-update flag of the paper.
-    pub step: u32,
-    /// Total weight of raw transactions whose (possibly pruning-reduced)
-    /// item set is exactly the set this node represents. Terminal counts
-    /// let a tree be replayed into another one with correct additive
-    /// support semantics (see [`PrefixTree::merge`]); the sum of `raw`
-    /// over all nodes (plus the root's, which absorbs transactions pruned
-    /// to the empty set) equals the processed transaction weight.
-    ///
-    /// [`PrefixTree::merge`]: crate::tree::PrefixTree::merge
-    pub raw: u32,
-    /// Next node in the sibling list (descending item order), or [`NONE`].
-    pub sibling: u32,
-    /// Head of the child list (all child items < `item`), or [`NONE`].
-    pub children: u32,
-}
-
-/// Growable arena of [`Node`]s with index links and a free list.
-#[derive(Clone, Debug, Default)]
-pub struct NodeArena {
-    nodes: Vec<Node>,
-    free_head: u32,
-    live: usize,
-    counters: Counters,
-}
-
-impl NodeArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        NodeArena {
-            nodes: Vec::new(),
-            free_head: NONE,
-            live: 0,
-            counters: Counters::new(),
-        }
-    }
-
-    /// Creates an arena with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        NodeArena {
-            nodes: Vec::with_capacity(cap),
-            free_head: NONE,
-            live: 0,
-            counters: Counters::new(),
-        }
-    }
-
-    /// Allocates a node, reusing a freed slot when available.
-    pub fn alloc(&mut self, node: Node) -> u32 {
-        self.counters.bump(Counter::NodeAllocs);
-        self.live += 1;
-        if self.free_head != NONE {
-            let idx = self.free_head;
-            self.free_head = self.nodes[idx as usize].sibling;
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            assert!(idx < NONE, "node arena exhausted");
-            self.nodes.push(node);
-            idx
-        }
-    }
-
-    /// Returns a node slot to the free list.
-    ///
-    /// The caller must ensure no live links point to `idx`.
-    pub fn free(&mut self, idx: u32) {
-        debug_assert!(self.live > 0);
-        self.live -= 1;
-        let n = &mut self.nodes[idx as usize];
-        n.sibling = self.free_head;
-        n.children = NONE;
-        self.free_head = idx;
-    }
-
-    /// Number of live (allocated, not freed) nodes.
-    pub fn live_count(&self) -> usize {
-        self.live
-    }
-
-    /// Total slots ever allocated (live + free-listed).
-    pub fn capacity_used(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of slots currently parked on the free list.
-    pub fn free_count(&self) -> usize {
-        self.nodes.len() - self.live
-    }
-
-    /// Hot-loop counters accumulated by this arena (allocations plus the
-    /// traversal counts the owning tree pushes in).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Mutable counter access for the owning tree's traversal loops.
-    #[inline]
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
-    /// Relocates the live nodes reachable from `root` into depth-first
-    /// order — each node directly followed by its subtree, then by its next
-    /// sibling — truncating freed slots and emptying the free list. Returns
-    /// the new index of `root` (always `0`).
-    ///
-    /// After heavy pruning churn the free list scatters live nodes across
-    /// the slot vector, so the `isect`/`report` traversals (which walk
-    /// exactly this depth-first order) stride unpredictably through memory;
-    /// compaction restores a nearly-sequential walk and returns the freed
-    /// tail to the allocator. All `sibling`/`children` links are remapped;
-    /// every other field is preserved bit-for-bit.
-    ///
-    /// The caller must ensure every live node is reachable from `root`
-    /// (checked in debug builds).
-    pub fn compact(&mut self, root: u32) -> u32 {
-        debug_assert!(root != NONE);
-        // Pass 1: assign new indices in depth-first visitation order. The
-        // explicit stack mirrors the recursion of `isect`: a frame is a
-        // node whose subtree-then-right-siblings remain to be numbered.
-        let mut order: Vec<u32> = Vec::with_capacity(self.live);
-        let mut remap: Vec<u32> = vec![NONE; self.nodes.len()];
-        let mut stack: Vec<u32> = vec![root];
-        while let Some(mut node) = stack.pop() {
-            while node != NONE {
-                remap[node as usize] = order.len() as u32;
-                order.push(node);
-                let n = &self.nodes[node as usize];
-                if n.sibling != NONE {
-                    stack.push(n.sibling);
-                }
-                node = n.children;
-            }
-        }
-        debug_assert_eq!(order.len(), self.live, "unreachable live nodes");
-        // Pass 2: emit the nodes in their new order with remapped links.
-        let mut nodes: Vec<Node> = Vec::with_capacity(order.len());
-        for &old in &order {
-            let mut n = self.nodes[old as usize];
-            if n.sibling != NONE {
-                n.sibling = remap[n.sibling as usize];
-            }
-            if n.children != NONE {
-                n.children = remap[n.children as usize];
-            }
-            nodes.push(n);
-        }
-        self.nodes = nodes;
-        self.free_head = NONE;
-        remap[root as usize]
-    }
-
-    /// All slots in index order, live and free-listed alike (free slots are
-    /// distinguishable only through the free list, so callers should
-    /// [`compact`](Self::compact) first when they need live nodes only —
-    /// the snapshot writer does).
-    pub fn slots(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Immutable node access.
-    #[inline]
-    pub fn get(&self, idx: u32) -> &Node {
-        &self.nodes[idx as usize]
-    }
-
-    /// Mutable node access.
-    #[inline]
-    pub fn get_mut(&mut self, idx: u32) -> &mut Node {
-        &mut self.nodes[idx as usize]
-    }
-}
-
-/// One path-compressed prefix tree node: a strictly descending item
-/// *segment* (slice into the arena's shared item store) plus the same
-/// bookkeeping as [`Node`]. The segment represents a unary chain of the
-/// uncompressed tree whose conceptual nodes all share one `supp` and one
-/// `step` (the tree splits a node before any update that would touch only
-/// a proper prefix of its segment, so the invariant is maintained
-/// eagerly); `raw` belongs to the *deepest* conceptual node — the set
-/// "path plus full segment".
+/// One path-compressed prefix tree node (paper Fig. 1 with §3.3's path
+/// compression): a strictly descending item *segment* (slice into the
+/// arena's shared item store) plus the paper's node bookkeeping. The
+/// segment represents a unary chain of one-item nodes that all share one
+/// `supp` and one `step` (the tree splits a node before any update that
+/// would touch only a proper prefix of its segment, so the invariant is
+/// maintained eagerly); `raw` belongs to the *deepest* conceptual node —
+/// the set "path plus full segment".
 #[derive(Clone, Copy, Debug)]
 pub struct PatNode {
+    /// First (largest) item of the segment, kept inline so sibling walks
+    /// and length-1 probes need no item-store read; `Item::MAX` for the
+    /// pseudo-root, which sits above every real item.
+    pub first: Item,
     /// Offset of the segment in the arena's item store.
     pub seg_off: u32,
     /// Number of items in the segment (0 only for the pseudo-root).
     pub seg_len: u32,
     /// Support of the represented item set(s) within the processed prefix.
     pub supp: u32,
-    /// Most recent update step (see [`Node::step`]), uniform over the
-    /// segment's conceptual nodes.
+    /// Most recent update step: the index of the transaction whose
+    /// processing last touched this node, the paper's incremental-update
+    /// flag. Uniform over the segment's conceptual nodes.
     pub step: u32,
-    /// Terminal weight of the deepest conceptual node (see [`Node::raw`]).
+    /// Total weight of raw transactions whose (possibly pruning-reduced)
+    /// item set is exactly the set of the deepest conceptual node. Terminal
+    /// counts let a tree be replayed into another one with correct additive
+    /// support semantics (see [`PrefixTree::merge`]); the sum of `raw` over
+    /// all nodes (plus the root's, which absorbs transactions pruned to the
+    /// empty set) equals the processed transaction weight.
+    ///
+    /// [`PrefixTree::merge`]: crate::tree::PrefixTree::merge
     pub raw: u32,
     /// Next node in the sibling list (descending first item), or [`NONE`].
     pub sibling: u32,
@@ -304,6 +132,7 @@ impl SegArena {
         self.items.extend_from_slice(seg);
         self.live_items += seg.len();
         self.alloc_node(PatNode {
+            first: seg[0],
             seg_off,
             seg_len: seg.len() as u32,
             supp,
@@ -342,6 +171,7 @@ impl SegArena {
         let n = self.nodes[idx as usize];
         debug_assert!(k > 0 && k < n.seg_len);
         let tail = self.alloc_node(PatNode {
+            first: self.items[(n.seg_off + k) as usize],
             seg_off: n.seg_off + k,
             seg_len: n.seg_len - k,
             supp: n.supp,
@@ -366,7 +196,9 @@ impl SegArena {
         let old = n.seg_len as usize;
         debug_assert!(!kept.is_empty() && kept.len() <= old);
         self.items[off..off + kept.len()].copy_from_slice(kept);
-        self.nodes[idx as usize].seg_len = kept.len() as u32;
+        let n = &mut self.nodes[idx as usize];
+        n.first = kept[0];
+        n.seg_len = kept.len() as u32;
         self.live_items -= old - kept.len();
     }
 
@@ -383,12 +215,12 @@ impl SegArena {
         self.items[self.nodes[idx as usize].seg_off as usize + j]
     }
 
-    /// First (largest) item of the node's segment. Must not be called on
-    /// the zero-length pseudo-root.
+    /// First (largest) item of the node's segment, read inline. Must not
+    /// be called on the zero-length pseudo-root.
     #[inline]
     pub fn first_item(&self, idx: u32) -> Item {
         debug_assert!(self.nodes[idx as usize].seg_len > 0);
-        self.items[self.nodes[idx as usize].seg_off as usize]
+        self.nodes[idx as usize].first
     }
 
     /// Last (smallest) item of the node's segment, or `Item::MAX` for the
@@ -456,11 +288,19 @@ impl SegArena {
     }
 
     /// Relocates the live nodes reachable from `root` into depth-first
-    /// order (see [`NodeArena::compact`]) *and* rebuilds the item store,
-    /// copying each live node's segment into the same depth-first order —
-    /// so both the node walk and the segment reads of `isect`/`report`
-    /// stride nearly-sequential memory, and garbage items are dropped.
-    /// Returns the new index of `root` (always `0`).
+    /// order — each node directly followed by its subtree, then by its
+    /// next sibling — truncating freed slots and emptying the free list,
+    /// *and* rebuilds the item store, copying each live node's segment into
+    /// the same depth-first order. After heavy pruning churn the free list
+    /// scatters live nodes across the slot vector; compaction gives the
+    /// node walk and the segment reads of `isect`/`report` nearly-sequential
+    /// memory again, drops garbage items, and returns the freed tail to the
+    /// allocator. All `sibling`/`children` links are remapped; every other
+    /// node field is preserved. Returns the new index of `root` (always
+    /// `0`).
+    ///
+    /// The caller must ensure every live node is reachable from `root`
+    /// (checked in debug builds).
     pub fn compact(&mut self, root: u32) -> u32 {
         debug_assert!(root != NONE);
         let mut order: Vec<u32> = Vec::with_capacity(self.live);
@@ -514,8 +354,9 @@ impl SegArena {
     }
 
     /// Appends a node slot verbatim (snapshot loader). The arena only
-    /// keeps its counters consistent; structural validity is the
-    /// caller's job (`PrefixTree::from_raw_parts` validates fully).
+    /// keeps its counters consistent; structural validity and the inline
+    /// first item are the caller's job (`PrefixTree::from_raw_parts`
+    /// validates fully, then derives `first` from the segment).
     pub fn load_node(&mut self, node: PatNode) -> u32 {
         let idx = self.nodes.len() as u32;
         assert!(idx < NONE, "node arena exhausted");
@@ -547,133 +388,9 @@ impl SegArena {
 mod tests {
     use super::*;
 
-    fn leaf(item: Item) -> Node {
-        Node {
-            item,
-            supp: 0,
-            step: 0,
-            raw: 0,
-            sibling: NONE,
-            children: NONE,
-        }
-    }
-
-    #[test]
-    fn alloc_returns_sequential_indices() {
-        let mut a = NodeArena::new();
-        assert_eq!(a.alloc(leaf(1)), 0);
-        assert_eq!(a.alloc(leaf(2)), 1);
-        assert_eq!(a.live_count(), 2);
-        assert_eq!(a.capacity_used(), 2);
-        assert_eq!(a.get(1).item, 2);
-    }
-
-    #[test]
-    fn free_list_reuses_slots() {
-        let mut a = NodeArena::new();
-        let x = a.alloc(leaf(1));
-        let y = a.alloc(leaf(2));
-        a.free(x);
-        assert_eq!(a.live_count(), 1);
-        let z = a.alloc(leaf(3));
-        assert_eq!(z, x, "freed slot should be reused");
-        assert_eq!(a.capacity_used(), 2);
-        assert_eq!(a.get(z).item, 3);
-        assert_eq!(a.get(y).item, 2);
-    }
-
-    #[test]
-    fn free_order_is_lifo() {
-        let mut a = NodeArena::new();
-        let x = a.alloc(leaf(1));
-        let y = a.alloc(leaf(2));
-        a.free(x);
-        a.free(y);
-        assert_eq!(a.alloc(leaf(9)), y);
-        assert_eq!(a.alloc(leaf(9)), x);
-    }
-
-    #[test]
-    fn mutation_through_get_mut() {
-        let mut a = NodeArena::new();
-        let x = a.alloc(leaf(7));
-        a.get_mut(x).supp = 42;
-        assert_eq!(a.get(x).supp, 42);
-    }
-
-    #[test]
-    fn with_capacity_starts_empty() {
-        let a = NodeArena::with_capacity(64);
-        assert_eq!(a.live_count(), 0);
-        assert_eq!(a.capacity_used(), 0);
-    }
-
-    #[test]
-    fn compact_reorders_depth_first_and_truncates() {
-        // build root → (b → (c), a) with scattered slots: alloc extra nodes
-        // and free them so live nodes land on non-contiguous indices
-        let mut a = NodeArena::new();
-        let junk1 = a.alloc(leaf(90));
-        let root = a.alloc(leaf(99));
-        let junk2 = a.alloc(leaf(91));
-        let nb = a.alloc(leaf(2));
-        let junk3 = a.alloc(leaf(92));
-        let na = a.alloc(leaf(1));
-        let nc = a.alloc(leaf(0));
-        a.get_mut(root).children = nb;
-        a.get_mut(nb).sibling = na;
-        a.get_mut(nb).children = nc;
-        a.free(junk1);
-        a.free(junk2);
-        a.free(junk3);
-        assert_eq!(a.live_count(), 4);
-        assert_eq!(a.capacity_used(), 7);
-        assert_eq!(a.free_count(), 3);
-
-        let new_root = a.compact(root);
-        assert_eq!(new_root, 0);
-        assert_eq!(a.live_count(), 4);
-        assert_eq!(a.capacity_used(), 4, "freed slots truncated");
-        assert_eq!(a.free_count(), 0);
-        // depth-first order: root, b, c (b's child), a (b's sibling)
-        assert_eq!(a.get(0).item, 99);
-        assert_eq!(a.get(1).item, 2);
-        assert_eq!(a.get(2).item, 0);
-        assert_eq!(a.get(3).item, 1);
-        // links remapped consistently
-        assert_eq!(a.get(0).children, 1);
-        assert_eq!(a.get(1).children, 2);
-        assert_eq!(a.get(1).sibling, 3);
-        assert_eq!(a.get(3).sibling, NONE);
-    }
-
-    #[test]
-    fn compact_allocates_fresh_slots_afterwards() {
-        let mut a = NodeArena::new();
-        let root = a.alloc(leaf(9));
-        let x = a.alloc(leaf(5));
-        a.get_mut(root).children = x;
-        let y = a.alloc(leaf(3));
-        a.free(y);
-        let root = a.compact(root);
-        // the free list is gone: the next alloc extends the vector
-        let z = a.alloc(leaf(7));
-        assert_eq!(z, 2);
-        assert_eq!(a.get(z).item, 7);
-        assert_eq!(a.get(root).item, 9);
-    }
-
-    #[test]
-    fn compact_single_node() {
-        let mut a = NodeArena::new();
-        let root = a.alloc(leaf(42));
-        assert_eq!(a.compact(root), 0);
-        assert_eq!(a.capacity_used(), 1);
-        assert_eq!(a.get(0).item, 42);
-    }
-
     fn pat_root(a: &mut SegArena) -> u32 {
         a.alloc_node(PatNode {
+            first: Item::MAX,
             seg_off: 0,
             seg_len: 0,
             supp: 0,
@@ -717,8 +434,13 @@ mod tests {
         let n = a.alloc_seg(&[8, 6, 4, 2], 1, 0, 0, NONE, NONE);
         a.get_mut(root).children = n;
         assert_eq!(a.garbage_items(), 0);
-        a.rewrite_seg(n, &[8, 4]);
-        assert_eq!(a.seg(n), &[8, 4]);
+        a.rewrite_seg(n, &[6, 4]);
+        assert_eq!(a.seg(n), &[6, 4]);
+        assert_eq!(
+            a.first_item(n),
+            6,
+            "the inline first item follows the rewrite"
+        );
         assert_eq!(a.live_items(), 2);
         assert_eq!(a.garbage_items(), 2);
         let m = a.alloc_seg(&[3], 1, 0, 0, NONE, NONE);
@@ -732,7 +454,35 @@ mod tests {
         assert_eq!(root, 0);
         assert_eq!(a.items_len(), 2);
         assert_eq!(a.garbage_items(), 0);
-        assert_eq!(a.seg(a.get(root).children), &[8, 4]);
+        assert_eq!(a.seg(a.get(root).children), &[6, 4]);
+        assert_eq!(a.first_item(a.get(root).children), 6);
+    }
+
+    #[test]
+    fn seg_free_list_reuses_slots_lifo() {
+        let mut a = SegArena::new();
+        let root = pat_root(&mut a);
+        let x = a.alloc_seg(&[3], 1, 0, 0, NONE, NONE);
+        let y = a.alloc_seg(&[2], 1, 0, 0, NONE, NONE);
+        a.free(x);
+        a.free(y);
+        assert_eq!(a.live_count(), 1);
+        assert_eq!(a.free_count(), 2);
+        assert_eq!(a.alloc_seg(&[9], 1, 0, 0, NONE, NONE), y);
+        let z = a.alloc_seg(&[8, 7], 1, 0, 0, NONE, NONE);
+        assert_eq!(z, x);
+        assert_eq!((a.first_item(z), a.seg(z)), (8, &[8, 7][..]));
+        assert_eq!(a.capacity_used(), 3);
+        // after a compaction the free list is gone: allocation extends
+        a.get_mut(root).children = y;
+        a.get_mut(y).sibling = z;
+        let root = a.compact(root);
+        assert_eq!(a.alloc_seg(&[1], 1, 0, 0, NONE, NONE), 3);
+        let head = a.get(root).children;
+        assert_eq!(
+            (a.first_item(head), a.first_item(a.get(head).sibling)),
+            (9, 8)
+        );
     }
 
     #[test]

@@ -26,16 +26,16 @@
 //! of every child (the closedness condition).
 //!
 //! Of the three repository implementations the paper compares, this crate
-//! provides two: the default [`PrefixTree`] is the §3.3 **Patricia tree**
-//! (path compression: each node stores a whole item *segment* in a shared
-//! arena, collapsing unary chains), and [`plain::PlainPrefixTree`] is the
-//! uncompressed one-item-per-node layout, kept registered as `ista-plain`
-//! (CLI `--no-patricia`) for A/B comparison. Both produce canonically
-//! identical output.
+//! provides the one the paper finds best: [`PrefixTree`] is the §3.3
+//! **Patricia tree** (path compression: each node stores a whole item
+//! *segment* in a shared arena, collapsing unary chains). Its length-1
+//! segment is the paper's one-item node and is walked as fast as a
+//! one-item-per-node tree walks it, so one layout serves dense and sparse
+//! data.
 //!
 //! The optional *item elimination* pruning of paper §3.2 removes items that
 //! can no longer reach minimum support from the tree mid-run, shrinking the
-//! repository (see [`IstaConfig::prune`]).
+//! repository (see [`IstaConfig::policy`] and [`PrunePolicy`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,18 +44,16 @@ pub mod arena;
 pub mod miner;
 pub mod outofcore;
 pub mod parallel;
-pub mod plain;
 pub mod snapshot;
 pub mod stream;
 pub mod tree;
 
-pub use arena::{Node, NodeArena, PatNode, SegArena, NONE};
+pub use arena::{PatNode, SegArena, NONE};
 pub use miner::{IstaConfig, IstaMiner, MineStats, PrunePolicy};
 pub use outofcore::{
     load_spill, spill_tree, sync_parent_dir, AdoptedSpill, OutOfCoreConfig, OutOfCoreMiner,
     OutOfCoreStats, ResumePlan, SpillJournal, TxInterval,
 };
 pub use parallel::{ParallelConfig, ParallelIstaMiner, ParallelMineStats};
-pub use plain::PlainPrefixTree;
 pub use stream::IstaStream;
 pub use tree::{intersect_segment, intersect_segment_words, PrefixTree, TreeMemoryStats};

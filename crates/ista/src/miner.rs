@@ -1,66 +1,11 @@
 //! The [`IstaMiner`]: driving the prefix tree over a recoded database.
 
-use crate::plain::PlainPrefixTree;
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::{
     apply_constraints_owned, checkpoint, prepare, Budget, ClosedMiner, ConstraintSet, Degradation,
-    FoundSet, Governor, Item, MineOutcome, MiningResult, Progress, RecodedDatabase, Representation,
-    TripReason,
+    Governor, MineOutcome, MiningResult, Progress, RecodedDatabase, Representation, TripReason,
 };
 use fim_obs::{Counter, Counters, Obs, ProgressSnapshot};
-
-/// The tree operations the mining loop needs, implemented by both the
-/// Patricia [`PrefixTree`] (default) and the uncompressed
-/// [`PlainPrefixTree`] (`ista-plain`, CLI `--no-patricia`) so one loop
-/// serves both layouts without dynamic dispatch.
-trait MiningTree {
-    fn create(num_items: u32) -> Self;
-    fn set_bitset(&mut self, on: bool);
-    fn add_transaction_weighted(&mut self, t: &[Item], weight: u32);
-    fn node_count(&self) -> usize;
-    fn memory_stats(&self) -> TreeMemoryStats;
-    fn prune(&mut self, remaining: &[u32], minsupp: u32);
-    fn compact_if_fragmented(&mut self) -> bool;
-    fn report(&self, minsupp: u32) -> Vec<FoundSet>;
-    fn counters(&self) -> Counters;
-}
-
-macro_rules! impl_mining_tree {
-    ($ty:ty) => {
-        impl MiningTree for $ty {
-            fn create(num_items: u32) -> Self {
-                <$ty>::new(num_items)
-            }
-            fn set_bitset(&mut self, on: bool) {
-                <$ty>::set_bitset(self, on)
-            }
-            fn add_transaction_weighted(&mut self, t: &[Item], weight: u32) {
-                <$ty>::add_transaction_weighted(self, t, weight)
-            }
-            fn node_count(&self) -> usize {
-                <$ty>::node_count(self)
-            }
-            fn memory_stats(&self) -> TreeMemoryStats {
-                <$ty>::memory_stats(self)
-            }
-            fn prune(&mut self, remaining: &[u32], minsupp: u32) {
-                <$ty>::prune(self, remaining, minsupp)
-            }
-            fn compact_if_fragmented(&mut self) -> bool {
-                <$ty>::compact_if_fragmented(self)
-            }
-            fn report(&self, minsupp: u32) -> Vec<FoundSet> {
-                <$ty>::report(self, minsupp)
-            }
-            fn counters(&self) -> Counters {
-                *<$ty>::counters(self)
-            }
-        }
-    };
-}
-
-impl_mining_tree!(PrefixTree);
-impl_mining_tree!(PlainPrefixTree);
 
 /// Opens a span when an observability bundle is attached; a `None` bundle
 /// costs one branch (same discipline as [`checkpoint!`]).
@@ -148,17 +93,11 @@ impl PrunePacer {
 pub struct IstaConfig {
     /// Pruning placement policy.
     pub policy: PrunePolicy,
-    /// Use the path-compressed Patricia tree (paper §3.3); when `false`
-    /// the miner runs on the uncompressed one-item-per-node
-    /// [`PlainPrefixTree`] layout instead (ablation baseline, registered
-    /// as `ista-plain`). Output-invariant.
-    pub patricia: bool,
     /// Segment-scan kernel selection. [`Representation::Bitset`] switches
-    /// the Patricia `isect` walk to packed-word membership probes (plus a
-    /// whole-run word-AND for contiguous segments). `Gallop` has no IsTa
-    /// kernel, and the plain layout has no bitset kernel: both run the
-    /// scalar epoch probe, and the CLI stores `Scalar` for them so its
-    /// metrics name the kernel that runs. Output-invariant (proptested
+    /// the `isect` walk to packed-word membership probes (plus a whole-run
+    /// word-AND for contiguous segments). `Gallop` has no IsTa kernel: it
+    /// runs the scalar epoch probe, and the CLI stores `Scalar` for it so
+    /// its metrics name the kernel that runs. Output-invariant (proptested
     /// against the scalar path).
     pub rep: Representation,
 }
@@ -167,7 +106,6 @@ impl Default for IstaConfig {
     fn default() -> Self {
         IstaConfig {
             policy: PrunePolicy::Growth(2.0),
-            patricia: true,
             rep: Representation::Scalar,
         }
     }
@@ -186,15 +124,6 @@ impl IstaConfig {
     pub fn prune_every_transaction() -> Self {
         IstaConfig {
             policy: PrunePolicy::EveryN(1),
-            ..Default::default()
-        }
-    }
-
-    /// Configuration mining on the uncompressed one-item-per-node tree
-    /// instead of the Patricia layout (for A/B comparison).
-    pub fn without_patricia() -> Self {
-        IstaConfig {
-            patricia: false,
             ..Default::default()
         }
     }
@@ -333,22 +262,6 @@ impl IstaMiner {
         &self,
         db: &RecodedDatabase,
         minsupp: u32,
-        gov: Option<Governor>,
-        degrade: bool,
-        obs: Option<&mut Obs>,
-    ) -> (MineOutcome, MineStats) {
-        if self.config.patricia {
-            self.run_impl::<PrefixTree>(db, minsupp, gov, degrade, obs)
-        } else {
-            self.run_impl::<PlainPrefixTree>(db, minsupp, gov, degrade, obs)
-        }
-    }
-
-    /// The mining loop itself, monomorphized per tree layout.
-    fn run_impl<T: MiningTree>(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
         mut gov: Option<Governor>,
         degrade: bool,
         mut obs: Option<&mut Obs>,
@@ -365,14 +278,14 @@ impl IstaMiner {
             ..MineStats::default()
         };
         let total_weight = db.transactions().len() as u64;
-        let mut tree = T::create(db.num_items());
+        let mut tree = PrefixTree::new(db.num_items());
         tree.set_bitset(self.config.rep == Representation::Bitset);
         let mut remaining: Vec<u32> = db.item_supports().to_vec();
         let mut pacer = PrunePacer::new(self.config.policy);
         if let Some(reason) = checkpoint!(gov, 0, 0, 0) {
             // already expired/cancelled before the first transaction
             stats.memory = tree.memory_stats();
-            stats.counters = tree.counters();
+            stats.counters = *tree.counters();
             let outcome = MineOutcome::Interrupted {
                 partial: MiningResult::new(),
                 reason,
@@ -434,7 +347,7 @@ impl IstaMiner {
                 } else {
                     span_exit(&mut obs); // transactions
                     stats.memory = tree.memory_stats();
-                    stats.counters = tree.counters();
+                    stats.counters = *tree.counters();
                     span_enter(&mut obs, "report");
                     let partial = MiningResult {
                         sets: tree.report(minsupp_eff),
@@ -475,7 +388,7 @@ impl IstaMiner {
         }
         span_exit(&mut obs);
         stats.memory = tree.memory_stats();
-        stats.counters = tree.counters();
+        stats.counters = *tree.counters();
         span_enter(&mut obs, "report");
         let result = MiningResult {
             sets: tree.report(minsupp_eff),
@@ -500,9 +413,7 @@ impl IstaMiner {
 
 impl ClosedMiner for IstaMiner {
     fn name(&self) -> &'static str {
-        if !self.config.patricia {
-            "ista-plain"
-        } else if self.config.rep == Representation::Bitset {
+        if self.config.rep == Representation::Bitset {
             "ista-bitset"
         } else {
             "ista"
@@ -553,7 +464,7 @@ impl ClosedMiner for IstaMiner {
 mod tests {
     use super::*;
     use fim_core::reference::mine_reference;
-    use fim_core::ItemSet;
+    use fim_core::{Item, ItemSet};
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -609,20 +520,11 @@ mod tests {
         for minsupp in 1..=8 {
             let want = mine_reference(&db, minsupp);
             for policy in policies {
-                for patricia in [false, true] {
-                    for rep in [Representation::Scalar, Representation::Bitset] {
-                        let got = IstaMiner::with_config(IstaConfig {
-                            policy,
-                            patricia,
-                            rep,
-                        })
+                for rep in [Representation::Scalar, Representation::Bitset] {
+                    let got = IstaMiner::with_config(IstaConfig { policy, rep })
                         .mine(&db, minsupp)
                         .canonicalized();
-                        assert_eq!(
-                            got, want,
-                            "policy={policy:?} patricia={patricia} rep={rep} minsupp={minsupp}"
-                        );
-                    }
+                    assert_eq!(got, want, "policy={policy:?} rep={rep} minsupp={minsupp}");
                 }
             }
         }
@@ -633,7 +535,7 @@ mod tests {
         let db = duplicated_db();
         for minsupp in 1..=6 {
             let want = mine_reference(&db, minsupp);
-            for config in [IstaConfig::default(), IstaConfig::without_patricia()] {
+            for config in [IstaConfig::default(), IstaConfig::bitset()] {
                 let got = IstaMiner::with_config(config)
                     .mine(&db, minsupp)
                     .canonicalized();
@@ -647,7 +549,6 @@ mod tests {
         let db = duplicated_db();
         let (result, stats) = IstaMiner::with_config(IstaConfig {
             policy: PrunePolicy::EveryN(2),
-            patricia: true,
             rep: Representation::Scalar,
         })
         .mine_with_stats(&db, 4);
@@ -709,10 +610,6 @@ mod tests {
     fn miner_name() {
         assert_eq!(IstaMiner::default().name(), "ista");
         assert_eq!(
-            IstaMiner::with_config(IstaConfig::without_patricia()).name(),
-            "ista-plain"
-        );
-        assert_eq!(
             IstaMiner::with_config(IstaConfig::bitset()).name(),
             "ista-bitset"
         );
@@ -730,9 +627,9 @@ mod tests {
 
     #[test]
     fn patricia_compresses_long_chains() {
-        // wide transactions build long unary chains: the uncompressed
-        // layout pays one node per item, the Patricia layout one node per
-        // branch — same output, far fewer (peak) nodes
+        // wide transactions build long unary chains: one-item nodes would
+        // pay one node per item, the Patricia layout pays one node per
+        // branch — same output, far fewer physical nodes than items
         let db = RecodedDatabase::from_dense(
             vec![
                 (0..50).collect(),
@@ -742,25 +639,15 @@ mod tests {
             ],
             70,
         );
-        let (pat_result, pat) = IstaMiner::default().mine_with_stats(&db, 1);
-        let (plain_result, plain) =
-            IstaMiner::with_config(IstaConfig::without_patricia()).mine_with_stats(&db, 1);
-        assert_eq!(
-            pat_result.canonicalized(),
-            plain_result.canonicalized(),
-            "layouts must agree exactly"
-        );
+        let (result, stats) = IstaMiner::default().mine_with_stats(&db, 1);
+        assert_eq!(result.canonicalized(), mine_reference(&db, 1));
+        let physical = stats.memory.live_nodes - 1;
         assert!(
-            pat.peak_nodes * 2 <= plain.peak_nodes,
-            "expected ≥2× peak-node reduction, got {} vs {}",
-            pat.peak_nodes,
-            plain.peak_nodes
+            physical * 2 <= stats.memory.seg_items,
+            "expected ≥2× path compression, got {physical} nodes for {} items",
+            stats.memory.seg_items
         );
-        // conceptual node counts agree; the plain layout reports no
-        // segment bytes
-        assert_eq!(pat.memory.seg_items, plain.memory.seg_items);
-        assert_eq!(plain.memory.seg_bytes, 0);
-        assert!(pat.memory.seg_bytes > 0);
+        assert!(stats.memory.seg_bytes > 0);
     }
 
     #[test]

@@ -191,7 +191,6 @@ impl ParallelIstaMiner {
         if threads <= 1 || txs.len() <= 1 {
             let seq = IstaMiner::with_config(IstaConfig {
                 policy: self.config.policy,
-                patricia: true,
                 rep: fim_core::Representation::Scalar,
             });
             let (outcome, stats) = seq.mine_governed_with_stats(db, minsupp, budget);

@@ -38,7 +38,7 @@
 
 use crate::arena::{PatNode, SegArena, NONE};
 use crate::tree::PrefixTree;
-use fim_core::FimError;
+use fim_core::{FimError, Item};
 use std::io::{Read, Write};
 
 /// Magic bytes opening every snapshot.
@@ -135,6 +135,7 @@ fn read_v2(r: &mut dyn Read, version_bytes: [u8; 4]) -> Result<PrefixTree, FimEr
         .enumerate()
     {
         let node = PatNode {
+            first: Item::MAX, // derived by `PrefixTree::from_raw_parts`
             seg_off: u32_at(slot, 0),
             seg_len: u32_at(slot, 4),
             supp: u32_at(slot, 8),
@@ -183,6 +184,7 @@ fn read_v1(r: &mut dyn Read, version_bytes: [u8; 4]) -> Result<PrefixTree, FimEr
     for (k, slot) in nodes.chunks_exact(V1_NODE_FIELDS * 4).enumerate() {
         let item = u32_at(slot, 0);
         let node = PatNode {
+            first: Item::MAX, // derived by `PrefixTree::from_raw_parts`
             seg_off: 0,
             seg_len: 0,
             supp: u32_at(slot, 4),

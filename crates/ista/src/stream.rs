@@ -135,7 +135,7 @@ impl IstaStream {
     }
 
     /// Serializes the stream state as a versioned, CRC-protected binary
-    /// snapshot (see [`snapshot`](crate::snapshot) for the format). A
+    /// snapshot (see [`snapshot`] for the format). A
     /// stream reloaded with [`read_snapshot`](Self::read_snapshot) and fed
     /// the same subsequent transactions produces byte-identical results to
     /// one that was never persisted. Compacts the tree first

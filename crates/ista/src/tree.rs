@@ -6,9 +6,11 @@
 //! authors report as the most memory- and time-efficient on sparse data.
 //! Each node holds a strictly descending item *segment* (a slice into the
 //! [`SegArena`]'s shared item store) instead of a single item, so unary
-//! chains collapse into one node. The uncompressed reference layout lives
-//! in [`crate::plain`] (`ista-plain`, CLI `--no-patricia`) and the two are
-//! proptested to report identical closed sets.
+//! chains collapse into one node. A length-1 segment is the paper's
+//! one-item node, and on dense data nearly every node is one: `isect`
+//! walks it as the paper's per-item walk (Fig. 2) does, probing its inline
+//! first item and updating the target directly, so the segment machinery
+//! costs nothing where it compresses nothing.
 //!
 //! The core invariant that makes segment-at-a-time updates sound: all
 //! conceptual (per-item) nodes within one segment share the same `supp`
@@ -35,8 +37,7 @@ pub struct TreeMemoryStats {
     /// (excluding the pseudo-root); `seg_items / (live_nodes - 1)` is the
     /// average segment length, the path-compression ratio.
     pub seg_items: usize,
-    /// Bytes held by the segment item store, live and garbage alike
-    /// (0 for the uncompressed plain tree).
+    /// Bytes held by the segment item store, live and garbage alike.
     pub seg_bytes: usize,
     /// Approximate resident bytes: slot storage plus segment storage plus
     /// the per-item membership-stamp array.
@@ -188,6 +189,10 @@ trait SegKernel {
     /// Appends the segment items present in the current transaction to
     /// `out`; returns whether the scan stopped at the `imin` bound.
     fn scan(&mut self, seg: &[Item], imin: Item, out: &mut Vec<Item>) -> bool;
+
+    /// Whether item `i` is in the current transaction: the scan of a
+    /// length-1 segment, without the run buffer.
+    fn contains(&mut self, i: Item) -> bool;
 }
 
 /// The scalar kernel: epoch-stamped membership array (the reference path).
@@ -200,6 +205,11 @@ impl SegKernel for EpochKernel<'_> {
     #[inline]
     fn scan(&mut self, seg: &[Item], imin: Item, out: &mut Vec<Item>) -> bool {
         intersect_segment(seg, self.trans, self.step, imin, out)
+    }
+
+    #[inline]
+    fn contains(&mut self, i: Item) -> bool {
+        self.trans[i as usize] == self.step
     }
 }
 
@@ -217,6 +227,14 @@ impl SegKernel for WordKernel<'_> {
         let (stopped, anded) = intersect_segment_words(seg, self.words, imin, out);
         self.words_anded += anded;
         stopped
+    }
+
+    #[inline]
+    fn contains(&mut self, i: Item) -> bool {
+        // a one-item segment is a contiguous run: one word masked, as
+        // `intersect_segment_words` counts it
+        self.words_anded += 1;
+        self.words[i as usize / 64] >> (i % 64) & 1 != 0
     }
 }
 
@@ -260,6 +278,7 @@ impl PrefixTree {
     pub fn new(num_items: u32) -> Self {
         let mut arena = SegArena::new();
         let root = arena.alloc_node(PatNode {
+            first: Item::MAX,
             seg_off: 0,
             seg_len: 0, // the empty segment sits above every real item
             supp: 0,
@@ -331,6 +350,7 @@ impl PrefixTree {
     /// in-universe segments that exactly cover the item store, and the
     /// terminal counts must partition `weight`. Per-node `step` stamps are
     /// reset; the first transaction added afterwards starts a fresh epoch.
+    /// The inline first items are derived from the validated segments.
     pub(crate) fn from_raw_parts(
         mut arena: SegArena,
         root: u32,
@@ -354,7 +374,10 @@ impl PrefixTree {
         }
         check_structure(&arena, root, num_items, weight)?;
         for idx in 0..arena.capacity_used() as u32 {
-            arena.get_mut(idx).step = 0;
+            let first = arena.seg(idx).first().copied().unwrap_or(Item::MAX);
+            let n = arena.get_mut(idx);
+            n.first = first;
+            n.step = 0;
         }
         Ok(PrefixTree {
             arena,
@@ -503,15 +526,7 @@ impl PrefixTree {
             debug_assert!(pos > 0);
             let item = t[pos - 1];
             let mut ins = Slot::Child(parent);
-            loop {
-                let d = slot_get(a, ins);
-                if d != NONE && a.first_item(d) > item {
-                    ins = Slot::Sib(d);
-                } else {
-                    break;
-                }
-            }
-            let d = slot_get(a, ins);
+            let d = seek(a, &mut ins, item);
             if d != NONE && a.first_item(d) == item {
                 // consume the matching prefix of d's segment
                 let len = a.get(d).seg_len as usize;
@@ -914,11 +929,13 @@ fn check_structure(a: &SegArena, root: u32, num_items: u32, weight: u32) -> Resu
 /// weight `w` and to whole segments: each source node contributes the
 /// *run* of its segment items that are in the transaction, and the run is
 /// merged into the intersection tree in one pass (`merge_run`) instead of
-/// one recursion level per item.
+/// one recursion level per item. A length-1 source — the paper's one-item
+/// node — skips the run: its inline item is probed and merged directly
+/// (`merge_item`), exactly as the paper's per-item walk does.
 ///
 /// Walks the sibling list starting at `node`; `ins` tracks the position in
 /// the tree representing the intersection of the processed path prefix with
-/// the current transaction, advancing (as in the uncompressed walk) only
+/// the current transaction, advancing (as in the per-item walk) only
 /// when a run starts at a segment's *first* item — deeper run items update
 /// positions local to `merge_run`, mirroring how the per-item recursion
 /// kept deeper `ins` values in callee frames.
@@ -934,6 +951,27 @@ fn isect<K: SegKernel>(
     scratch: &mut Vec<Item>,
 ) {
     while node != NONE {
+        let first = a.first_item(node);
+        if a.get(node).seg_len == 1 {
+            // the scan of a one-item segment stops exactly when its item
+            // is at or below `imin`, member or not
+            let c = a.counters_mut();
+            c.bump(Counter::SegScans);
+            if first <= imin {
+                c.bump(Counter::IsectEarlyExits);
+            }
+            let target = kernel
+                .contains(first)
+                .then(|| merge_item(a, &mut ins, node, first, step, w));
+            if first <= imin {
+                return; // no smaller item can be in the transaction
+            }
+            let child = a.get(node).children;
+            let child_ins = target.map_or(ins, Slot::Child);
+            isect(a, child, child_ins, kernel, imin, step, w, scratch);
+            node = a.get(node).sibling;
+            continue;
+        }
         let base = scratch.len();
         let stopped = kernel.scan(a.seg(node), imin, scratch);
         let c = a.counters_mut();
@@ -941,7 +979,6 @@ fn isect<K: SegKernel>(
         if stopped {
             c.bump(Counter::IsectEarlyExits);
         }
-        let first = a.first_item(node);
         if scratch.len() > base {
             // the advance of `ins` persists to this sibling walk only when
             // the run starts at the segment head (= this sibling level)
@@ -951,7 +988,7 @@ fn isect<K: SegKernel>(
             } else {
                 &mut local
             };
-            let (target, src_cont) = merge_run(a, ins_ref, scratch, base, node, step, w);
+            let (target, src_cont) = merge_run(a, ins_ref, &scratch[base..], node, step, w);
             scratch.truncate(base);
             if first <= imin {
                 return; // later siblings only carry smaller items
@@ -987,20 +1024,76 @@ fn isect<K: SegKernel>(
     }
 }
 
-/// Merges `run` — `scratch[base..]`, the members of one source segment in
-/// the current transaction, in descending order — into the intersection
-/// tree at slot position `ins`, replicating the per-item find / discount /
-/// max-merge / `+w` update of the uncompressed `isect` one whole matched
-/// segment prefix at a time:
+/// Advances `ins` past the siblings whose first item exceeds `i` and
+/// returns the node then at `ins`: the one starting with `i`, or the node
+/// (possibly [`NONE`]) a new node for `i` goes in front of.
+#[inline]
+fn seek(a: &SegArena, ins: &mut Slot, i: Item) -> u32 {
+    loop {
+        let d = slot_get(a, *ins);
+        if d != NONE && a.first_item(d) > i {
+            *ins = Slot::Sib(d);
+        } else {
+            return d;
+        }
+    }
+}
+
+/// The per-target update of the paper's per-item `isect` (Fig. 2) for the
+/// source `src`: discount (`step >= cur_step ⇒ supp -= w`), max-merge
+/// with the source support, `+w`, stamp. The discount comes first, so the
+/// source support is read only afterwards: when `d` is the source itself
+/// (the revisit the C original handles with `d == node`), a full revisit
+/// is a no-op.
+#[inline]
+fn absorb(a: &mut SegArena, d: u32, src: u32, step: u32, w: u32) {
+    if a.get(d).step >= step {
+        a.get_mut(d).supp -= w;
+    }
+    let s = a.get(src).supp;
+    let dn = a.get_mut(d);
+    if dn.supp < s {
+        dn.supp = s;
+    }
+    dn.supp += w;
+    dn.step = step;
+}
+
+/// [`merge_run`] for the one-item run `[i]` of the length-1 source `src`,
+/// without the run buffer: `ins` advances to the target's slot, a longer
+/// target is split after its first item (it cannot be the source), and a
+/// missing target becomes a fresh one-item node. Returns the target.
+/// Always inlined into `isect`: as a call it cost about 5% of the
+/// insert-and-intersect time on dense data (EXPERIMENTS.md E12).
+#[inline(always)]
+fn merge_item(a: &mut SegArena, ins: &mut Slot, src: u32, i: Item, step: u32, w: u32) -> u32 {
+    let d = seek(a, ins, i);
+    if d != NONE && a.first_item(d) == i {
+        if a.get(d).seg_len > 1 {
+            a.split(d, 1);
+        }
+        absorb(a, d, src, step, w);
+        d
+    } else {
+        let new = a.alloc_seg(&[i], a.get(src).supp + w, step, 0, d, NONE);
+        slot_set(a, *ins, new);
+        new
+    }
+}
+
+/// Merges `run` — the members of one source segment in the current
+/// transaction, in descending order — into the intersection tree at slot
+/// position `ins`, replicating the per-item find / discount / max-merge /
+/// `+w` update of the per-item `isect` one whole matched segment
+/// prefix at a time:
 ///
 /// * a target matching a *proper prefix* of its segment is split first
 ///   (both halves keep `supp` and `step`, preserving the uniformity
 ///   invariant); when that target aliases the source node itself — the
 ///   revisit case the C original handles with `d == node` — the source
 ///   continuation relocates to the split tail,
-/// * the discount (`step >= cur_step ⇒ supp -= w`) is applied before the
-///   source support is read, so a full aliased revisit is a no-op exactly
-///   as in the per-item walk,
+/// * the update itself is [`absorb`], so a full aliased revisit is a no-op
+///   exactly as in the per-item walk,
 /// * a run suffix with no matching target becomes a *single* fresh node
 ///   holding the whole remaining run.
 ///
@@ -1008,33 +1101,21 @@ fn isect<K: SegKernel>(
 fn merge_run(
     a: &mut SegArena,
     ins: &mut Slot,
-    scratch: &[Item],
-    base: usize,
+    run: &[Item],
     src: u32,
     step: u32,
     w: u32,
 ) -> (u32, u32) {
-    let run = &scratch[base..];
     let mut src_cur = src;
     let mut cur_ins = *ins;
     let mut pos = 0usize;
-    let mut at_head = true;
     let mut target = NONE;
     while pos < run.len() {
         let i = run[pos];
-        loop {
-            let d = slot_get(a, cur_ins);
-            if d != NONE && a.first_item(d) > i {
-                cur_ins = Slot::Sib(d);
-            } else {
-                break;
-            }
-        }
-        if at_head {
+        let d = seek(a, &mut cur_ins, i);
+        if pos == 0 {
             *ins = cur_ins;
-            at_head = false;
         }
-        let d = slot_get(a, cur_ins);
         if d != NONE && a.first_item(d) == i {
             // longest common prefix of d's segment and the remaining run
             let dlen = a.get(d).seg_len as usize;
@@ -1045,26 +1126,14 @@ fn merge_run(
             if k < dlen {
                 // an aliased source updated this step is always fully
                 // matched (its whole segment is in the transaction), so
-                // the split cannot race the discount below
+                // the split cannot race the discount in `absorb`
                 debug_assert!(d != src_cur || a.get(d).step < step);
                 let tail = a.split(d, k as u32);
                 if d == src_cur {
                     src_cur = tail;
                 }
             }
-            // discount first so the aliased full revisit is a no-op: the
-            // source support is read only afterwards, and when d is the
-            // source the discounted value is what the per-item walk reads
-            if a.get(d).step >= step {
-                a.get_mut(d).supp -= w;
-            }
-            let s = a.get(src_cur).supp;
-            let dn = a.get_mut(d);
-            if dn.supp < s {
-                dn.supp = s;
-            }
-            dn.supp += w;
-            dn.step = step;
+            absorb(a, d, src_cur, step, w);
             target = d;
             pos += k;
             cur_ins = Slot::Child(d);
@@ -1175,6 +1244,7 @@ fn validate_rec(
             seg.windows(2).all(|w| w[0] > w[1]),
             "segment must be strictly descending"
         );
+        assert_eq!(n.first, seg[0], "inline first item out of sync");
         assert!(seg[0] < parent_last, "child item must be below parent item");
         assert!(
             prev_first == Item::MAX || seg[0] < prev_first,
@@ -1196,8 +1266,8 @@ fn validate_rec(
 /// list. `parent` is the node owning the list: a fully-dropped node's
 /// terminal count moves there (a partially-rewritten segment keeps its
 /// terminal count — the deepest *kept* item is exactly the reduced form of
-/// the stored transaction, which matches the per-item raw cascade of the
-/// uncompressed prune).
+/// the stored transaction, which matches the per-item raw cascade of a
+/// one-item-per-node prune).
 fn prune_list(
     a: &mut SegArena,
     head: u32,
@@ -1387,9 +1457,8 @@ mod tests {
     fn figure3_trace() {
         // Paper Fig. 3: transactions {e,c,a}, {e,d,b}, {d,c,b,a}
         // with item codes a=0 b=1 c=2 d=3 e=4. The *conceptual* node
-        // counts match the uncompressed trace (see plain.rs for the
-        // physical version); path compression packs them into fewer
-        // physical nodes.
+        // counts match the paper's uncompressed trace; path compression
+        // packs them into fewer physical nodes.
         let mut t = PrefixTree::new(5);
 
         t.add_transaction(&[0, 2, 4]); // {e,c,a}

@@ -2,12 +2,14 @@
 //! pure observer. Mining with the full bundle enabled — spans, a
 //! heartbeat, the flight-recorder trace, the background resource sampler,
 //! phase histograms, and counters — has to produce exactly the sets that
-//! an unobserved run produces, across the tree-layout × prune-policy ×
-//! minimum-support grid; and the counters it reports must describe work
+//! an unobserved run produces (and the brute-force reference), across the
+//! kernel × prune-policy × minimum-support grid; and the counters it
+//! reports must describe work
 //! that actually happened (allocations at least as numerous as live
 //! nodes, scans at least as numerous as insertions).
 
-use fim_core::{ClosedMiner, Item, MiningResult, RecodedDatabase};
+use fim_core::reference::mine_reference;
+use fim_core::{ClosedMiner, Item, MiningResult, RecodedDatabase, Representation};
 use fim_ista::{IstaConfig, IstaMiner, PrunePolicy};
 use fim_obs::{
     Counter, Obs, PhaseHistograms, ProgressEmitter, ProgressStyle, ResourceGauges, ResourceSampler,
@@ -87,24 +89,26 @@ fn full_obs(sink: &Sink, trace_sink: &Sink) -> Obs {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Observed and unobserved runs report identical closed sets on both
-    /// tree layouts, under every prune policy, at every minimum support.
+    /// Observed and unobserved runs report identical closed sets, equal
+    /// to the reference, with both segment kernels, under every prune
+    /// policy, at every minimum support.
     #[test]
     fn observed_mining_is_byte_identical(
         db in small_db(),
         policy in any_policy(),
         minsupp in 1u32..=4,
-        patricia in any::<bool>(),
+        bitset in any::<bool>(),
     ) {
-        let config = IstaConfig { policy, patricia, ..IstaConfig::default() };
-        let miner = IstaMiner::with_config(config);
-        let plain = miner.mine(&db, minsupp).canonicalized();
+        let rep = if bitset { Representation::Bitset } else { Representation::Scalar };
+        let miner = IstaMiner::with_config(IstaConfig { policy, rep });
+        let unobserved = miner.mine(&db, minsupp).canonicalized();
+        prop_assert_eq!(canon(&unobserved), canon(&mine_reference(&db, minsupp)));
 
         let sink = Sink::default();
         let trace_sink = Sink::default();
         let mut obs = full_obs(&sink, &trace_sink);
         let (observed, stats) = miner.mine_with_obs(&db, minsupp, &mut obs);
-        prop_assert_eq!(canon(&plain), canon(&observed.canonicalized()));
+        prop_assert_eq!(canon(&unobserved), canon(&observed.canonicalized()));
 
         // render both to text as the CLI would: byte-identical output
         let fmt = |r: &MiningResult| -> String {
@@ -113,7 +117,7 @@ proptest! {
                 format!("{} ({supp})\n", names.join(" "))
             }).collect()
         };
-        prop_assert_eq!(fmt(&plain), fmt(&observed));
+        prop_assert_eq!(fmt(&unobserved), fmt(&observed));
 
         // drain the full bundle: the sampler stops cleanly and the trace
         // closes with balanced begin/end events
@@ -135,10 +139,6 @@ proptest! {
             prop_assert!(c.get(Counter::NodeAllocs) > 0, "no allocations recorded");
         }
         prop_assert!(c.get(Counter::IsectEarlyExits) <= c.get(Counter::SegScans));
-        // splits only exist on the path-compressed layout
-        if !patricia {
-            prop_assert_eq!(c.get(Counter::Splits), 0);
-        }
     }
 
     /// The heartbeat fires (at a zero interval, on any non-empty database)

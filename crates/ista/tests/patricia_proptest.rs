@@ -1,9 +1,9 @@
 //! Property tests for the path-compressed (Patricia) prefix tree.
 //!
 //! The Patricia layout (paper §3.3) must be a pure representation change:
-//! every configuration — prune policy × minimum support × shard count —
-//! has to report exactly the closed sets of the brute-force reference and
-//! of the uncompressed `ista-plain` layout. On top of the equivalence
+//! every configuration — prune policy × segment kernel × minimum support ×
+//! shard count — has to report exactly the closed sets of the brute-force
+//! reference. On top of the equivalence
 //! sweep, the suite pins order-independence of the stored repository
 //! (split/merge churn from different insertion orders must converge to
 //! the same conceptual node set) and the snapshot compatibility path: a
@@ -172,10 +172,10 @@ fn build_tree(db: &RecodedDatabase) -> PrefixTree {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The acceptance sweep: Patricia == plain == reference for every
-    /// prune policy, minimum support, and shard count 1/2/3.
+    /// The acceptance sweep: Patricia == reference for every prune policy,
+    /// both segment kernels, every minimum support, and shard count 1/2/3.
     #[test]
-    fn patricia_matches_plain_and_reference(
+    fn patricia_matches_reference(
         db in small_db(),
         minsupp in 1u32..6,
         policy in any_policy(),
@@ -188,13 +188,13 @@ proptest! {
         .mine(&db, minsupp)
         .canonicalized();
         prop_assert_eq!(canon(&patricia), canon(&want), "patricia, policy={:?}", policy);
-        let plain = IstaMiner::with_config(IstaConfig {
+        let bitset = IstaMiner::with_config(IstaConfig {
             policy,
-            ..IstaConfig::without_patricia()
+            ..IstaConfig::bitset()
         })
         .mine(&db, minsupp)
         .canonicalized();
-        prop_assert_eq!(canon(&plain), canon(&want), "plain, policy={:?}", policy);
+        prop_assert_eq!(canon(&bitset), canon(&want), "bitset, policy={:?}", policy);
         for threads in SHARDS {
             let sharded = ParallelIstaMiner::with_config(fim_ista::ParallelConfig {
                 threads,
@@ -226,13 +226,13 @@ proptest! {
         .mine(&db, minsupp)
         .canonicalized();
         prop_assert_eq!(canon(&patricia), canon(&want), "policy={:?}", policy);
-        let plain = IstaMiner::with_config(IstaConfig {
+        let bitset = IstaMiner::with_config(IstaConfig {
             policy,
-            ..IstaConfig::without_patricia()
+            ..IstaConfig::bitset()
         })
         .mine(&db, minsupp)
         .canonicalized();
-        prop_assert_eq!(canon(&plain), canon(&want), "plain, policy={:?}", policy);
+        prop_assert_eq!(canon(&bitset), canon(&want), "bitset, policy={:?}", policy);
     }
 
     /// The stored repository is a *set* of closed item sets, so processing

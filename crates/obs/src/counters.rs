@@ -14,15 +14,15 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// IsTa: item segments scanned by `intersect_segment` (plain layout:
-    /// nodes scanned, i.e. segments of length 1).
+    /// IsTa: item segments scanned by the `isect` traversal (a length-1
+    /// segment's membership probe counts as one scan).
     SegScans = 0,
-    /// IsTa: `intersect_segment` scans that stopped at the `imin`
-    /// early-exit bound instead of draining the segment.
+    /// IsTa: segment scans that stopped at the `imin` early-exit bound
+    /// instead of draining the segment.
     IsectEarlyExits = 1,
-    /// IsTa (Patricia): segment splits.
+    /// IsTa: Patricia segment splits.
     Splits = 2,
-    /// IsTa: node allocations, both layouts.
+    /// IsTa: tree node allocations.
     NodeAllocs = 3,
     /// Carpenter lists: hopeless tid-list probes skipped by the
     /// early-stop upper bound (Nguyen 2019).

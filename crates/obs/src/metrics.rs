@@ -45,7 +45,8 @@ pub struct TreeMetrics {
     pub total_slots: u64,
     /// Free-listed slots.
     pub free_slots: u64,
-    /// Items in the segment store (Patricia layout; plain: one per node).
+    /// Items referenced by live segments: the conceptual (one item per
+    /// node) node count.
     pub seg_items: u64,
     /// Bytes of the segment store.
     pub seg_bytes: u64,

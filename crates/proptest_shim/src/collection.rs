@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`] (upstream's `SizeRange`
+/// Length specifications accepted by [`vec()`] (upstream's `SizeRange`
 /// conversions, restricted to the forms this workspace uses).
 pub trait IntoSizeRange {
     /// Inclusive (lo, hi) length bounds.
@@ -36,7 +36,7 @@ pub fn vec<S: Strategy, Z: IntoSizeRange>(element: S, size: Z) -> VecStrategy<S>
     VecStrategy { element, lo, hi }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone, Copy, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -4,13 +4,13 @@
 //! depends on the database shape: transaction intersection wins when there
 //! are few transactions and very many items; item set enumeration wins in
 //! the classic many-transactions regime. (Cobbler, the paper's reference
-//! [16], switches between row and column enumeration *during* the search;
+//! \[16\], switches between row and column enumeration *during* the search;
 //! this dispatcher makes the coarser per-database choice up front, which
 //! already captures most of the benefit on clearly-shaped inputs.)
 //!
 //! Orthogonally to the row/column choice, the dispatcher picks the physical
 //! tid-set kernel ([`Representation`]) from the measured database
-//! [`Density`]: packed bitsets once there are enough transactions for the
+//! [`Density`](fim_core::Density): packed bitsets once there are enough transactions for the
 //! word-AND + popcount stream to pay (tid-sets spanning several words),
 //! galloping merges in the many-rows ultra-sparse tail, and sorted lists
 //! everywhere tid-sets are short (see [`Representation::select`] for the
@@ -39,7 +39,7 @@ pub enum Choice {
 /// 59,602 × 497), so the threshold is not sensitive; 2.0 is the default.
 ///
 /// A *degenerate* database — no transactions, no items, or no item
-/// occurrences at all ([`Density::is_degenerate`]) — is routed to
+/// occurrences at all ([`Density::is_degenerate`](fim_core::Density::is_degenerate)) — is routed to
 /// enumeration with the scalar kernel explicitly, without consulting the
 /// ratio test: every miner returns the same (empty) answer there, and a
 /// ratio on a zero denominator is meaningless, so the dispatcher picks the
