@@ -8,31 +8,113 @@
 //! monotonically — the Rust analog of the pointer arithmetic the paper uses
 //! in C. The cursor also yields the remaining-occurrence count for item
 //! elimination in O(1).
+//!
+//! A node finds its children in one of three ways (DESIGN.md §25), all
+//! giving the same sub-states, absorptions and eliminations:
+//!
+//! * the **root** reads row `t` of the database: its intersection with
+//!   transaction `t` is `t` itself, and each item's cursor is its running
+//!   count;
+//! * a **sparse** node counting-sorts its remaining occurrences by tid
+//!   once, then visits only the tids that share an item with it;
+//! * a **dense** node probes every item's cursor at every tid.
 
 use crate::search::{
     search, search_constrained_governed_with_stats, search_constrained_with_stats, search_governed,
     search_governed_with_stats, search_with_stats, CarpenterConfig, Representation,
 };
 use fim_core::{
-    gallop_advance, Budget, ClosedMiner, ConstraintSet, Item, ItemSet, MineOutcome, MiningResult,
-    RecodedDatabase, Representation as KernelRep, Tid, TidLists, WordSet,
+    gallop_advance, Budget, ClosedMiner, ConstraintSet, Item, MineOutcome, MiningResult,
+    RecodedDatabase, Representation as KernelRep, Rows, Tid, TidLists, WordSet,
 };
 use fim_obs::{Counter, Counters};
+use std::cell::RefCell;
 
 /// The vertical (tid-list) representation.
-pub struct ListRep {
+pub struct ListRep<'a> {
     lists: TidLists,
-    num_items: u32,
+    /// The database's rows, which the root reads instead of probing.
+    rows: Rows<'a>,
     gallop: bool,
+    /// Counting-sort scratch of [`Representation::enter`], one slot per
+    /// tid from the node's start on. Only `enter` uses it, so every depth
+    /// shares it.
+    slots: RefCell<Vec<u32>>,
 }
 
-impl ListRep {
+/// Where a node's intersections come from (DESIGN.md §25).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Source {
+    /// The root reads row `t` of the database.
+    Rows,
+    /// A sparse node reads the occurrences it bucketed by tid.
+    Buckets,
+    /// A dense node probes every item's cursor at every tid.
+    #[default]
+    Probes,
+}
+
+/// A node's intersection in the list representation, with the node's
+/// buckets when it has them.
+#[derive(Debug, Default)]
+pub struct ListState {
+    /// `(item, cursor into the item's tid list)` pairs, ascending by item.
+    /// At the root the cursor is the item's running count: the number of
+    /// rows read so far that contain it.
+    items: Vec<(Item, u32)>,
+    /// Σ (len − cursor) over `items`: the occurrences bucketing would read.
+    occ: u64,
+    source: Source,
+    /// The tid the node was entered at.
+    start: Tid,
+    /// The non-empty buckets by ascending tid: the tid and the end of its
+    /// occurrences in `hits`.
+    buckets: Vec<(Tid, u32)>,
+    /// `(index into items, position in the item's tid list)` of each
+    /// remaining occurrence, by tid and then by item.
+    hits: Vec<(u32, u32)>,
+    /// The bucket read next.
+    next: usize,
+}
+
+/// The inputs of one intersection that decide what becomes of each item
+/// it matches: early stop, then item elimination.
+struct Match {
+    tid: Tid,
+    /// The tid the node was entered at.
+    start: Tid,
+    /// Matches still needed for minimum support, 0 with early stopping off.
+    need: u32,
+    k_new: u32,
+    minsupp: u32,
+    eliminate: bool,
+}
+
+impl Match {
+    /// Item elimination for `item`, matched at position `j` of its tid
+    /// list of `len` entries: it joins `sub` with its cursor past the
+    /// match, unless `k_new` plus its occurrences after the match cannot
+    /// reach `minsupp`.
+    #[inline]
+    fn keep(&self, item: Item, j: u32, len: u32, counters: &mut Counters, sub: &mut ListState) {
+        let remaining_after = len - j - 1;
+        if !self.eliminate || self.k_new + remaining_after >= self.minsupp {
+            sub.items.push((item, j + 1));
+            sub.occ += u64::from(remaining_after);
+        } else {
+            counters.bump(Counter::Eliminations);
+        }
+    }
+}
+
+impl<'a> ListRep<'a> {
     /// Builds the representation from a recoded database.
-    pub fn from_database(db: &RecodedDatabase) -> Self {
+    pub fn from_database(db: &'a RecodedDatabase) -> Self {
         ListRep {
             lists: TidLists::from_database(db),
-            num_items: db.num_items(),
+            rows: db.transactions(),
             gallop: false,
+            slots: RefCell::new(Vec::new()),
         }
     }
 
@@ -40,32 +122,59 @@ impl ListRep {
     /// (exponential-search) cursor advances instead of the linear walk.
     /// The cursor lands on exactly the same index either way, so every
     /// downstream decision — probe, early stop, elimination — is identical.
-    pub fn from_database_gallop(db: &RecodedDatabase) -> Self {
+    pub fn from_database_gallop(db: &'a RecodedDatabase) -> Self {
         ListRep {
             gallop: true,
             ..ListRep::from_database(db)
         }
     }
 
+    /// `item`, found at position `j` of its tid list when intersecting
+    /// with `m.tid` without a probe, gets the decisions a probe would give
+    /// it: early stop, then item elimination. Returns whether it counts
+    /// toward the raw match count.
+    fn take(
+        &self,
+        item: Item,
+        j: u32,
+        m: &Match,
+        counters: &mut Counters,
+        sub: &mut ListState,
+    ) -> bool {
+        let list = self.lists.list(item);
+        // occurrences from `m.tid` on, `m.tid` included
+        let left = list.len() as u32 - j;
+        if left < m.need {
+            // A probe tests `len − cursor` with the cursor where the probe
+            // of `tid − 1` left it: one step back if the item occurs at
+            // `tid − 1`, except at the node's first tid, whose cursors
+            // start past the tid that created the node. Testing the same
+            // bound keeps every early stop, and so every absorption it
+            // prevents, where probing has it.
+            let lag = u32::from(m.tid > m.start && j > 0 && list[j as usize - 1] + 1 == m.tid);
+            if left + lag < m.need {
+                counters.bump(Counter::TidEarlyStops);
+                return false;
+            }
+        }
+        m.keep(item, j, list.len() as u32, counters, sub);
+        true
+    }
+
     /// The probe loop of [`Representation::intersect`], monomorphized over
     /// the early-stop check (so the plain scan carries no bound arithmetic)
     /// and the cursor-advance kernel.
-    #[allow(clippy::too_many_arguments)]
     fn scan<const EARLY: bool, const GALLOP: bool>(
         &self,
         state: &mut [(Item, u32)],
-        tid: Tid,
-        k_new: u32,
-        need: u32,
-        minsupp: u32,
-        config: CarpenterConfig,
+        m: &Match,
         counters: &mut Counters,
-    ) -> (usize, Vec<(Item, u32)>) {
+        sub: &mut ListState,
+    ) -> usize {
         let mut raw = 0usize;
-        let mut sub = Vec::with_capacity(state.len());
         for (item, cur) in state.iter_mut() {
             let list = self.lists.list(*item);
-            if EARLY && (list.len() as u32 - *cur) < need {
+            if EARLY && (list.len() as u32 - *cur) < m.need {
                 // Early stop: even if every unscanned entry of this item's
                 // list matched a future transaction, no set containing the
                 // item can reach `minsupp` below this node — skip both the
@@ -76,53 +185,124 @@ impl ListRep {
                 continue;
             }
             if GALLOP {
-                let (next, probes) = gallop_advance(list, *cur as usize, tid);
+                let (next, probes) = gallop_advance(list, *cur as usize, m.tid);
                 counters.add(Counter::GallopProbes, probes);
                 *cur = next as u32;
             } else {
-                while (*cur as usize) < list.len() && list[*cur as usize] < tid {
+                while (*cur as usize) < list.len() && list[*cur as usize] < m.tid {
                     *cur += 1;
                 }
             }
-            if (*cur as usize) < list.len() && list[*cur as usize] == tid {
+            if (*cur as usize) < list.len() && list[*cur as usize] == m.tid {
                 raw += 1;
-                let remaining_after = (list.len() - *cur as usize - 1) as u32;
-                if !config.item_elimination || k_new + remaining_after >= minsupp {
-                    sub.push((*item, *cur + 1));
-                } else {
-                    counters.bump(Counter::Eliminations);
-                }
+                m.keep(*item, *cur, list.len() as u32, counters, sub);
             }
         }
-        (raw, sub)
+        raw
     }
 }
 
-impl Representation for ListRep {
-    /// `(item, cursor into the item's tid list)` pairs, ascending by item.
-    type State = Vec<(Item, u32)>;
+impl Representation for ListRep<'_> {
+    type State = ListState;
 
-    fn initial_state(&self) -> Self::State {
-        (0..self.num_items).map(|i| (i, 0)).collect()
+    fn initial_state(&self) -> ListState {
+        ListState {
+            items: (0..self.lists.num_items()).map(|i| (i, 0)).collect(),
+            source: Source::Rows,
+            ..ListState::default()
+        }
     }
 
-    fn state_len(&self, state: &Self::State) -> usize {
-        state.len()
+    fn state_len(&self, state: &ListState) -> usize {
+        state.items.len()
     }
 
     fn num_transactions(&self) -> u32 {
         self.lists.num_transactions()
     }
 
+    fn items<'s>(&'s self, state: &'s ListState) -> impl DoubleEndedIterator<Item = Item> + 's {
+        state.items.iter().map(|&(item, _)| item)
+    }
+
+    /// Buckets a sparse node: when reading its remaining occurrences twice
+    /// (to count them by tid, then to place them) costs fewer steps than
+    /// the probes a scan of the horizon makes (one per item and tid), it
+    /// counting-sorts all of them by tid, once. A dense node keeps probing.
+    fn enter(&self, state: &mut ListState, start: Tid, horizon: Tid) {
+        if state.source == Source::Rows {
+            return; // every tid comes from the rows
+        }
+        let ListState {
+            items,
+            occ,
+            source,
+            start: node_start,
+            buckets,
+            hits,
+            next,
+        } = state;
+        *node_start = start;
+        *next = 0;
+        buckets.clear();
+        let width = horizon.saturating_sub(start);
+        if 2 * *occ >= items.len() as u64 * u64::from(width) {
+            *source = Source::Probes;
+            return;
+        }
+        *source = Source::Buckets;
+        let mut slots = self.slots.borrow_mut();
+        slots.clear();
+        slots.resize((self.lists.num_transactions() - start) as usize, 0);
+        for &(item, cur) in items.iter() {
+            for &t in &self.lists.list(item)[cur as usize..] {
+                slots[(t - start) as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for (w, slot) in slots.iter_mut().enumerate() {
+            if *slot > 0 {
+                let begin = end;
+                end += *slot;
+                buckets.push((start + w as Tid, end));
+                *slot = begin;
+            }
+        }
+        hits.resize(end as usize, (0, 0));
+        for (s, &(item, cur)) in items.iter().enumerate() {
+            let list = self.lists.list(item);
+            for j in cur..list.len() as u32 {
+                let slot = &mut slots[(list[j as usize] - start) as usize];
+                hits[*slot as usize] = (s as u32, j);
+                *slot += 1;
+            }
+        }
+    }
+
+    fn next_tid(&self, state: &ListState, tid: Tid) -> Tid {
+        if state.source != Source::Buckets {
+            return tid;
+        }
+        // the next non-empty bucket; after the last one, the end of the tids
+        state
+            .buckets
+            .get(state.next)
+            .map_or(self.lists.num_transactions(), |&(t, _)| t)
+    }
+
     fn intersect(
         &self,
-        state: &mut Self::State,
+        state: &mut ListState,
         tid: Tid,
         k_new: u32,
         minsupp: u32,
         config: CarpenterConfig,
         counters: &mut Counters,
-    ) -> (usize, Self::State) {
+        sub: &mut ListState,
+    ) -> usize {
+        sub.items.clear();
+        sub.occ = 0;
+        sub.source = Source::Probes;
         // `need` is how many more matches the current intersection still
         // requires; once `k_new >= minsupp` the early-stop bound can never
         // fire, so the scan can drop the per-item check entirely. The
@@ -130,24 +310,48 @@ impl Representation for ListRep {
         // it cannot trigger (the bound is a rare event on dense data, but
         // it sat on every probe of every item).
         let need = minsupp.saturating_sub(k_new);
-        match (config.early_stop && need > 0, self.gallop) {
-            (true, false) => {
-                self.scan::<true, false>(state, tid, k_new, need, minsupp, config, counters)
+        let early = config.early_stop && need > 0;
+        let m = Match {
+            tid,
+            start: state.start,
+            need: if early { need } else { 0 },
+            k_new,
+            minsupp,
+            eliminate: config.item_elimination,
+        };
+        match state.source {
+            Source::Probes => {
+                let items = &mut state.items;
+                match (early, self.gallop) {
+                    (true, false) => self.scan::<true, false>(items, &m, counters, sub),
+                    (false, false) => self.scan::<false, false>(items, &m, counters, sub),
+                    (true, true) => self.scan::<true, true>(items, &m, counters, sub),
+                    (false, true) => self.scan::<false, true>(items, &m, counters, sub),
+                }
             }
-            (false, false) => {
-                self.scan::<false, false>(state, tid, k_new, need, minsupp, config, counters)
+            Source::Rows => {
+                let mut raw = 0;
+                for &item in self.rows.row(tid as usize) {
+                    let count = &mut state.items[item as usize].1;
+                    raw += usize::from(self.take(item, *count, &m, counters, sub));
+                    *count += 1;
+                }
+                raw
             }
-            (true, true) => {
-                self.scan::<true, true>(state, tid, k_new, need, minsupp, config, counters)
-            }
-            (false, true) => {
-                self.scan::<false, true>(state, tid, k_new, need, minsupp, config, counters)
+            Source::Buckets => {
+                let mut raw = 0;
+                // a tid without a bucket shares no item with the node
+                if let Some(&(_, end)) = state.buckets.get(state.next).filter(|b| b.0 == tid) {
+                    let begin = state.next.checked_sub(1).map_or(0, |b| state.buckets[b].1);
+                    for &(s, j) in &state.hits[begin as usize..end as usize] {
+                        let item = state.items[s as usize].0;
+                        raw += usize::from(self.take(item, j, &m, counters, sub));
+                    }
+                    state.next += 1;
+                }
+                raw
             }
         }
-    }
-
-    fn items_of(&self, state: &Self::State) -> ItemSet {
-        ItemSet::from_sorted(state.iter().map(|&(i, _)| i).collect())
     }
 }
 
@@ -220,10 +424,11 @@ impl Representation for BitsetListRep {
         minsupp: u32,
         config: CarpenterConfig,
         counters: &mut Counters,
-    ) -> (usize, Self::State) {
+        sub: &mut Self::State,
+    ) -> usize {
         let need = minsupp.saturating_sub(k_new);
         let mut raw = 0usize;
-        let mut sub = Vec::with_capacity(state.len());
+        sub.clear();
         for &item in state.iter() {
             let supp = self.supports[item as usize];
             let rank = self.rank_at(item, tid);
@@ -244,11 +449,11 @@ impl Representation for BitsetListRep {
                 }
             }
         }
-        (raw, sub)
+        raw
     }
 
-    fn items_of(&self, state: &Self::State) -> ItemSet {
-        ItemSet::from_sorted(state.clone())
+    fn items<'s>(&'s self, state: &'s Self::State) -> impl DoubleEndedIterator<Item = Item> + 's {
+        state.iter().copied()
     }
 }
 
@@ -408,7 +613,7 @@ impl ClosedMiner for CarpenterListMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fim_core::reference::mine_reference;
+    use fim_core::{reference::mine_reference, ItemSet};
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -481,15 +686,31 @@ mod tests {
         }
     }
 
+    /// A non-root state over the whole item base: it probes every tid.
+    fn probing(rep: &ListRep) -> ListState {
+        ListState {
+            items: (0..rep.lists.num_items()).map(|i| (i, 0)).collect(),
+            ..ListState::default()
+        }
+    }
+
     #[test]
     fn cursor_advance_is_monotone() {
         let db = paper_db();
         let rep = ListRep::from_database(&db);
-        let mut s = rep.initial_state();
-        let mut c = Counters::new();
-        let (_, _) = rep.intersect(&mut s, 3, 1, 1, CarpenterConfig::unpruned(), &mut c);
+        let mut s = probing(&rep);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        rep.intersect(
+            &mut s,
+            3,
+            1,
+            1,
+            CarpenterConfig::unpruned(),
+            &mut c,
+            &mut sub,
+        );
         // after probing tid 3, every cursor sits at the first tid >= 3
-        for &(item, cur) in &s {
+        for &(item, cur) in &s.items {
             let list = rep.lists.list(item);
             assert!(list[..cur as usize].iter().all(|&t| t < 3), "item {item}");
             assert!(
@@ -507,21 +728,30 @@ mod tests {
         };
         let db = paper_db();
         let rep = ListRep::from_database(&db);
-        let mut s = rep.initial_state();
+        let mut s = probing(&rep);
         // intersect with t5 (= tid 4, items {1,2}) at k_new=1, minsupp=5:
         // item 1 occurs in tids 0,2,3,4,5 → 1 remaining after tid 4 → 1+1 < 5 drop
         // item 2 occurs in tids 0,2,3,4,7 → 1 remaining after       → drop
-        let mut c = Counters::new();
-        let (raw, sub) = rep.intersect(&mut s, 4, 1, 5, elim_only, &mut c);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        let raw = rep.intersect(&mut s, 4, 1, 5, elim_only, &mut c, &mut sub);
         assert_eq!(raw, 2);
-        assert!(sub.is_empty());
+        assert!(sub.items.is_empty());
         assert_eq!(c.get(Counter::Eliminations), 2);
         // without elimination both stay
-        let mut s = rep.initial_state();
+        let mut s = probing(&rep);
         let mut c = Counters::new();
-        let (raw, sub) = rep.intersect(&mut s, 4, 1, 5, CarpenterConfig::unpruned(), &mut c);
+        let raw = rep.intersect(
+            &mut s,
+            4,
+            1,
+            5,
+            CarpenterConfig::unpruned(),
+            &mut c,
+            &mut sub,
+        );
         assert_eq!(raw, 2);
         assert_eq!(rep.items_of(&sub), ItemSet::from([1, 2]));
+        assert_eq!(sub.occ, 2, "one occurrence of each left after tid 4");
         assert_eq!(c.get(Counter::Eliminations), 0);
     }
 
@@ -537,19 +767,161 @@ mod tests {
         // a 3-entry tid list (1,6,7) → 1 + 3 < 5, so its probe is skipped
         // entirely — it matches tid 1 yet counts toward neither raw nor sub,
         // and its cursor stays untouched
-        let mut s = rep.initial_state();
-        let mut c = Counters::new();
-        let (raw, sub) = rep.intersect(&mut s, 1, 1, 5, es_only, &mut c);
+        let mut s = probing(&rep);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        let raw = rep.intersect(&mut s, 1, 1, 5, es_only, &mut c, &mut sub);
         assert_eq!(raw, 2, "item 4 matched but was skipped");
         assert_eq!(rep.items_of(&sub), ItemSet::from([0, 3]));
-        assert_eq!(s[4], (4, 0), "skipped cursor must not advance");
+        assert_eq!(s.items[4], (4, 0), "skipped cursor must not advance");
         assert!(c.get(Counter::TidEarlyStops) >= 1);
         // without early stop the same probe counts item 4
-        let mut s = rep.initial_state();
+        let mut s = probing(&rep);
         let mut c = Counters::new();
-        let (raw, sub) = rep.intersect(&mut s, 1, 1, 5, CarpenterConfig::unpruned(), &mut c);
+        let raw = rep.intersect(
+            &mut s,
+            1,
+            1,
+            5,
+            CarpenterConfig::unpruned(),
+            &mut c,
+            &mut sub,
+        );
         assert_eq!(raw, 3);
         assert_eq!(rep.items_of(&sub), ItemSet::from([0, 3, 4]));
+    }
+
+    /// The raw count, sub-state items and sub-state occurrences of each
+    /// intersection of a [`walk`], and the eliminations of the walk.
+    type Walk = (Vec<(usize, Vec<(Item, u32)>, u64)>, u64);
+
+    /// Enters `state` at `start` with `horizon` and intersects it with
+    /// every tid from `start` on at a fixed `k_new`.
+    fn walk(
+        rep: &ListRep,
+        state: &mut ListState,
+        start: Tid,
+        horizon: Tid,
+        k_new: u32,
+        minsupp: u32,
+        config: CarpenterConfig,
+    ) -> Walk {
+        rep.enter(state, start, horizon);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        let steps = (start..rep.num_transactions())
+            .map(|tid| {
+                let raw = rep.intersect(state, tid, k_new, minsupp, config, &mut c, &mut sub);
+                (raw, sub.items.clone(), sub.occ)
+            })
+            .collect();
+        (steps, c.get(Counter::Eliminations))
+    }
+
+    #[test]
+    fn rows_root_and_buckets_match_probing() {
+        let db = paper_db();
+        let configs = [
+            CarpenterConfig::default(),
+            CarpenterConfig::unpruned(),
+            CarpenterConfig {
+                item_elimination: false,
+                ..CarpenterConfig::default()
+            },
+        ];
+        for rep in [
+            ListRep::from_database(&db),
+            ListRep::from_database_gallop(&db),
+        ] {
+            for config in configs {
+                for minsupp in 1..=6 {
+                    for k_new in 1..=3 {
+                        // the root reads the rows
+                        let want = walk(&rep, &mut probing(&rep), 0, 0, k_new, minsupp, config);
+                        let mut root = rep.initial_state();
+                        let got = walk(&rep, &mut root, 0, 8, k_new, minsupp, config);
+                        assert_eq!(got, want, "root, {config:?} minsupp {minsupp}");
+                        // the node {0,1,2} made at tid 0, probed and bucketed;
+                        // the walk runs past the horizon to the last tid, as
+                        // it does after absorptions
+                        let (mut c, mut node) = (Counters::new(), ListState::default());
+                        rep.intersect(&mut probing(&rep), 0, 1, 1, config, &mut c, &mut node);
+                        assert_eq!(node.occ, 11);
+                        let mut dense = ListState {
+                            items: node.items.clone(),
+                            ..ListState::default()
+                        };
+                        let want = walk(&rep, &mut dense, 1, 1, k_new, minsupp, config);
+                        assert_eq!(dense.source, Source::Probes);
+                        // occ 0 makes the node bucket whatever its cost
+                        let mut sparse = ListState {
+                            items: node.items.clone(),
+                            ..ListState::default()
+                        };
+                        let got = walk(&rep, &mut sparse, 1, 2, k_new, minsupp, config);
+                        assert_eq!(sparse.source, Source::Buckets);
+                        assert_eq!(got, want, "buckets, {config:?} minsupp {minsupp}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_skip_tids_that_share_no_item() {
+        let db = paper_db();
+        let rep = ListRep::from_database(&db);
+        // {4} made at tid 1: its list (1,6,7) leaves tids 6 and 7
+        let mut node = ListState {
+            items: vec![(4, 1)],
+            occ: 2,
+            ..ListState::default()
+        };
+        rep.enter(&mut node, 2, 8);
+        assert_eq!(
+            node.source,
+            Source::Buckets,
+            "2 occurrences read twice against 6 probes: bucketed"
+        );
+        assert_eq!(rep.next_tid(&node, 2), 6);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        assert_eq!(
+            rep.intersect(
+                &mut node,
+                6,
+                2,
+                1,
+                CarpenterConfig::default(),
+                &mut c,
+                &mut sub
+            ),
+            1
+        );
+        assert_eq!(rep.next_tid(&node, 7), 7);
+        assert_eq!(
+            rep.intersect(
+                &mut node,
+                7,
+                3,
+                1,
+                CarpenterConfig::default(),
+                &mut c,
+                &mut sub
+            ),
+            1
+        );
+        assert_eq!(rep.next_tid(&node, 8), 8, "past the last bucket: the end");
+        // a dense node probes every tid
+        let mut node = ListState {
+            items: vec![(4, 1)],
+            occ: 2,
+            ..ListState::default()
+        };
+        rep.enter(&mut node, 6, 8);
+        assert_eq!(
+            node.source,
+            Source::Probes,
+            "2 occurrences read twice against 2 probes: probed"
+        );
+        assert_eq!(rep.next_tid(&node, 6), 6);
     }
 
     #[test]
@@ -625,13 +997,14 @@ mod tests {
         let db = paper_db();
         let lin = ListRep::from_database(&db);
         let gal = ListRep::from_database_gallop(&db);
-        let mut s_lin = lin.initial_state();
-        let mut s_gal = gal.initial_state();
-        let mut c = Counters::new();
+        let mut s_lin = probing(&lin);
+        let mut s_gal = probing(&gal);
+        let (mut c, mut sub) = (Counters::new(), ListState::default());
+        let unpruned = CarpenterConfig::unpruned();
         for tid in [1, 3, 6] {
-            lin.intersect(&mut s_lin, tid, 1, 1, CarpenterConfig::unpruned(), &mut c);
-            gal.intersect(&mut s_gal, tid, 1, 1, CarpenterConfig::unpruned(), &mut c);
-            assert_eq!(s_lin, s_gal, "after tid {tid}");
+            lin.intersect(&mut s_lin, tid, 1, 1, unpruned, &mut c, &mut sub);
+            gal.intersect(&mut s_gal, tid, 1, 1, unpruned, &mut c, &mut sub);
+            assert_eq!(s_lin.items, s_gal.items, "after tid {tid}");
         }
         assert!(c.get(Counter::GallopProbes) > 0);
     }

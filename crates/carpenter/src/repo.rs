@@ -60,17 +60,22 @@ impl Repository {
         self.nodes.len()
     }
 
-    /// Whether `items` (strictly ascending) was inserted before.
-    pub fn contains(&self, items: &[Item]) -> bool {
-        let Some((&first, rest)) = items.split_last() else {
+    /// Whether the set of `items` (strictly ascending) was inserted before.
+    /// The items come from an iterator, so a caller can look up a set it
+    /// holds in some other layout without copying it out first.
+    pub fn contains<I>(&self, items: I) -> bool
+    where
+        I: IntoIterator<Item = Item>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut desc = items.into_iter().rev();
+        let Some(first) = desc.next() else {
             return false; // the empty set is never stored
         };
-        if rest.is_empty() {
-            return self.top_terminal[first as usize];
-        }
+        let mut terminal = self.top_terminal[first as usize];
         let mut list = self.top[first as usize];
         // walk the remaining items in descending order
-        for (pos, &item) in rest.iter().rev().enumerate() {
+        for item in desc {
             let node = loop {
                 if list == NONE {
                     return false;
@@ -78,17 +83,14 @@ impl Repository {
                 let n = &self.nodes[list as usize];
                 match n.item.cmp(&item) {
                     std::cmp::Ordering::Greater => list = n.sibling,
-                    std::cmp::Ordering::Equal => break list,
+                    std::cmp::Ordering::Equal => break n,
                     std::cmp::Ordering::Less => return false,
                 }
             };
-            let n = &self.nodes[node as usize];
-            if pos + 1 == rest.len() {
-                return n.terminal;
-            }
-            list = n.children;
+            terminal = node.terminal;
+            list = node.children;
         }
-        unreachable!("loop returns for the last item")
+        terminal
     }
 
     /// Inserts `items` (strictly ascending, non-empty). Returns `true` if
@@ -163,9 +165,9 @@ mod tests {
         let r = Repository::new(5);
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-        assert!(!r.contains(&[0]));
-        assert!(!r.contains(&[1, 3]));
-        assert!(!r.contains(&[]));
+        assert!(!r.contains([0]));
+        assert!(!r.contains([1, 3]));
+        assert!(!r.contains([]));
     }
 
     #[test]
@@ -173,8 +175,8 @@ mod tests {
         let mut r = Repository::new(4);
         assert!(r.insert(&[2]));
         assert!(!r.insert(&[2]));
-        assert!(r.contains(&[2]));
-        assert!(!r.contains(&[1]));
+        assert!(r.contains([2]));
+        assert!(!r.contains([1]));
         assert_eq!(r.len(), 1);
         assert_eq!(r.node_count(), 0, "singletons live in the flat top level");
     }
@@ -183,12 +185,12 @@ mod tests {
     fn prefixes_are_not_members() {
         let mut r = Repository::new(6);
         assert!(r.insert(&[0, 2, 5]));
-        assert!(r.contains(&[0, 2, 5]));
-        assert!(!r.contains(&[2, 5]), "path prefix is not a member");
-        assert!(!r.contains(&[5]));
-        assert!(!r.contains(&[0, 5]));
+        assert!(r.contains([0, 2, 5]));
+        assert!(!r.contains([2, 5]), "path prefix is not a member");
+        assert!(!r.contains([5]));
+        assert!(!r.contains([0, 5]));
         assert!(r.insert(&[2, 5]));
-        assert!(r.contains(&[2, 5]));
+        assert!(r.contains([2, 5]));
         assert_eq!(r.len(), 2);
     }
 
@@ -198,10 +200,10 @@ mod tests {
         assert!(r.insert(&[1, 3, 7]));
         assert!(r.insert(&[2, 3, 7]));
         assert!(r.insert(&[0, 1, 3, 7]));
-        assert!(r.contains(&[1, 3, 7]));
-        assert!(r.contains(&[2, 3, 7]));
-        assert!(r.contains(&[0, 1, 3, 7]));
-        assert!(!r.contains(&[0, 2, 3, 7]));
+        assert!(r.contains([1, 3, 7]));
+        assert!(r.contains([2, 3, 7]));
+        assert!(r.contains([0, 1, 3, 7]));
+        assert!(!r.contains([0, 2, 3, 7]));
         assert_eq!(r.len(), 3);
     }
 
@@ -213,10 +215,10 @@ mod tests {
         assert!(r.insert(&[3, 9]));
         assert!(r.insert(&[7, 9]));
         for i in [1u32, 3, 5, 7] {
-            assert!(r.contains(&[i, 9]), "{{{i},9}}");
+            assert!(r.contains([i, 9]), "{{{i},9}}");
         }
-        assert!(!r.contains(&[2, 9]));
-        assert!(!r.contains(&[9]));
+        assert!(!r.contains([2, 9]));
+        assert!(!r.contains([9]));
     }
 
     #[test]
@@ -224,11 +226,11 @@ mod tests {
         let mut r = Repository::new(32);
         let set: Vec<Item> = (0..32).collect();
         assert!(r.insert(&set));
-        assert!(r.contains(&set));
-        assert!(!r.contains(&set[..31]));
-        assert!(!r.contains(&set[1..]));
+        assert!(r.contains(set.iter().copied()));
+        assert!(!r.contains(set[..31].iter().copied()));
+        assert!(!r.contains(set[1..].iter().copied()));
         assert!(r.insert(&set[1..]));
-        assert!(r.contains(&set[1..]));
+        assert!(r.contains(set[1..].iter().copied()));
     }
 
     #[test]

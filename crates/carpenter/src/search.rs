@@ -11,8 +11,8 @@
 
 use crate::repo::Repository;
 use fim_core::{
-    checkpoint, constraint::area, Budget, ConstraintSet, FoundSet, Governor, ItemSet, MineOutcome,
-    MiningResult, Progress, Tid, TripReason,
+    checkpoint, constraint::area, Budget, ConstraintSet, FoundSet, Governor, Item, ItemSet,
+    MineOutcome, MiningResult, Progress, Tid, TripReason,
 };
 use fim_obs::{Counter, Counters};
 
@@ -70,9 +70,15 @@ impl CarpenterConfig {
 /// Database representation driving the search. Implemented by the
 /// list-based ([`crate::lists`]) and table-based ([`crate::table`])
 /// variants.
+///
+/// A node of the search owns its state; the states of its children are
+/// written into one buffer the search takes from a pool when the node is
+/// entered and returns when it is left, so every depth reuses the same
+/// buffers for the whole search and the hot loop allocates nothing.
 pub trait Representation {
-    /// The representation of a current intersection.
-    type State;
+    /// The representation of a current intersection. `Default` is an
+    /// empty buffer, ready to receive a sub-state.
+    type State: Default;
 
     /// The state for the full item base (the search root, paper `(B, ∅, 1)`).
     fn initial_state(&self) -> Self::State;
@@ -83,19 +89,45 @@ pub trait Representation {
     /// Number of transactions.
     fn num_transactions(&self) -> u32;
 
+    /// The items of a state, strictly ascending.
+    fn items<'s>(&'s self, state: &'s Self::State) -> impl DoubleEndedIterator<Item = Item> + 's;
+
+    /// The item set represented by a state.
+    fn items_of(&self, state: &Self::State) -> ItemSet {
+        ItemSet::from_sorted(self.items(state).collect())
+    }
+
+    /// Called once when a node is entered, before its loop over the tids
+    /// from `start` on. `horizon` is the end of the tids that loop reaches
+    /// without an absorption. A representation may index the state's
+    /// occurrences here, once, and then serve the loop's tids from the
+    /// index in [`next_tid`](Self::next_tid) and
+    /// [`intersect`](Self::intersect). By default every tid is probed.
+    fn enter(&self, _state: &mut Self::State, _start: Tid, _horizon: Tid) {}
+
+    /// The first tid `≥ tid` whose transaction may share an item with
+    /// `state`. Skipping the tids in between is output-neutral: their
+    /// intersection is empty, which neither absorbs nor branches. By
+    /// default `tid` itself.
+    fn next_tid(&self, _state: &Self::State, tid: Tid) -> Tid {
+        tid
+    }
+
     /// Intersects `state` with transaction `tid` (advancing any internal
-    /// cursors in `state`). Returns the sub-state of matched items and the
-    /// raw match count *before* item elimination. When
+    /// cursors in `state`), writes the sub-state of matched items into
+    /// `sub` (whatever it held before is replaced) and returns the raw
+    /// match count *before* item elimination. When
     /// `config.item_elimination` is set, items whose `k_new` included
     /// occurrences plus occurrences in transactions after `tid` cannot
-    /// reach `minsupp` are dropped from the returned state. When
-    /// `config.early_stop` is set, the representation may skip probing a
-    /// hopeless item entirely (it then counts toward neither the raw match
-    /// count nor the sub-state; undercounting the raw matches only
-    /// disables perfect-extension absorption, which is output-neutral).
+    /// reach `minsupp` are dropped from the sub-state. When
+    /// `config.early_stop` is set, the representation may skip a hopeless
+    /// item entirely (it then counts toward neither the raw match count
+    /// nor the sub-state; undercounting the raw matches only disables
+    /// perfect-extension absorption, which is output-neutral).
     ///
     /// `counters` receives the representation's per-probe accounting
     /// ([`Counter::TidEarlyStops`], [`Counter::Eliminations`]).
+    #[allow(clippy::too_many_arguments)]
     fn intersect(
         &self,
         state: &mut Self::State,
@@ -104,10 +136,8 @@ pub trait Representation {
         minsupp: u32,
         config: CarpenterConfig,
         counters: &mut Counters,
-    ) -> (usize, Self::State);
-
-    /// The item set represented by a state (strictly ascending codes).
-    fn items_of(&self, state: &Self::State) -> ItemSet;
+        sub: &mut Self::State,
+    ) -> usize;
 }
 
 /// Runs the Carpenter search over `rep` and returns all closed frequent
@@ -175,28 +205,54 @@ fn search_impl<R: Representation>(
     config: CarpenterConfig,
     cs: Option<&ConstraintSet>,
 ) -> (MiningResult, Counters) {
+    let mut counters = Counters::new();
+    let (out, tripped) = run(
+        rep,
+        num_items,
+        minsupp,
+        config,
+        cs,
+        &mut None,
+        &mut counters,
+    );
+    // with no governor installed the recursion cannot trip
+    debug_assert!(tripped.is_none());
+    (MiningResult { sets: out }, counters)
+}
+
+/// Runs the recursion from the root; returns the emitted sets and the trip
+/// reason if the governor stopped it.
+fn run<R: Representation>(
+    rep: &R,
+    num_items: u32,
+    minsupp: u32,
+    config: CarpenterConfig,
+    cs: Option<&ConstraintSet>,
+    gov: &mut Option<Governor>,
+    counters: &mut Counters,
+) -> (Vec<FoundSet>, Option<TripReason>) {
     let mut repo = Repository::new(num_items);
     let mut out = Vec::new();
-    let mut counters = Counters::new();
     let mut root = rep.initial_state();
-    if rep.state_len(&root) > 0 && rep.num_transactions() > 0 {
-        // with no governor installed the recursion cannot trip
-        let ungoverned: Result<(), TripReason> = recurse(
-            rep,
-            &mut root,
-            0,
-            0,
-            minsupp,
-            config,
-            cs,
-            &mut repo,
-            &mut out,
-            &mut None,
-            &mut counters,
-        );
-        debug_assert!(ungoverned.is_ok());
+    if rep.state_len(&root) == 0 || rep.num_transactions() == 0 {
+        return (out, None);
     }
-    (MiningResult { sets: out }, counters)
+    let tripped = recurse(
+        rep,
+        &mut root,
+        0,
+        0,
+        minsupp,
+        config,
+        cs,
+        &mut repo,
+        &mut out,
+        gov,
+        counters,
+        &mut Vec::new(),
+    )
+    .err();
+    (out, tripped)
 }
 
 /// Like [`search`], under a resource [`Budget`]. The enumeration checks the
@@ -270,27 +326,7 @@ fn search_governed_impl<R: Representation>(
         };
         return (outcome, counters);
     }
-    let mut repo = Repository::new(num_items);
-    let mut out = Vec::new();
-    let mut root = rep.initial_state();
-    let tripped = if rep.state_len(&root) > 0 && rep.num_transactions() > 0 {
-        recurse(
-            rep,
-            &mut root,
-            0,
-            0,
-            minsupp,
-            config,
-            cs,
-            &mut repo,
-            &mut out,
-            &mut gov,
-            &mut counters,
-        )
-        .err()
-    } else {
-        None
-    };
+    let (out, tripped) = run(rep, num_items, minsupp, config, cs, &mut gov, &mut counters);
     let outcome = match tripped {
         Some(reason) => {
             let processed = gov.as_ref().map_or(0, Governor::processed);
@@ -308,6 +344,10 @@ fn search_governed_impl<R: Representation>(
     (outcome, counters)
 }
 
+/// One node of the search: the intersection `state`, contained in `k`
+/// transactions before `start`. `pool` holds the sub-state buffers of the
+/// nodes below; the node takes one when it is entered and gives it back
+/// when it is left.
 #[allow(clippy::too_many_arguments)]
 fn recurse<R: Representation>(
     rep: &R,
@@ -321,6 +361,7 @@ fn recurse<R: Representation>(
     out: &mut Vec<FoundSet>,
     gov: &mut Option<Governor>,
     counters: &mut Counters,
+    pool: &mut Vec<R::State>,
 ) -> Result<(), TripReason> {
     if let Some(reason) = checkpoint!(gov, 0, 0, out.len()) {
         return Err(reason);
@@ -330,8 +371,7 @@ fn recurse<R: Representation>(
     let state_len = rep.state_len(state);
     if config.repo_prune {
         counters.bump(Counter::RepoLookups);
-        let items = rep.items_of(state);
-        if repo.contains(items.as_slice()) {
+        if repo.contains(rep.items(state)) {
             counters.bump(Counter::RepoHits);
             return Ok(()); // everything below was already explored earlier
         }
@@ -351,41 +391,26 @@ fn recurse<R: Representation>(
             return Ok(());
         }
     }
-    for tid in start..n {
-        // nothing below can reach minimum support anymore
-        if k + (n - tid) < minsupp {
-            return Ok(());
-        }
-        let (raw_len, mut sub) = rep.intersect(state, tid, k + 1, minsupp, config, counters);
-        if raw_len == state_len {
-            // transaction contains the whole intersection
-            if config.perfect_extension {
-                counters.bump(Counter::AbsorptionHits);
-                k += 1; // absorb: no exclude branch can produce output
-                continue;
-            }
-            // unpruned variant: explicit include branch; the exclude branch
-            // is the continuation of this loop (item elimination may still
-            // have emptied the sub-state, in which case nothing below the
-            // include branch can be frequent)
-            if rep.state_len(&sub) > 0 {
-                recurse(
-                    rep,
-                    &mut sub,
-                    k + 1,
-                    tid + 1,
-                    minsupp,
-                    config,
-                    cs,
-                    repo,
-                    out,
-                    gov,
-                    counters,
-                )?;
-            }
-            continue;
-        }
-        if rep.state_len(&sub) > 0 {
+    // without an absorption the loop stops before the first tid at which
+    // `k + (n - tid) < minsupp`
+    let horizon = (u64::from(n) + u64::from(k) + 1).saturating_sub(u64::from(minsupp));
+    rep.enter(state, start, horizon.min(u64::from(n)) as Tid);
+    let mut sub = pool.pop().unwrap_or_default();
+    let mut tid = rep.next_tid(state, start);
+    // nothing below can reach minimum support once `k + (n - tid) < minsupp`
+    while tid < n && k + (n - tid) >= minsupp {
+        let raw_len = rep.intersect(state, tid, k + 1, minsupp, config, counters, &mut sub);
+        if raw_len == state_len && config.perfect_extension {
+            // transaction contains the whole intersection: absorb, no
+            // exclude branch can produce output
+            counters.bump(Counter::AbsorptionHits);
+            k += 1;
+        } else if rep.state_len(&sub) > 0 {
+            // without absorption a transaction containing the whole
+            // intersection takes an explicit include branch too; the
+            // exclude branch is the continuation of this loop (item
+            // elimination may have emptied the sub-state, in which case
+            // nothing below the include branch can be frequent)
             recurse(
                 rep,
                 &mut sub,
@@ -398,9 +423,12 @@ fn recurse<R: Representation>(
                 out,
                 gov,
                 counters,
+                pool,
             )?;
         }
+        tid = rep.next_tid(state, tid + 1);
     }
+    pool.push(sub);
     // leaf for the current intersection: `k` now counts every transaction
     // containing it (include-first order makes the first arrival exact)
     if k >= minsupp {
@@ -451,6 +479,9 @@ mod tests {
         fn num_transactions(&self) -> u32 {
             self.txs.len() as u32
         }
+        fn items<'s>(&'s self, s: &'s Vec<u32>) -> impl DoubleEndedIterator<Item = Item> + 's {
+            s.iter().copied()
+        }
         fn intersect(
             &self,
             state: &mut Vec<u32>,
@@ -459,13 +490,12 @@ mod tests {
             _minsupp: u32,
             _config: CarpenterConfig,
             _counters: &mut Counters,
-        ) -> (usize, Vec<u32>) {
+            sub: &mut Vec<u32>,
+        ) -> usize {
             let t = &self.txs[tid as usize];
-            let matched: Vec<u32> = state.iter().copied().filter(|i| t.contains(i)).collect();
-            (matched.len(), matched)
-        }
-        fn items_of(&self, s: &Vec<u32>) -> ItemSet {
-            ItemSet::from_sorted(s.clone())
+            sub.clear();
+            sub.extend(state.iter().copied().filter(|i| t.contains(i)));
+            sub.len()
         }
     }
 

@@ -15,7 +15,7 @@ use crate::search::{
     search_governed_with_stats, search_with_stats, CarpenterConfig, Representation,
 };
 use fim_core::{
-    Budget, ClosedMiner, ConstraintSet, Item, ItemSet, MineOutcome, MiningResult, RecodedDatabase,
+    Budget, ClosedMiner, ConstraintSet, Item, MineOutcome, MiningResult, RecodedDatabase,
     SuffixCountMatrix, Tid,
 };
 use fim_obs::{Counter, Counters};
@@ -65,13 +65,14 @@ impl Representation for TableRep {
         minsupp: u32,
         config: CarpenterConfig,
         counters: &mut Counters,
-    ) -> (usize, Self::State) {
+        sub: &mut Self::State,
+    ) -> usize {
         // In the matrix representation the suffix count *is* the exact
         // remaining-occurrence bound, so early stopping and item
         // elimination coincide — either switch activates the same drop.
         let drop_hopeless = config.item_elimination || config.early_stop;
         let mut raw = 0usize;
-        let mut sub = Vec::with_capacity(state.len());
+        sub.clear();
         for &item in state.iter() {
             let entry = self.matrix.entry(tid, item);
             if entry != 0 {
@@ -84,11 +85,11 @@ impl Representation for TableRep {
                 }
             }
         }
-        (raw, sub)
+        raw
     }
 
-    fn items_of(&self, state: &Self::State) -> ItemSet {
-        ItemSet::from_sorted(state.clone())
+    fn items<'s>(&'s self, state: &'s Self::State) -> impl DoubleEndedIterator<Item = Item> + 's {
+        state.iter().copied()
     }
 }
 
@@ -191,7 +192,7 @@ impl ClosedMiner for CarpenterTableMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fim_core::reference::mine_reference;
+    use fim_core::{reference::mine_reference, ItemSet};
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -243,7 +244,9 @@ mod tests {
         // t2 (tid 1) = {a,d,e} = {0,3,4}; matrix row: a=3, d=6, e=3
         let mut state = rep.initial_state();
         let mut c = Counters::new();
-        let (raw, sub) = rep.intersect(&mut state, 1, 1, 1, CarpenterConfig::unpruned(), &mut c);
+        let mut sub = Vec::new();
+        let unpruned = CarpenterConfig::unpruned();
+        let raw = rep.intersect(&mut state, 1, 1, 1, unpruned, &mut c, &mut sub);
         assert_eq!(raw, 3);
         assert_eq!(rep.items_of(&sub), ItemSet::from([0, 3, 4]));
         assert_eq!(c.get(Counter::Eliminations), 0);
@@ -259,7 +262,7 @@ mod tests {
         ] {
             let mut state = rep.initial_state();
             let mut c = Counters::new();
-            let (raw, sub) = rep.intersect(&mut state, 1, 1, 5, config, &mut c);
+            let raw = rep.intersect(&mut state, 1, 1, 5, config, &mut c, &mut sub);
             assert_eq!(raw, 3);
             assert_eq!(rep.items_of(&sub), ItemSet::from([3]));
             assert_eq!(c.get(Counter::Eliminations), 2);

@@ -23,18 +23,18 @@ proptest! {
                 let was_new = repo.insert(&items);
                 prop_assert_eq!(was_new, model.insert(items.clone()), "insert {:?}", items);
             } else {
-                prop_assert_eq!(repo.contains(&items), model.contains(&items), "contains {:?}", items);
+                prop_assert_eq!(repo.contains(items.iter().copied()), model.contains(&items), "contains {:?}", items);
             }
             prop_assert_eq!(repo.len(), model.len());
         }
         // final sweep: membership agrees for every inserted set and for
         // perturbed variants
         for set in &model {
-            prop_assert!(repo.contains(set));
+            prop_assert!(repo.contains(set.iter().copied()));
             if set.len() > 1 {
-                prop_assert_eq!(repo.contains(&set[1..]), model.contains(&set[1..]));
+                prop_assert_eq!(repo.contains(set[1..].iter().copied()), model.contains(&set[1..]));
                 prop_assert_eq!(
-                    repo.contains(&set[..set.len() - 1]),
+                    repo.contains(set[..set.len() - 1].iter().copied()),
                     model.contains(&set[..set.len() - 1])
                 );
             }
@@ -51,8 +51,8 @@ proptest! {
         repo.insert(&items);
         // no proper prefix/suffix is a member
         for k in 1..items.len() {
-            prop_assert!(!repo.contains(&items[..k]));
-            prop_assert!(!repo.contains(&items[k..]));
+            prop_assert!(!repo.contains(items[..k].iter().copied()));
+            prop_assert!(!repo.contains(items[k..].iter().copied()));
         }
     }
 }

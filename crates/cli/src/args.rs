@@ -7,15 +7,20 @@ use std::str::FromStr;
 #[derive(Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
+    /// Flags that need a value and were given none, in argument order.
+    valueless: Vec<String>,
 }
 
 impl Args {
-    /// Parses `--key value` pairs; bare `--flag` (followed by another flag
-    /// or end of input) gets the value `"true"`. A flag named in `bare`
-    /// takes no value: a non-flag token after it is an error naming the
-    /// flag, never a value it silently swallows.
+    /// Parses `--key value` pairs. A flag named in `bare` takes no value
+    /// and gets the value `"true"`: a non-flag token after it is an error
+    /// naming the flag, never a value it silently swallows. Every other
+    /// flag needs a value: one that comes last or is followed by another
+    /// `--flag` gets none, never the value `"true"`, and
+    /// [`valueless`](Self::valueless) names it.
     pub fn parse(argv: &[String], bare: &[&str]) -> Result<Args, String> {
         let mut values = HashMap::new();
+        let mut valueless = Vec::new();
         let mut i = 0;
         while i < argv.len() {
             let arg = &argv[i];
@@ -25,20 +30,30 @@ impl Args {
             if key.is_empty() {
                 return Err("empty flag '--'".into());
             }
-            let value = match argv.get(i + 1) {
-                Some(v) if bare.contains(&key) && !v.starts_with("--") => {
+            let value = match argv.get(i + 1).filter(|v| !v.starts_with("--")) {
+                Some(v) if bare.contains(&key) => {
                     return Err(format!("--{key} takes no value (got '{v}')"));
                 }
-                Some(v) if !v.starts_with("--") => {
+                None if bare.contains(&key) => "true".to_owned(),
+                Some(v) => {
                     i += 1;
                     v.clone()
                 }
-                _ => "true".to_owned(),
+                None => {
+                    valueless.push(key.to_owned());
+                    i += 1;
+                    continue;
+                }
             };
             values.insert(key.to_owned(), value);
             i += 1;
         }
-        Ok(Args { values })
+        Ok(Args { values, valueless })
+    }
+
+    /// The first flag that needs a value and was given none.
+    pub fn valueless(&self) -> Option<&str> {
+        self.valueless.first().map(String::as_str)
     }
 
     /// Raw value lookup.
@@ -79,10 +94,14 @@ impl Args {
 
     /// The first given flag, in key order, that `known` rejects.
     pub fn unknown_flag(&self, known: impl Fn(&str) -> bool) -> Option<&str> {
-        self.sorted_pairs()
-            .into_iter()
-            .map(|(key, _)| key)
-            .find(|key| !known(key))
+        let mut keys: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.valueless)
+            .map(String::as_str)
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().find(|key| !known(key))
     }
 
     /// All parsed pairs sorted by key, for deterministic config
@@ -117,7 +136,7 @@ mod tests {
 
     #[test]
     fn bare_flags() -> Result<(), String> {
-        let a = Args::parse(&sv(&["--verbose", "--supp", "3"]), &[])?;
+        let a = Args::parse(&sv(&["--verbose", "--supp", "3"]), &["verbose"])?;
         assert!(a.flag("verbose"));
         assert_eq!(a.require_parsed::<u32>("supp")?, 3);
         Ok(())
@@ -125,8 +144,21 @@ mod tests {
 
     #[test]
     fn trailing_flag() -> Result<(), String> {
-        let a = Args::parse(&sv(&["--supp", "3", "--no-prune"]), &[])?;
+        let a = Args::parse(&sv(&["--supp", "3", "--no-prune"]), &["no-prune"])?;
         assert!(a.flag("no-prune"));
+        Ok(())
+    }
+
+    #[test]
+    fn valued_flags_without_a_value_get_none() -> Result<(), String> {
+        for argv in [&["--supp", "3", "--out"][..], &["--out", "--supp", "3"]] {
+            let a = Args::parse(&sv(argv), &["no-prune"])?;
+            assert_eq!(a.valueless(), Some("out"), "{argv:?}");
+            assert_eq!(a.get("out"), None, "{argv:?}");
+            assert_eq!(a.get("supp"), Some("3"), "{argv:?}");
+            assert_eq!(a.unknown_flag(|k| k == "supp"), Some("out"));
+        }
+        assert_eq!(Args::parse(&sv(&["--supp", "3"]), &[])?.valueless(), None);
         Ok(())
     }
 

@@ -98,6 +98,9 @@ fn run(argv: &[String]) -> Result<(), CliError> {
             "unknown flag '--{flag}' for 'fim {command}'"
         )));
     }
+    if let Some(flag) = args.valueless() {
+        return Err(usage(format!("--{flag} needs a value")));
+    }
     // the deterministic fault layer (crash-consistency testing): armed
     // from the flag and/or the env var, a single relaxed atomic load when
     // disarmed

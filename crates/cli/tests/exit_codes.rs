@@ -196,6 +196,50 @@ fn bare_flags_given_a_value_exit_2_naming_the_flag() {
     );
 }
 
+/// A flag that takes a value and has none, because it comes last or
+/// another flag follows it, is a usage error naming the flag. It never
+/// takes the value `true`: `--out` would write the result to a file of that
+/// name and `--in` would read one.
+#[test]
+fn valued_flags_without_a_value_exit_2_naming_the_flag() {
+    let valid = data("valid.fimi");
+    let dir = std::env::temp_dir().join(format!("fim_cli_{}_no_value", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let query = [
+        ("--supp", "1"),
+        ("--in", valid.as_str()),
+        ("--out", "r.out"),
+    ];
+    for flag in ["--out", "--in", "--supp"] {
+        let others: Vec<&str> = query
+            .iter()
+            .filter(|&&(f, _)| f != flag)
+            .flat_map(|&(f, v)| [f, v])
+            .collect();
+        let last = [&["mine"][..], &others, &[flag]].concat();
+        let before_a_flag = [&["mine", flag][..], &others].concat();
+        for argv in [last, before_a_flag] {
+            let out = Command::new(env!("CARGO_BIN_EXE_fim"))
+                .args(&argv)
+                .current_dir(&dir)
+                .output()
+                .expect("spawn fim");
+            assert_eq!(code(&out), 2, "{argv:?}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(&format!("{flag} needs a value")),
+                "{argv:?}: {}",
+                stderr(&out)
+            );
+            assert!(
+                !dir.join("true").exists(),
+                "{argv:?} wrote a file named true"
+            );
+            assert!(!dir.join("r.out").exists(), "{argv:?} wrote a result");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn malformed_input_exits_3_with_line_number() {
     for file in [
