@@ -14,13 +14,13 @@
 //! linear-merge lists (`declat`), galloping lists (`declat-gallop`), or
 //! packed bitsets with word-ANDNOT (`declat-bitset`), all output-identical.
 
-use crate::filter::{apply_constraints_owned, candidate_prunable, filter_closed, subtree_prunable};
+use crate::filter::{candidate_prunable, filter_closed, subtree_prunable};
 use crate::kernel::{with_kernel, TidSetKernel};
 use fim_core::{
-    ClosedMiner, ConstraintSet, FoundSet, Item, ItemSet, MiningResult, RecodedDatabase,
-    Representation, TidLists, TransactionOrder,
+    ClosedMiner, ConstraintSet, FoundSet, Item, ItemSet, MineOutcome, MineRequest, MiningResult,
+    RecodedDatabase, Representation, TidLists, TransactionOrder,
 };
-use fim_obs::{Counter, Counters};
+use fim_obs::{Counter, Counters, Obs};
 
 pub use crate::kernel::diff_into;
 
@@ -35,39 +35,6 @@ impl DEclatMiner {
     /// A miner with an explicit diffset representation.
     pub fn with_rep(rep: Representation) -> Self {
         DEclatMiner { rep }
-    }
-
-    /// Like [`ClosedMiner::mine`] but also returns the search counters
-    /// (lattice nodes, diffset merges, and the kernel accounting of the
-    /// selected representation).
-    pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, Counters) {
-        let minsupp = minsupp.max(1);
-        with_kernel!(self.rep, db.transactions().len() as u32, |k| drive(
-            &k, db, minsupp, None
-        ))
-    }
-
-    /// Constrained mining with counters — the same push as Eclat's (see
-    /// `EclatMiner::mine_constrained_with_stats`): min-area raises the
-    /// effective support floor, per-node envelope bounds cut subtrees, and
-    /// the anti-monotone max-size waits for [`filter_closed`].
-    pub fn mine_constrained_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        let minsupp_eff = constraints.support_floor(db.num_items(), minsupp.max(1));
-        if minsupp_eff == u32::MAX {
-            return (MiningResult::new(), Counters::new());
-        }
-        let (closed, mut counters) = with_kernel!(self.rep, db.transactions().len() as u32, |k| {
-            drive(&k, db, minsupp_eff, Some(constraints.clone()))
-        });
-        let before = closed.len();
-        let result = apply_constraints_owned(closed, constraints);
-        counters.add(Counter::ConstraintPrunes, (before - result.len()) as u64);
-        (result, counters)
     }
 }
 
@@ -89,7 +56,9 @@ impl ClosedMiner for DEclatMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        self.mine_with_stats(db, minsupp).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
     /// The file order: the search reads the rows once, to build its tid
@@ -102,13 +71,28 @@ impl ClosedMiner for DEclatMiner {
         true
     }
 
-    fn mine_constrained(
+    /// The diffset walk, run to completion after one up-front budget
+    /// check ([`MineRequest::run_to_completion`]). Its counters are the
+    /// lattice nodes, diffset merges, and the kernel accounting of the
+    /// selected representation. Constraints are pushed as in Eclat's
+    /// `mine_with`: min-area raises the effective support floor, per-node
+    /// envelope bounds cut subtrees, and the anti-monotone max-size waits
+    /// for [`filter_closed`].
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        self.mine_constrained_with_stats(db, minsupp, constraints).0
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        req.run_to_completion(db, || {
+            let Some(minsupp) = req.support_floor(db.num_items()) else {
+                return (MiningResult::new(), Counters::new());
+            };
+            let cs = req.constraints.cloned();
+            with_kernel!(self.rep, db.transactions().len() as u32, |k| drive(
+                &k, db, minsupp, cs
+            ))
+        })
     }
 }
 
@@ -303,8 +287,10 @@ mod tests {
     #[test]
     fn bitset_diffsets_count_words() {
         let db = paper_db();
-        let (_, scalar) = DEclatMiner::default().mine_with_stats(&db, 1);
-        let (_, bitset) = DEclatMiner::with_rep(Representation::Bitset).mine_with_stats(&db, 1);
+        let req = MineRequest::new(1);
+        let (_, scalar) = DEclatMiner::default().mine_with(&db, &req, &mut Obs::new());
+        let bitset = DEclatMiner::with_rep(Representation::Bitset);
+        let (_, bitset) = bitset.mine_with(&db, &req, &mut Obs::new());
         assert_eq!(scalar.get(Counter::WordsAnded), 0);
         assert!(bitset.get(Counter::WordsAnded) > 0);
         assert_eq!(

@@ -15,14 +15,14 @@
 //! (`eclat-bitset`) — selected by the [`Representation`] field, all
 //! output-identical.
 
-use crate::filter::{apply_constraints_owned, candidate_prunable, filter_closed, subtree_prunable};
+use crate::filter::{candidate_prunable, filter_closed, subtree_prunable};
 use crate::kernel::{with_kernel, TidSetKernel};
 use fim_core::{
-    checkpoint, BitCover, Budget, ClosedMiner, ConstraintSet, FoundSet, Governor, Item, ItemSet,
-    MineOutcome, MiningResult, Progress, RecodedDatabase, Representation, TidLists,
+    checkpoint, BitCover, ClosedMiner, ConstraintSet, FoundSet, Governor, Item, ItemSet,
+    MineOutcome, MineRequest, MiningResult, Progress, RecodedDatabase, Representation, TidLists,
     TransactionOrder, TripReason,
 };
-use fim_obs::{Counter, Counters};
+use fim_obs::{Counter, Counters, Obs};
 
 /// The Eclat-based closed-set miner (frequent enumeration + closed filter).
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,7 +59,9 @@ impl ClosedMiner for EclatMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        self.mine_with_stats(db, minsupp).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
     /// The file order: the search reads the rows once, to build its tid
@@ -72,99 +74,64 @@ impl ClosedMiner for EclatMiner {
         true
     }
 
-    fn mine_constrained(
+    /// The lattice walk under the request. Its counters are the lattice
+    /// nodes visited, tid-list intersections, perfect extensions, and the
+    /// kernel accounting of the selected representation.
+    ///
+    /// The monotone / convertible constraints (include, min-size,
+    /// min-area) prune the walk: the min-area support floor raises the
+    /// effective minimum support for the whole recursion, and per-node
+    /// envelope bounds cut subtrees (see `subtree_prunable` for the
+    /// closedness-safety argument). Max-size, the anti-monotone one, must
+    /// wait for the closedness filter — dropping a same-support superset
+    /// early would let non-closed subsets survive — so it lands in the
+    /// final filter.
+    ///
+    /// A completed walk's candidates are complete, so [`filter_closed`]
+    /// compares them against each other. On a trip the candidate list
+    /// covers only part of the lattice, and a set's same-support superset
+    /// may not have been enumerated yet, so the interrupted partial is
+    /// verified against the database directly — every surviving set is a
+    /// closed frequent set of the full database with its exact support.
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        self.mine_constrained_with_stats(db, minsupp, constraints).0
-    }
-
-    /// Governed Eclat. On a trip, the candidate list covers only part of
-    /// the lattice, so closedness cannot be decided by comparing candidates
-    /// against each other (a set's same-support superset may not have been
-    /// enumerated yet). The interrupted partial is instead verified against
-    /// the database directly — every surviving set is a closed frequent set
-    /// of the full database with its exact support.
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        let minsupp = minsupp.max(1);
-        let mut gov = Some(budget.start());
-        if let Some(reason) = checkpoint!(gov, 0, 0, 0) {
-            return MineOutcome::Interrupted {
-                partial: MiningResult::new(),
-                reason,
-                progress: Progress {
-                    processed: 0,
-                    total: None,
-                },
-            };
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        let Some(minsupp) = req.support_floor(db.num_items()) else {
+            return (MineOutcome::complete(MiningResult::new()), Counters::new());
+        };
+        if let Some(tripped) = req.tripped_up_front(None) {
+            return (tripped, Counters::new());
         }
         let n = db.transactions().len() as u32;
-        let (candidates, gov, tripped, _) =
-            with_kernel!(self.rep, n, |k| drive(&k, db, minsupp, gov, None));
-        match tripped {
+        let cs = req.constraints.cloned();
+        let (candidates, gov, tripped, mut counters) =
+            with_kernel!(self.rep, n, |k| drive(&k, db, minsupp, req.governor(), cs));
+        let outcome = match tripped {
             None => MineOutcome::complete(filter_closed(candidates)),
-            Some(reason) => {
-                let processed = gov.as_ref().map_or(0, Governor::processed);
-                MineOutcome::Interrupted {
-                    partial: verified_closed(db, candidates),
-                    reason,
-                    progress: Progress {
-                        processed,
-                        total: None,
-                    },
-                }
-            }
-        }
+            Some(reason) => MineOutcome::Interrupted {
+                partial: verified_closed(db, candidates),
+                reason,
+                progress: Progress {
+                    processed: gov.as_ref().map_or(0, Governor::processed),
+                    total: None,
+                },
+            },
+        };
+        (req.filter(outcome, &mut counters), counters)
     }
 }
 
 impl EclatMiner {
-    /// Like [`ClosedMiner::mine`] but also returns the search counters
-    /// (lattice nodes visited, tid-list intersections, perfect extensions,
-    /// and the kernel accounting of the selected representation).
+    /// [`mine_with`](ClosedMiner::mine_with) at `minsupp`, unlimited and
+    /// unconstrained, as a result and its counters. Kept for the benchmark
+    /// probe (`perfbench/probe`), which calls it and changes only with the
+    /// benchmark.
     pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, Counters) {
-        let minsupp = minsupp.max(1);
-        let n = db.transactions().len() as u32;
-        let (candidates, _, tripped, counters) =
-            with_kernel!(self.rep, n, |k| drive(&k, db, minsupp, None, None));
-        debug_assert!(tripped.is_none());
-        (filter_closed(candidates), counters)
-    }
-
-    /// Constrained mining with counters. The monotone / convertible
-    /// constraints (include, min-size, min-area) prune the lattice walk:
-    /// the min-area support floor raises the effective minimum support for
-    /// the whole recursion, and per-node envelope bounds cut subtrees (see
-    /// `subtree_prunable` for the closedness-safety argument). Max-size,
-    /// the anti-monotone one, must wait for [`filter_closed`] — dropping a
-    /// same-support superset early would let non-closed subsets survive —
-    /// so it lands in the final [`apply_constraints_owned`] gate.
-    pub fn mine_constrained_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        let minsupp_eff = constraints.support_floor(db.num_items(), minsupp.max(1));
-        if minsupp_eff == u32::MAX {
-            return (MiningResult::new(), Counters::new());
-        }
-        let n = db.transactions().len() as u32;
-        let (candidates, _, tripped, mut counters) = with_kernel!(self.rep, n, |k| drive(
-            &k,
-            db,
-            minsupp_eff,
-            None,
-            Some(constraints.clone())
-        ));
-        debug_assert!(tripped.is_none());
-        let closed = filter_closed(candidates);
-        let before = closed.len();
-        let result = apply_constraints_owned(closed, constraints);
-        counters.add(Counter::ConstraintPrunes, (before - result.len()) as u64);
-        (result, counters)
+        let (outcome, counters) = self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new());
+        (outcome.into_result(), counters)
     }
 }
 
@@ -305,6 +272,22 @@ fn recurse<K: TidSetKernel>(
 mod tests {
     use super::*;
     use fim_core::reference::mine_reference;
+    use fim_core::Budget;
+
+    fn governed(
+        miner: EclatMiner,
+        db: &RecodedDatabase,
+        minsupp: u32,
+        budget: &Budget,
+        constraints: Option<&ConstraintSet>,
+    ) -> MineOutcome {
+        let req = MineRequest {
+            minsupp,
+            budget,
+            constraints,
+        };
+        miner.mine_with(db, &req, &mut Obs::new()).0
+    }
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -406,7 +389,7 @@ mod tests {
             ] {
                 let miner = EclatMiner::with_rep(rep);
                 let want = miner.mine(&db, minsupp).canonicalized();
-                let outcome = miner.mine_governed(&db, minsupp, &fim_core::Budget::unlimited());
+                let outcome = governed(miner, &db, minsupp, &Budget::unlimited(), None);
                 assert!(!outcome.is_interrupted());
                 assert_eq!(outcome.into_result().canonicalized(), want, "rep={rep}");
             }
@@ -419,7 +402,7 @@ mod tests {
         let full = mine_reference(&db, 1);
         for cap in 0..6 {
             let budget = fim_core::Budget::unlimited().with_max_closed_sets(cap);
-            let outcome = EclatMiner::default().mine_governed(&db, 1, &budget);
+            let outcome = governed(EclatMiner::default(), &db, 1, &budget, None);
             match outcome {
                 fim_core::MineOutcome::Interrupted {
                     partial, reason, ..
@@ -444,12 +427,36 @@ mod tests {
         let db = paper_db();
         let token = fim_core::CancelToken::new();
         token.cancel();
-        let outcome = EclatMiner::default().mine_governed(
-            &db,
-            1,
-            &fim_core::Budget::unlimited().with_cancel(token),
-        );
+        let budget = Budget::unlimited().with_cancel(token);
+        let outcome = governed(EclatMiner::default(), &db, 1, &budget, None);
         assert!(outcome.is_interrupted());
         assert!(outcome.result().is_empty());
+    }
+
+    #[test]
+    fn governed_constrained_partial_is_a_subset_of_the_constrained_answer() {
+        let db = paper_db();
+        let cs = ConstraintSet {
+            min_size: 2,
+            max_size: Some(3),
+            ..ConstraintSet::none()
+        };
+        let full = fim_core::apply_constraints_owned(mine_reference(&db, 1), &cs);
+        let unlimited = governed(
+            EclatMiner::default(),
+            &db,
+            1,
+            &Budget::unlimited(),
+            Some(&cs),
+        );
+        assert_eq!(unlimited.into_result().canonicalized(), full);
+        for cap in 0..full.len() {
+            let budget = Budget::unlimited().with_max_closed_sets(cap);
+            let outcome = governed(EclatMiner::default(), &db, 1, &budget, Some(&cs));
+            assert!(outcome.is_interrupted(), "cap {cap}");
+            for fs in &outcome.result().sets {
+                assert_eq!(full.support_of(&fs.items), Some(fs.support), "cap {cap}");
+            }
+        }
     }
 }

@@ -36,9 +36,10 @@
 
 use fim_core::{
     itemset::{intersect_into, is_subset},
-    ClosedMiner, FoundSet, Item, ItemSet, MiningResult, RecodedDatabase, Tid, TidLists,
+    ClosedMiner, FoundSet, Item, ItemSet, MineOutcome, MineRequest, MiningResult, RecodedDatabase,
+    Tid, TidLists,
 };
-use fim_obs::{Counter, Counters};
+use fim_obs::{Counter, Counters, Obs};
 
 /// The LCM-style miner with the CbO speed-ups (canonicity-first testing
 /// and closure reuse).
@@ -56,17 +57,23 @@ impl ClosedMiner for LcmMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        self.mine_with_stats(db, minsupp).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
-}
 
-impl LcmMiner {
-    /// Like [`ClosedMiner::mine`] but also returns the counters; the
-    /// `closure_reuses` slot counts closures never computed (canonicity
-    /// rejections that exited early) plus prefix items reused from the
-    /// parent closure instead of re-derived.
-    pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, Counters) {
-        mine_impl(db, minsupp, true)
+    /// The traversal, run to completion after one up-front budget check
+    /// ([`MineRequest::run_to_completion`]). The `closure_reuses` counter
+    /// counts closures never computed (canonicity rejections that exited
+    /// early) plus prefix items reused from the parent closure instead of
+    /// re-derived.
+    fn mine_with(
+        &self,
+        db: &RecodedDatabase,
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        req.run_to_completion(db, || mine_impl(db, req.minsupp, true))
     }
 }
 
@@ -76,7 +83,20 @@ impl ClosedMiner for LcmClassicMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        mine_impl(db, minsupp, false).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
+    }
+
+    /// The closure-first traversal, run to completion after one up-front
+    /// budget check. It computes every closure, so it reuses none.
+    fn mine_with(
+        &self,
+        db: &RecodedDatabase,
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        req.run_to_completion(db, || mine_impl(db, req.minsupp, false))
     }
 }
 
@@ -277,7 +297,8 @@ mod tests {
     #[test]
     fn cbo_counters_fire() {
         let db = paper_db();
-        let (got, counters) = LcmMiner.mine_with_stats(&db, 1);
+        let (got, counters) = LcmMiner.mine_with(&db, &MineRequest::new(1), &mut Obs::new());
+        let got = got.into_result();
         assert!(!got.is_empty());
         assert!(counters.get(Counter::ClosureReuses) > 0);
     }

@@ -2,7 +2,10 @@
 
 use crate::report::{write_csv, Row};
 use closed_fim::algos::Miner;
-use fim_core::{Budget, ItemOrder, MineOutcome, RecodedDatabase, TransactionOrder, TripReason};
+use fim_core::{
+    Budget, ItemOrder, MineOutcome, MineRequest, RecodedDatabase, TransactionOrder, TripReason,
+};
+use fim_obs::Obs;
 use fim_synth::Preset;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
@@ -81,24 +84,19 @@ pub fn run_cell(
             let miner = Miner::by_name(&miner_name)?;
             let start = Instant::now();
             let recoded = RecodedDatabase::prepare(&db, supp, item_order, tx_order);
-            let run = match budget_timeout {
-                Some(t) => {
-                    let budget = Budget::unlimited().with_timeout(t);
-                    match miner.as_dyn().mine_governed(&recoded, supp, &budget) {
-                        MineOutcome::Complete { result, .. } => CellRun::Done(CellOutcome {
-                            seconds: start.elapsed().as_secs_f64(),
-                            sets: result.len(),
-                        }),
-                        MineOutcome::Interrupted { reason, .. } => CellRun::Tripped(reason),
-                    }
-                }
-                None => {
-                    let result = miner.as_dyn().mine(&recoded, supp);
-                    CellRun::Done(CellOutcome {
-                        seconds: start.elapsed().as_secs_f64(),
-                        sets: result.len(),
-                    })
-                }
+            let budget = budget_timeout
+                .map_or_else(Budget::unlimited, |t| Budget::unlimited().with_timeout(t));
+            let req = MineRequest {
+                minsupp: supp,
+                budget: &budget,
+                constraints: None,
+            };
+            let run = match miner.as_dyn().mine_with(&recoded, &req, &mut Obs::new()).0 {
+                MineOutcome::Complete { result, .. } => CellRun::Done(CellOutcome {
+                    seconds: start.elapsed().as_secs_f64(),
+                    sets: result.len(),
+                }),
+                MineOutcome::Interrupted { reason, .. } => CellRun::Tripped(reason),
             };
             Ok(run)
         })

@@ -17,8 +17,8 @@
 
 use closed_fim::algos::Miner;
 use fim_core::{
-    mine_closed_constrained, mine_closed_constrained_governed, Budget, ConstraintSet, FoundSet,
-    Item, ItemSet, MineOutcome, MiningResult, TransactionDatabase,
+    mine_closed_constrained, Budget, ConstraintSet, FoundSet, Item, ItemSet, MineOutcome,
+    MiningResult, TransactionDatabase,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -80,10 +80,12 @@ fn oracle(db: &TransactionDatabase, minsupp: u32, miner: &str, cs: &ConstraintSe
         minsupp,
         m.as_dyn(),
         cs,
+        &Budget::unlimited(),
         Default::default(),
         Default::default(),
         false,
     )
+    .into_result()
 }
 
 proptest! {
@@ -96,8 +98,8 @@ proptest! {
         for name in MINERS {
             let m = Miner::by_name(name).unwrap();
             let pushed = mine_closed_constrained(
-                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
-            );
+                &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(), Default::default(), Default::default(), true,
+            ).into_result();
             let want = oracle(&db, minsupp, name, &cs);
             prop_assert_eq!(&pushed, &want, "miner {} under [{}]", name, &cs);
         }
@@ -110,8 +112,8 @@ proptest! {
     fn reported_sets_satisfy(db in small_db(), minsupp in 1u32..5, cs in constraint_set()) {
         let m = Miner::by_name("ista").unwrap();
         let res = mine_closed_constrained(
-            &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
-        );
+            &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(), Default::default(), Default::default(), true,
+        ).into_result();
         for FoundSet { items, support } in &res.sets {
             prop_assert!(cs.satisfied_by(items, *support), "[{}] emitted {:?}", &cs, items);
             prop_assert!(*support >= minsupp.max(1));
@@ -128,8 +130,8 @@ proptest! {
         for name in MINERS {
             let m = Miner::by_name(name).unwrap();
             let res = mine_closed_constrained(
-                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
-            );
+                &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(), Default::default(), Default::default(), true,
+            ).into_result();
             prop_assert!(res.sets.is_empty(), "miner {}", name);
         }
     }
@@ -142,8 +144,8 @@ proptest! {
         for name in MINERS {
             let m = Miner::by_name(name).unwrap();
             let pushed = mine_closed_constrained(
-                &db, minsupp, m.as_dyn(), &cs, Default::default(), Default::default(), true,
-            );
+                &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(), Default::default(), Default::default(), true,
+            ).into_result();
             prop_assert!(pushed.sets.is_empty(), "miner {}", name);
             prop_assert_eq!(pushed, oracle(&db, minsupp, name, &cs), "miner {}", name);
         }
@@ -160,7 +162,7 @@ proptest! {
         let full = oracle(&db, minsupp, "carpenter-lists", &cs);
         for name in ["ista", "carpenter-lists", "eclat"] {
             let m = Miner::by_name(name).unwrap();
-            let unlimited = mine_closed_constrained_governed(
+            let unlimited = mine_closed_constrained(
                 &db, minsupp, m.as_dyn(), &cs, &Budget::unlimited(),
                 Default::default(), Default::default(), true,
             );
@@ -171,7 +173,7 @@ proptest! {
                     prop_assert!(false, "miner {} interrupted on unlimited budget", name),
             }
             let tight = Budget { max_closed_sets: Some(cap), ..Budget::unlimited() };
-            let outcome = mine_closed_constrained_governed(
+            let outcome = mine_closed_constrained(
                 &db, minsupp, m.as_dyn(), &cs, &tight,
                 Default::default(), Default::default(), true,
             );

@@ -39,5 +39,5 @@ pub mod table;
 
 pub use lists::{BitsetListRep, CarpenterListMiner, ListRep};
 pub use repo::Repository;
-pub use search::{search_governed, search_governed_with_stats, search_with_stats, CarpenterConfig};
+pub use search::CarpenterConfig;
 pub use table::CarpenterTableMiner;

@@ -19,15 +19,12 @@
 //!   once, then visits only the tids that share an item with it;
 //! * a **dense** node probes every item's cursor at every tid.
 
-use crate::search::{
-    search, search_constrained_governed_with_stats, search_constrained_with_stats, search_governed,
-    search_governed_with_stats, search_with_stats, CarpenterConfig, Representation,
-};
+use crate::search::{search, CarpenterConfig, Representation};
 use fim_core::{
-    gallop_advance, Budget, ClosedMiner, ConstraintSet, Item, MineOutcome, MiningResult,
-    RecodedDatabase, Representation as KernelRep, Rows, Tid, TidLists, WordSet,
+    gallop_advance, ClosedMiner, Item, MineOutcome, MineRequest, MiningResult, RecodedDatabase,
+    Representation as KernelRep, Rows, Tid, TidLists, WordSet,
 };
-use fim_obs::{Counter, Counters};
+use fim_obs::{Counter, Counters, Obs};
 use std::cell::RefCell;
 
 /// The vertical (tid-list) representation.
@@ -504,49 +501,13 @@ impl CarpenterListMiner {
         }
     }
 
-    /// Like [`ClosedMiner::mine`] but also returns the search counters
-    /// (steps, absorptions, eliminations, early stops, repository probes,
-    /// and the kernel accounting of the selected representation).
+    /// [`mine_with`](ClosedMiner::mine_with) at `minsupp`, unlimited and
+    /// unconstrained, as a result and its counters. Kept for the benchmark
+    /// probe (`perfbench/probe`), which calls it and changes only with the
+    /// benchmark.
     pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, Counters) {
-        dispatch_rep!(self, db, |rep| search_with_stats(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config
-        ))
-    }
-
-    /// Like [`ClosedMiner::mine_governed`] but also returns the counters.
-    pub fn mine_governed_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        budget: &Budget,
-    ) -> (MineOutcome, Counters) {
-        dispatch_rep!(self, db, |rep| search_governed_with_stats(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config,
-            budget
-        ))
-    }
-
-    /// Like [`ClosedMiner::mine_constrained`] but also returns the
-    /// counters (`constraint_prunes` among them).
-    pub fn mine_constrained_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        dispatch_rep!(self, db, |rep| search_constrained_with_stats(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config,
-            constraints
-        ))
+        let (outcome, counters) = self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new());
+        (outcome.into_result(), counters)
     }
 }
 
@@ -560,53 +521,33 @@ impl ClosedMiner for CarpenterListMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        dispatch_rep!(self, db, |rep| search(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config
-        ))
-    }
-
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        dispatch_rep!(self, db, |rep| search_governed(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config,
-            budget
-        ))
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
     fn supports_constraints(&self) -> bool {
         true
     }
 
-    fn mine_constrained(
+    /// The [`search`] over the selected representation. Its counters are
+    /// the search's (steps, absorptions, eliminations, early stops,
+    /// repository probes) and the kernel accounting of the representation.
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        self.mine_constrained_with_stats(db, minsupp, constraints).0
-    }
-
-    fn mine_constrained_governed(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-        budget: &Budget,
-    ) -> MineOutcome {
-        dispatch_rep!(self, db, |rep| search_constrained_governed_with_stats(
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        let mut counters = Counters::new();
+        let outcome = dispatch_rep!(self, db, |rep| search(
             &rep,
             db.num_items(),
-            minsupp,
             self.config,
-            constraints,
-            budget
-        )
-        .0)
+            req,
+            &mut counters
+        ));
+        (outcome, counters)
     }
 }
 

@@ -11,8 +11,8 @@
 
 use crate::repo::Repository;
 use fim_core::{
-    checkpoint, constraint::area, Budget, ConstraintSet, FoundSet, Governor, Item, ItemSet,
-    MineOutcome, MiningResult, Progress, Tid, TripReason,
+    checkpoint, constraint::area, ConstraintSet, FoundSet, Governor, Item, ItemSet, MineOutcome,
+    MineRequest, MiningResult, Progress, Tid, TripReason,
 };
 use fim_obs::{Counter, Counters};
 
@@ -140,41 +140,22 @@ pub trait Representation {
     ) -> usize;
 }
 
-/// Runs the Carpenter search over `rep` and returns all closed frequent
-/// item sets with support ≥ `minsupp`.
-pub fn search<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-) -> MiningResult {
-    search_with_stats(rep, num_items, minsupp, config).0
-}
-
-/// Like [`search`], also returning the hot-loop counters of the run:
-/// search steps, absorptions, eliminations, early stops, and repository
-/// probes/hits (the accounting the paper's §4 evaluation asks about).
-pub fn search_with_stats<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-) -> (MiningResult, Counters) {
-    search_impl(rep, num_items, minsupp.max(1), config, None)
-}
-
-/// Constrained Carpenter search with the monotone / convertible
-/// constraints pushed into the recursion.
+/// Runs the Carpenter search over `rep` for `req` and returns the closed
+/// frequent item sets, accumulating the hot-loop counters of the run in
+/// `counters`: search steps, absorptions, eliminations, early stops, and
+/// repository probes/hits (the accounting the paper's §4 evaluation asks
+/// about).
 ///
-/// The transaction-set enumeration *shrinks* its intersection state with
-/// depth, which makes it the natural host for the monotone constraints: a
-/// node whose state has fewer items than `min_size`, or no longer contains
-/// every must-include item, cannot emit a satisfying set anywhere below —
-/// nor can it affect any satisfying set's support, because the first
-/// completion of a satisfying set happens along ancestors whose states all
-/// contain it (include-first order). Min-area cuts on the envelope bound
+/// **Constraints** are pushed into the recursion. The transaction-set
+/// enumeration *shrinks* its intersection state with depth, which makes it
+/// the natural host for the monotone constraints: a node whose state has
+/// fewer items than `min_size`, or no longer contains every must-include
+/// item, cannot emit a satisfying set anywhere below — nor can it affect
+/// any satisfying set's support, because the first completion of a
+/// satisfying set happens along ancestors whose states all contain it
+/// (include-first order). Min-area cuts on the envelope bound
 /// `(k + remaining) × state_len`, and additionally raises the effective
-/// support floor ([`ConstraintSet::support_floor`]). Max-size cannot cut
+/// support floor ([`MineRequest::support_floor`]). Max-size cannot cut
 /// recursion (deeper nodes shrink back under the bound) and is applied at
 /// emission only.
 ///
@@ -184,40 +165,49 @@ pub fn search_with_stats<R: Representation>(
 /// has the same items and a support no larger than the exact first one, so
 /// it fails the (support-independent or support-monotone) constraints
 /// whenever the first completion did.
-pub fn search_constrained_with_stats<R: Representation>(
+///
+/// Under a limited **budget** the enumeration checks the governor once per
+/// search-tree node and once per emitted set; on a trip the partial result
+/// is the subset of the answer emitted so far — every set in it is a
+/// closed frequent set of the full database with its exact support (the
+/// include-first order makes every emission final), and it satisfies the
+/// constraints. The [`Progress`] counts emitted sets; the search-space size
+/// is unknown up front, so `total` is `None`, and the counters describe the
+/// work done up to the trip.
+pub fn search<R: Representation>(
     rep: &R,
     num_items: u32,
-    minsupp: u32,
     config: CarpenterConfig,
-    constraints: &ConstraintSet,
-) -> (MiningResult, Counters) {
-    let eff = constraints.support_floor(num_items, minsupp.max(1));
-    if eff == u32::MAX {
-        return (MiningResult::new(), Counters::new());
+    req: &MineRequest<'_>,
+    counters: &mut Counters,
+) -> MineOutcome {
+    let Some(minsupp) = req.support_floor(num_items) else {
+        return MineOutcome::complete(MiningResult::new());
+    };
+    if let Some(tripped) = req.tripped_up_front(None) {
+        return tripped;
     }
-    search_impl(rep, num_items, eff, config, Some(constraints))
-}
-
-fn search_impl<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-    cs: Option<&ConstraintSet>,
-) -> (MiningResult, Counters) {
-    let mut counters = Counters::new();
+    let mut gov = req.governor();
     let (out, tripped) = run(
         rep,
         num_items,
         minsupp,
         config,
-        cs,
-        &mut None,
-        &mut counters,
+        req.constraints,
+        &mut gov,
+        counters,
     );
-    // with no governor installed the recursion cannot trip
-    debug_assert!(tripped.is_none());
-    (MiningResult { sets: out }, counters)
+    match tripped {
+        Some(reason) => MineOutcome::Interrupted {
+            partial: MiningResult { sets: out },
+            reason,
+            progress: Progress {
+                processed: gov.as_ref().map_or(0, Governor::processed),
+                total: None,
+            },
+        },
+        None => MineOutcome::complete(MiningResult { sets: out }),
+    }
 }
 
 /// Runs the recursion from the root; returns the emitted sets and the trip
@@ -253,95 +243,6 @@ fn run<R: Representation>(
     )
     .err();
     (out, tripped)
-}
-
-/// Like [`search`], under a resource [`Budget`]. The enumeration checks the
-/// governor once per search-tree node and once per emitted set; on a trip
-/// the partial result is the subset of the answer emitted so far — every
-/// set in it is a closed frequent set of the full database with its exact
-/// support (the include-first order makes every emission final).
-///
-/// The [`Progress`] counts emitted sets; the search-space size is unknown
-/// up front, so `total` is `None`.
-pub fn search_governed<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-    budget: &Budget,
-) -> MineOutcome {
-    search_governed_with_stats(rep, num_items, minsupp, config, budget).0
-}
-
-/// Like [`search_governed`], also returning the hot-loop counters (they
-/// describe the work done up to the trip point on an interrupted run).
-pub fn search_governed_with_stats<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-    budget: &Budget,
-) -> (MineOutcome, Counters) {
-    search_governed_impl(rep, num_items, minsupp.max(1), config, None, budget)
-}
-
-/// Governed constrained search: the pushes of
-/// [`search_constrained_with_stats`] under a resource [`Budget`]. An
-/// interrupted partial contains only satisfying closed sets with exact
-/// supports — every emission is final, exactly as in the unconstrained
-/// governed search.
-pub fn search_constrained_governed_with_stats<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-    constraints: &ConstraintSet,
-    budget: &Budget,
-) -> (MineOutcome, Counters) {
-    let eff = constraints.support_floor(num_items, minsupp.max(1));
-    if eff == u32::MAX {
-        return (MineOutcome::complete(MiningResult::new()), Counters::new());
-    }
-    search_governed_impl(rep, num_items, eff, config, Some(constraints), budget)
-}
-
-fn search_governed_impl<R: Representation>(
-    rep: &R,
-    num_items: u32,
-    minsupp: u32,
-    config: CarpenterConfig,
-    cs: Option<&ConstraintSet>,
-    budget: &Budget,
-) -> (MineOutcome, Counters) {
-    let mut counters = Counters::new();
-    let mut gov = Some(budget.start());
-    if let Some(reason) = checkpoint!(gov, 0, 0, 0) {
-        let outcome = MineOutcome::Interrupted {
-            partial: MiningResult::new(),
-            reason,
-            progress: Progress {
-                processed: 0,
-                total: None,
-            },
-        };
-        return (outcome, counters);
-    }
-    let (out, tripped) = run(rep, num_items, minsupp, config, cs, &mut gov, &mut counters);
-    let outcome = match tripped {
-        Some(reason) => {
-            let processed = gov.as_ref().map_or(0, Governor::processed);
-            MineOutcome::Interrupted {
-                partial: MiningResult { sets: out },
-                reason,
-                progress: Progress {
-                    processed,
-                    total: None,
-                },
-            }
-        }
-        None => MineOutcome::complete(MiningResult { sets: out }),
-    };
-    (outcome, counters)
 }
 
 /// One node of the search: the intersection `state`, contained in `k`
@@ -380,8 +281,8 @@ fn recurse<R: Representation>(
     // already too small, misses a must-include item, or cannot reach the
     // area bound even with every remaining transaction included, has no
     // satisfying emission anywhere in its subtree (and no first completion
-    // of a satisfying set runs through it — see
-    // `search_constrained_with_stats`). Max-size deliberately absent.
+    // of a satisfying set runs through it — see `search`). Max-size
+    // deliberately absent.
     if let Some(cs) = cs {
         if (state_len as u32) < cs.min_size
             || area(k + (n - start), state_len) < cs.min_area
@@ -460,6 +361,22 @@ fn recurse<R: Representation>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fim_core::Budget;
+
+    fn mine(rep: &NaiveRep, num_items: u32, minsupp: u32, config: CarpenterConfig) -> MiningResult {
+        let req = MineRequest::new(minsupp);
+        search(rep, num_items, config, &req, &mut Counters::new()).into_result()
+    }
+
+    fn governed(rep: &NaiveRep, minsupp: u32, budget: &Budget) -> MineOutcome {
+        let req = MineRequest {
+            minsupp,
+            budget,
+            constraints: None,
+        };
+        let config = CarpenterConfig::default();
+        search(rep, 5, config, &req, &mut Counters::new())
+    }
 
     /// A trivially correct representation over owned transactions, used to
     /// test the search logic independently of the list/table machinery.
@@ -522,7 +439,7 @@ mod tests {
         let db = RecodedDatabase::from_dense(rep.txs.clone(), 5);
         for minsupp in 1..=8 {
             let want = mine_reference(&db, minsupp);
-            let got = search(&rep, 5, minsupp, CarpenterConfig::default()).canonicalized();
+            let got = mine(&rep, 5, minsupp, CarpenterConfig::default()).canonicalized();
             assert_eq!(got, want, "minsupp={minsupp}");
         }
     }
@@ -542,7 +459,7 @@ mod tests {
                 };
                 for minsupp in 1..=5 {
                     let want = mine_reference(&db, minsupp);
-                    let got = search(&rep, 5, minsupp, config).canonicalized();
+                    let got = mine(&rep, 5, minsupp, config).canonicalized();
                     assert_eq!(got, want, "pe={pe} rp={rp} minsupp={minsupp}");
                 }
             }
@@ -555,26 +472,20 @@ mod tests {
             txs: vec![],
             num_items: 3,
         };
-        assert!(search(&rep, 3, 1, CarpenterConfig::default()).is_empty());
+        assert!(mine(&rep, 3, 1, CarpenterConfig::default()).is_empty());
         let rep = NaiveRep {
             txs: vec![vec![0]],
             num_items: 0,
         };
-        assert!(search(&rep, 0, 1, CarpenterConfig::default()).is_empty());
+        assert!(mine(&rep, 0, 1, CarpenterConfig::default()).is_empty());
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
         let rep = paper_rep();
         for minsupp in 1..=5 {
-            let want = search(&rep, 5, minsupp, CarpenterConfig::default()).canonicalized();
-            let outcome = search_governed(
-                &rep,
-                5,
-                minsupp,
-                CarpenterConfig::default(),
-                &Budget::unlimited(),
-            );
+            let want = mine(&rep, 5, minsupp, CarpenterConfig::default()).canonicalized();
+            let outcome = governed(&rep, minsupp, &Budget::unlimited());
             assert!(!outcome.is_interrupted());
             assert_eq!(outcome.into_result().canonicalized(), want);
         }
@@ -588,7 +499,7 @@ mod tests {
         let full = mine_reference(&db, 1);
         for cap in 0..full.len() {
             let budget = Budget::unlimited().with_max_closed_sets(cap);
-            let outcome = search_governed(&rep, 5, 1, CarpenterConfig::default(), &budget);
+            let outcome = governed(&rep, 1, &budget);
             match outcome {
                 MineOutcome::Interrupted {
                     partial,
@@ -618,7 +529,7 @@ mod tests {
         let token = fim_core::CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let outcome = search_governed(&rep, 5, 1, CarpenterConfig::default(), &budget);
+        let outcome = governed(&rep, 1, &budget);
         match outcome {
             MineOutcome::Interrupted {
                 partial, reason, ..
@@ -634,7 +545,7 @@ mod tests {
     fn zero_timeout_trips_the_search() {
         let rep = paper_rep();
         let budget = Budget::unlimited().with_timeout(std::time::Duration::from_secs(0));
-        let outcome = search_governed(&rep, 5, 1, CarpenterConfig::default(), &budget);
+        let outcome = governed(&rep, 1, &budget);
         assert!(outcome.is_interrupted());
     }
 
@@ -644,7 +555,7 @@ mod tests {
             txs: vec![vec![1, 3]],
             num_items: 4,
         };
-        let r = search(&rep, 4, 1, CarpenterConfig::default());
+        let r = mine(&rep, 4, 1, CarpenterConfig::default());
         assert_eq!(r.len(), 1);
         assert_eq!(r.sets[0].items, ItemSet::from([1, 3]));
         assert_eq!(r.sets[0].support, 1);

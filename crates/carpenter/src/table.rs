@@ -10,15 +10,12 @@
 //! the recursion, which is why the paper reports it consistently faster
 //! than the list variant.
 
-use crate::search::{
-    search, search_constrained_governed_with_stats, search_constrained_with_stats, search_governed,
-    search_governed_with_stats, search_with_stats, CarpenterConfig, Representation,
-};
+use crate::search::{search, CarpenterConfig, Representation};
 use fim_core::{
-    Budget, ClosedMiner, ConstraintSet, Item, MineOutcome, MiningResult, RecodedDatabase,
-    SuffixCountMatrix, Tid,
+    ClosedMiner, Item, MineOutcome, MineRequest, MiningResult, RecodedDatabase, SuffixCountMatrix,
+    Tid,
 };
-use fim_obs::{Counter, Counters};
+use fim_obs::{Counter, Counters, Obs};
 
 /// The matrix (Table 1) representation.
 pub struct TableRep {
@@ -105,36 +102,6 @@ impl CarpenterTableMiner {
     pub fn with_config(config: CarpenterConfig) -> Self {
         CarpenterTableMiner { config }
     }
-
-    /// Like [`ClosedMiner::mine`] but also returns the search counters
-    /// (steps, absorptions, eliminations, repository probes).
-    pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, Counters) {
-        let rep = TableRep::from_database(db);
-        search_with_stats(&rep, db.num_items(), minsupp, self.config)
-    }
-
-    /// Like [`ClosedMiner::mine_governed`] but also returns the counters.
-    pub fn mine_governed_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        budget: &Budget,
-    ) -> (MineOutcome, Counters) {
-        let rep = TableRep::from_database(db);
-        search_governed_with_stats(&rep, db.num_items(), minsupp, self.config, budget)
-    }
-
-    /// Like [`ClosedMiner::mine_constrained`] but also returns the
-    /// counters (`constraint_prunes` among them).
-    pub fn mine_constrained_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        let rep = TableRep::from_database(db);
-        search_constrained_with_stats(&rep, db.num_items(), minsupp, self.config, constraints)
-    }
 }
 
 impl ClosedMiner for CarpenterTableMiner {
@@ -147,45 +114,27 @@ impl ClosedMiner for CarpenterTableMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        let rep = TableRep::from_database(db);
-        search(&rep, db.num_items(), minsupp, self.config)
-    }
-
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        let rep = TableRep::from_database(db);
-        search_governed(&rep, db.num_items(), minsupp, self.config, budget)
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
     fn supports_constraints(&self) -> bool {
         true
     }
 
-    fn mine_constrained(
+    /// The [`search`] over the suffix-count matrix. Its counters are the
+    /// search's (steps, absorptions, eliminations, repository probes).
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        self.mine_constrained_with_stats(db, minsupp, constraints).0
-    }
-
-    fn mine_constrained_governed(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-        budget: &Budget,
-    ) -> MineOutcome {
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
         let rep = TableRep::from_database(db);
-        search_constrained_governed_with_stats(
-            &rep,
-            db.num_items(),
-            minsupp,
-            self.config,
-            constraints,
-            budget,
-        )
-        .0
+        let mut counters = Counters::new();
+        let outcome = search(&rep, db.num_items(), self.config, req, &mut counters);
+        (outcome, counters)
     }
 }
 

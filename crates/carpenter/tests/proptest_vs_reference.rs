@@ -10,8 +10,10 @@
 use fim_carpenter::{CarpenterConfig, CarpenterListMiner, CarpenterTableMiner};
 use fim_core::reference::mine_reference;
 use fim_core::{
-    Budget, ClosedMiner, MineOutcome, RecodedDatabase, Representation as KernelRep, TripReason,
+    Budget, ClosedMiner, MineOutcome, MineRequest, RecodedDatabase, Representation as KernelRep,
+    TripReason,
 };
+use fim_obs::Obs;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -99,8 +101,9 @@ proptest! {
         // database with their exact supports
         let full = mine_reference(&db, minsupp);
         let budget = Budget::unlimited().with_max_closed_sets(cap);
+        let req = MineRequest { minsupp, budget: &budget, constraints: None };
         for rep in REPS {
-            match CarpenterListMiner::with_rep(rep).mine_governed(&db, minsupp, &budget) {
+            match CarpenterListMiner::with_rep(rep).mine_with(&db, &req, &mut Obs::new()).0 {
                 MineOutcome::Interrupted { partial, reason, progress } => {
                     prop_assert_eq!(reason, TripReason::ClosedSetBudget);
                     prop_assert_eq!(progress.processed, partial.len() as u64);

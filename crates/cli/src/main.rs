@@ -16,9 +16,8 @@
 
 use closed_fim::algos::{self, Miner};
 use fim_core::{
-    apply_constraints_owned, Budget, ConstraintSet, ItemCatalog, ItemOrder, ItemSet, MineOutcome,
-    MiningResult, Progress, RecodedDatabase, Representation, TransactionDatabase, TransactionOrder,
-    TripReason,
+    Budget, ConstraintSet, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MineRequest, MiningResult,
+    Progress, RecodedDatabase, Representation, TransactionDatabase, TransactionOrder, TripReason,
 };
 use fim_ista::{IstaConfig, IstaMiner, ParallelConfig, ParallelIstaMiner, PrunePolicy};
 use std::io::Write;
@@ -32,8 +31,8 @@ mod observe;
 use args::Args;
 use errors::{usage, CliError};
 use fim_obs::{
-    ConstraintMetrics, Counter, Counters, KernelMetrics, MetricsReport, Obs, PassMetrics,
-    ProgressSnapshot, ShardMetrics, SpillMetrics,
+    ConstraintMetrics, Counter, KernelMetrics, MetricsReport, Obs, PassMetrics, ProgressSnapshot,
+    ShardMetrics, SpillMetrics,
 };
 use observe::ObsArgs;
 
@@ -172,7 +171,9 @@ fn budget_from(args: &Args) -> Result<Budget, CliError> {
         if !secs.is_finite() || secs < 0.0 {
             return Err(usage("--timeout must be a non-negative number of seconds"));
         }
-        budget = budget.with_timeout(Duration::from_secs_f64(secs));
+        let timeout =
+            Duration::try_from_secs_f64(secs).map_err(|e| usage(format!("bad --timeout: {e}")))?;
+        budget = budget.with_timeout(timeout);
     }
     if let Some(n) = args.get("max-nodes") {
         let nodes: usize = n
@@ -249,29 +250,6 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
             "--maximal cannot be combined with constraint flags (maximal sets are \
              derived from the unconstrained closed family)",
         ));
-    }
-    if obs_args.any() {
-        if !budget.is_unlimited() {
-            return Err(usage(
-                "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
-            ));
-        }
-        if constrained && parallel {
-            return Err(usage(
-                "constraint flags with --stats/--metrics run the sequential miners only",
-            ));
-        }
-        if let Miner::Uncounted(_) = miner {
-            let what = if constrained {
-                "--stats/--metrics with constraint flags are"
-            } else {
-                "--stats/--metrics/--progress/--profile are"
-            };
-            return Err(usage(format!(
-                "{what} not available for '{}'",
-                miner.family()
-            )));
-        }
     }
     // `--rep auto` needs the database shape, so the load happens before
     // the miner is configured (every flag-validation error above still
@@ -368,19 +346,18 @@ struct Query {
 }
 
 impl Query {
-    /// Mines the recoded database with one match over the families. A
-    /// governed run and the families without counters go through the
-    /// [`ClosedMiner`](fim_core::ClosedMiner) trait; the other families
-    /// put their counters and sections into `report`, and sequential IsTa
-    /// also feeds `obs` from inside its transaction loop. Returns the coded
-    /// outcome and whether the miner already sent the final heartbeat.
+    /// Mines the recoded database with one call. Sequential and sharded
+    /// IsTa answer through their stats calls, which also fill the tree,
+    /// pass and shard sections of `report`; every other family answers
+    /// through [`mine_with`](fim_core::ClosedMiner::mine_with). Returns
+    /// the coded outcome and whether the miner already sent the final
+    /// heartbeat, as sequential IsTa does.
     fn run(
         &self,
         db: &RecodedDatabase,
         obs: &mut Obs,
         report: &mut MetricsReport<'_>,
     ) -> (MineOutcome, bool) {
-        let supp = self.supp.max(1);
         let dense = match &self.constraints {
             None => None,
             Some(cs) => match cs.encode(db.recode()) {
@@ -390,84 +367,45 @@ impl Query {
                 None => return (MineOutcome::complete(MiningResult::new()), false),
             },
         };
-        let pushed = dense.as_ref().filter(|_| self.push);
-        let mut heartbeat_sent = false;
-        let outcome = if self.budget.is_unlimited() {
-            let (result, counters) = match &self.miner {
-                Miner::Ista(m) => {
-                    let (result, stats) = match pushed {
-                        Some(d) => m.mine_constrained_with_stats(db, supp, d),
-                        None => {
-                            heartbeat_sent = true;
-                            m.mine_with_obs(db, supp, obs)
-                        }
-                    };
-                    report.transactions_total = stats.total_transactions as u64;
-                    report.transactions_distinct = Some(stats.distinct_transactions as u64);
-                    report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-                    report.passes = Some(PassMetrics {
-                        prune_passes: stats.prune_passes as u64,
-                        compactions: stats.compactions as u64,
-                    });
-                    (result, stats.counters)
-                }
-                Miner::ParallelIsta(m) => {
-                    let (result, stats) = m.mine_with_stats(db, supp);
-                    // no cross-shard peak is tracked; the reduced tree's
-                    // arena high-water (total slots) is the closest honest
-                    // figure
-                    report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-                    report.shards = Some(ShardMetrics {
-                        shards: stats.shards as u64,
-                        recovered: stats.shards_recovered as u64,
-                    });
-                    (result, stats.counters)
-                }
-                Miner::CarpenterLists(m) => pushed.map_or_else(
-                    || m.mine_with_stats(db, supp),
-                    |d| m.mine_constrained_with_stats(db, supp, d),
-                ),
-                Miner::CarpenterTable(m) => pushed.map_or_else(
-                    || m.mine_with_stats(db, supp),
-                    |d| m.mine_constrained_with_stats(db, supp, d),
-                ),
-                Miner::Eclat(m) => pushed.map_or_else(
-                    || m.mine_with_stats(db, supp),
-                    |d| m.mine_constrained_with_stats(db, supp, d),
-                ),
-                Miner::DEclat(m) => pushed.map_or_else(
-                    || m.mine_with_stats(db, supp),
-                    |d| m.mine_constrained_with_stats(db, supp, d),
-                ),
-                Miner::Uncounted(m) => (
-                    pushed.map_or_else(|| m.mine(db, supp), |d| m.mine_constrained(db, supp, d)),
-                    Counters::new(),
-                ),
-            };
-            report.counters = counters;
-            MineOutcome::complete(result)
-        } else {
-            // the trait's governed runs report no counters, which is why
-            // budget flags exclude the observability flags
-            let m = self.miner.as_dyn();
-            match pushed {
-                Some(d) => m.mine_constrained_governed(db, supp, d, &self.budget),
-                None => m.mine_governed(db, supp, &self.budget),
+        let req = MineRequest {
+            minsupp: self.supp.max(1),
+            budget: &self.budget,
+            constraints: dense.as_ref().filter(|_| self.push),
+        };
+        let (outcome, counters) = match &self.miner {
+            Miner::Ista(m) => {
+                let (outcome, stats) = m.mine_stats(db, &req, obs);
+                report.transactions_total = stats.total_transactions as u64;
+                report.transactions_distinct = Some(stats.distinct_transactions as u64);
+                report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
+                report.passes = Some(PassMetrics {
+                    prune_passes: stats.prune_passes as u64,
+                    compactions: stats.compactions as u64,
+                });
+                (outcome, stats.counters)
             }
+            Miner::ParallelIsta(m) => {
+                let (outcome, stats) = m.mine_stats(db, &req);
+                // no cross-shard peak is tracked; the reduced tree's arena
+                // high-water (total slots) is the closest honest figure
+                report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
+                report.shards = Some(ShardMetrics {
+                    shards: stats.shards as u64,
+                    recovered: stats.shards_recovered as u64,
+                });
+                (outcome, stats.counters)
+            }
+            other => other.as_dyn().mine_with(db, &req, obs),
         };
-        let outcome = match (&dense, pushed) {
-            // constraints the miner did not push filter its output, through
-            // the counter slot a pushed run counts its prunes in
-            (Some(d), None) => outcome.map_result(|result| {
-                let before = result.len();
-                let result = apply_constraints_owned(result, d);
-                let dropped = (before - result.len()) as u64;
-                report.counters.add(Counter::ConstraintPrunes, dropped);
-                result
-            }),
-            _ => outcome,
+        report.counters = counters;
+        // constraints the miner did not push filter its output, through
+        // the counter slot a pushed run counts its prunes in
+        let unpushed = MineRequest {
+            constraints: dense.as_ref().filter(|_| !self.push),
+            ..req
         };
-        (outcome, heartbeat_sent)
+        let outcome = unpushed.filter(outcome, &mut report.counters);
+        (outcome, matches!(self.miner, Miner::Ista(_)))
     }
 }
 
@@ -1010,11 +948,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     let resume = args.flag("resume-spill");
     let budget = budget_from(args)?;
     let obs_args = ObsArgs::from_args(args)?;
-    if obs_args.any() && !budget.is_unlimited() {
-        return Err(usage(
-            "--stats/--metrics cannot be combined with budget flags",
-        ));
-    }
     let item_order = item_order(args)?;
     let limits = fim_io::FimiLimits::default();
     let counts = fim_io::count_fimi_path(input, &limits)?;
@@ -1300,11 +1233,11 @@ USAGE:
              --ledger appends one fingerprinted fim-ledger/1 line per
              run (input FNV-1a, config, counters, per-phase self
              times, peak RSS, exit status) for 'fim compare';
-             available for the ista variants, carpenter-lists,
-             carpenter-table, eclat, and declat; stdout stays clean
-             result output throughout)
+             available for every algorithm, with budget and constraint
+             flags too; stdout stays clean result output throughout)
             (budgets: --timeout caps wall-clock seconds, --max-nodes caps
-             live prefix-tree nodes, --max-sets caps emitted sets; on a
+             live prefix-tree nodes, --max-sets caps emitted sets; each
+             family checks only some of them (README, Budgets); on a
              trip the exact sets of the processed prefix are written and
              the exit code is 4. --degrade instead raises the effective
              support until the tree fits --max-nodes; sequential ista only)

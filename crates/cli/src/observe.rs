@@ -67,7 +67,9 @@ impl ObsArgs {
                             "--{key} must be a positive number of seconds"
                         )));
                     }
-                    Ok(Some(Duration::from_secs_f64(secs)))
+                    Duration::try_from_secs_f64(secs)
+                        .map(Some)
+                        .map_err(|e| usage(format!("bad --{key}: {e}")))
                 }
             }
         };

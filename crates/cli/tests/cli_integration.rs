@@ -113,8 +113,8 @@ fn miner_and_steps(metrics: &str) -> (String, String) {
 }
 
 /// Every `fim algos` name in every mode of the in-memory pipeline prints
-/// the bytes `carpenter-table` prints in that mode; `--metrics` is refused
-/// exactly for the families without run counters.
+/// the bytes `carpenter-table` prints in that mode; the last mode runs
+/// every name governed, constrained and observed at once.
 #[test]
 fn all_algorithms_agree_via_cli() {
     let dir = Scratch::new("agree");
@@ -126,18 +126,11 @@ fn all_algorithms_agree_via_cli() {
         .map(str::to_owned)
         .collect();
     assert_eq!(names.len(), 26);
-    let uncounted = [
-        "fpclose",
-        "lcm",
-        "lcm-noreuse",
-        "sam",
-        "apriori",
-        "naive-cumulative",
-    ];
     let metrics = dir.path("metrics.json");
+    let ledger = dir.path("ledger.jsonl");
     // an explicit transaction order and each miner's own give the same
     // bytes
-    let modes: [&[&str]; 7] = [
+    let modes: [&[&str]; 8] = [
         &[],
         &["--metrics", &metrics],
         &["--timeout", "1000000"],
@@ -145,6 +138,16 @@ fn all_algorithms_agree_via_cli() {
         &["--maximal"],
         &["--tx-order", "asc"],
         &["--tx-order", "orig"],
+        &[
+            "--metrics",
+            &metrics,
+            "--ledger",
+            &ledger,
+            "--timeout",
+            "1000000",
+            "--min-size",
+            "1",
+        ],
     ];
     for mode in modes {
         let want = mine(&data, &[&["--algo", "carpenter-table"], mode].concat());
@@ -152,10 +155,6 @@ fn all_algorithms_agree_via_cli() {
         assert!(!want.stdout.is_empty());
         for name in &names {
             let out = mine(&data, &[&["--algo", name.as_str()], mode].concat());
-            if mode.contains(&"--metrics") && uncounted.contains(&name.as_str()) {
-                assert_eq!(out.status.code(), Some(2), "{name} {mode:?}");
-                continue;
-            }
             assert!(out.status.success(), "{name} {mode:?}: {}", stderr(&out));
             assert!(
                 out.stdout == want.stdout,

@@ -273,6 +273,63 @@ fn tripped_timeout_exits_4_for_every_governed_algo() {
     }
 }
 
+/// A duration past `Duration`'s range is a usage error naming its flag; a
+/// timeout past the clock's range is no limit at all.
+#[test]
+fn durations_beyond_the_clock_are_usage_errors_or_no_limit() {
+    let valid = data("valid.fimi");
+    for flag in ["--timeout", "--progress", "--sample"] {
+        let out = fim(&["mine", "--supp", "1", "--in", &valid, flag, "1e20"]);
+        assert_eq!(code(&out), 2, "{flag}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+    }
+    let straight = fim(&["mine", "--supp", "1", "--in", &valid]);
+    let unbounded = fim(&["mine", "--supp", "1", "--in", &valid, "--timeout", "1e19"]);
+    assert_eq!(code(&unbounded), 0, "{}", stderr(&unbounded));
+    assert_eq!(unbounded.stdout, straight.stdout);
+}
+
+/// The out-of-core pipeline takes budgets and observability together: a
+/// tripped run writes its metrics with the spill section and a ledger line
+/// naming the trip, and leaves its spill directory empty.
+#[test]
+fn out_of_core_trip_reports_metrics_and_ledger() {
+    let dir = std::env::temp_dir().join(format!("fim_cli_{}_oocore_trip", std::process::id()));
+    let spill = dir.join("spill");
+    std::fs::create_dir_all(&spill).unwrap();
+    let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (input, metrics, ledger) = (at("w.fimi"), at("m.json"), at("l.jsonl"));
+    let out = fim(&[
+        "gen", "--preset", "webview", "--scale", "0.05", "--seed", "7", "--out", &input,
+    ]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let out = fim(&[
+        "mine",
+        "--in",
+        &input,
+        "--supp",
+        "4",
+        "--out-of-core",
+        "--mem-budget",
+        "512",
+        "--spill-dir",
+        &spill.to_string_lossy(),
+        "--timeout",
+        "0",
+        "--metrics",
+        &metrics,
+        "--ledger",
+        &ledger,
+    ]);
+    assert_eq!(code(&out), 4, "{}", stderr(&out));
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    assert!(doc.contains("\"spill\""), "{doc}");
+    let line = std::fs::read_to_string(&ledger).unwrap();
+    assert!(line.contains("\"exit\":\"timeout\""), "{line}");
+    assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0, "spills left");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn degradation_completes_with_exit_zero() {
     let out = fim(&[

@@ -327,13 +327,58 @@ fn compare_gates_regressions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every algorithm reports counters, under budgets and constraints alike:
+/// no observability flag is refused for the miner, the budget or the
+/// constraints it runs with.
 #[test]
-fn observability_rejected_for_unsupported_algo_and_budgets() {
-    let out = run_mine(&["--algo", "fpclose", "--stats"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("not available for 'fpclose'"));
+fn observability_combines_with_every_algo_budget_and_constraint() {
+    let exits = |code: i32, extra: &[&str]| {
+        let out = run_mine(extra);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{extra:?}: {err}");
+    };
+    exits(0, &["--algo", "fpclose", "--stats"]);
+    exits(0, &["--stats", "--timeout", "10"]);
 
-    let out = run_mine(&["--stats", "--timeout", "10"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("budget flags"));
+    let dir = std::env::temp_dir().join(format!("fim_obs_combine_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (metrics, ledger, profile) = (at("m.json"), at("l.jsonl"), at("p.folded"));
+
+    // a tripped budget still writes a valid metrics document and a ledger
+    // line that names the trip
+    exits(
+        4,
+        &["--timeout", "0", "--metrics", &metrics, "--ledger", &ledger],
+    );
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    fim_obs::validate_metrics_json(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+    let line = std::fs::read_to_string(&ledger).unwrap();
+    assert!(line.contains("\"exit\":\"timeout\""), "{line}");
+
+    // LCM's closure reuse reaches the metrics
+    exits(0, &["--algo", "lcm", "--metrics", &metrics]);
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    let key = "\"closure_reuses\":";
+    let from = doc.find(key).expect("closure_reuses reported") + key.len();
+    let reuses: u64 = doc[from..]
+        .split([',', '}', '\n'])
+        .next()
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(reuses > 0, "{doc}");
+
+    // a constrained IsTa run keeps its inner spans
+    exits(
+        0,
+        &["--algo", "ista", "--min-size", "2", "--profile", &profile],
+    );
+    let folded = std::fs::read_to_string(&profile).unwrap();
+    assert!(
+        folded.lines().any(|l| l.starts_with("mine;transactions ")),
+        "{folded}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -185,7 +185,8 @@ impl Budget {
     }
 
     /// Starts the clock: resolves the timeout to a deadline and returns the
-    /// per-run checking state.
+    /// per-run checking state. A deadline past the clock's range is no
+    /// deadline.
     pub fn start(&self) -> Governor {
         self.start_with_secondary(None)
     }
@@ -195,7 +196,7 @@ impl Budget {
     /// can stop its siblings without touching the caller's token.
     pub fn start_with_secondary(&self, secondary: Option<CancelToken>) -> Governor {
         Governor {
-            deadline: self.timeout.map(|t| Instant::now() + t),
+            deadline: self.timeout.and_then(|t| Instant::now().checked_add(t)),
             max_nodes: self.max_nodes.unwrap_or(usize::MAX),
             max_bytes: self.max_bytes.unwrap_or(usize::MAX),
             max_sets: self.max_closed_sets.unwrap_or(usize::MAX),
@@ -499,6 +500,14 @@ mod tests {
         let mut g = Budget::unlimited()
             .with_timeout(Duration::from_secs(3600))
             .start();
+        for _ in 0..500 {
+            assert_eq!(g.check(0, 0, 0), None);
+        }
+    }
+
+    #[test]
+    fn timeout_past_the_clock_never_trips_on_time() {
+        let mut g = Budget::unlimited().with_timeout(Duration::MAX).start();
         for _ in 0..500 {
             assert_eq!(g.check(0, 0, 0), None);
         }

@@ -71,8 +71,8 @@ pub use itemset::{gallop_advance, gallop_intersect_into, ItemSet};
 pub use matrix::{BitMatrix, BitsetRow, SuffixCountMatrix, WordSet};
 pub use maximal::maximal_from_closed;
 pub use miner::{
-    mine_closed, mine_closed_constrained, mine_closed_constrained_governed, mine_closed_relative,
-    mine_closed_with_orders, ClosedMiner, FoundSet, MiningResult,
+    mine_closed, mine_closed_constrained, mine_closed_relative, mine_closed_with_orders,
+    ClosedMiner, FoundSet, MineRequest, MiningResult,
 };
 pub use order::{ItemOrder, TransactionOrder};
 pub use prepare::{cmp_size_then_desc_lex, coalesce};

@@ -5,12 +5,13 @@
 use crate::{
     constraint::{apply_constraints_owned, ConstraintSet},
     database::TransactionDatabase,
-    govern::{Budget, MineOutcome, Progress},
+    govern::{Budget, Governor, MineOutcome, Progress},
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
     recode::{Recode, RecodedDatabase},
     Item,
 };
+use fim_obs::{Counter, Counters, Obs};
 use std::fmt;
 
 /// The most items [`MiningResult::into_canonical`] orders by rank masks:
@@ -173,6 +174,117 @@ impl FromIterator<FoundSet> for MiningResult {
     }
 }
 
+/// One mining request: the threshold, the limits the run must stay within,
+/// and the constraints the miner is asked to honour.
+#[derive(Clone, Copy, Debug)]
+pub struct MineRequest<'a> {
+    /// Minimum absolute support; 0 is read as 1.
+    pub minsupp: u32,
+    /// Resource limits. An unlimited budget installs no governor, so the
+    /// run's hot loops pay nothing for it.
+    pub budget: &'a Budget,
+    /// Constraints over the dense codes of the database, with an empty
+    /// exclude set: exclusion is a database projection applied by
+    /// [`RecodedDatabase::prepare_excluding`] before the miner runs, never
+    /// a per-set predicate (see [`crate::constraint`]). The result must be
+    /// **exactly** the subset of the unconstrained result that
+    /// [`ConstraintSet::satisfied_by`] accepts; a miner that
+    /// [`supports_constraints`](ClosedMiner::supports_constraints) pushes
+    /// them into its search, the others filter their output.
+    pub constraints: Option<&'a ConstraintSet>,
+}
+
+/// The budget of [`MineRequest::new`].
+static UNLIMITED: Budget = Budget {
+    timeout: None,
+    max_nodes: None,
+    max_bytes: None,
+    max_closed_sets: None,
+    max_transactions: None,
+    degrade: false,
+    cancel: None,
+};
+
+impl MineRequest<'static> {
+    /// A request for every closed set at `minsupp`, unlimited and
+    /// unconstrained.
+    pub fn new(minsupp: u32) -> Self {
+        MineRequest {
+            minsupp,
+            budget: &UNLIMITED,
+            constraints: None,
+        }
+    }
+}
+
+impl MineRequest<'_> {
+    /// The run's governor: `None` for an unlimited budget, whose
+    /// [`checkpoint!`](crate::checkpoint) is then a single pattern match.
+    pub fn governor(&self) -> Option<Governor> {
+        (!self.budget.is_unlimited()).then(|| self.budget.start())
+    }
+
+    /// The support threshold a run mines at: `minsupp` (at least 1),
+    /// raised to the floor a min-area constraint implies
+    /// ([`ConstraintSet::support_floor`]). `None` when nothing can satisfy
+    /// the constraints, so the answer is empty without a run.
+    pub fn support_floor(&self, num_items: u32) -> Option<u32> {
+        let minsupp = self.minsupp.max(1);
+        let floor = self
+            .constraints
+            .map_or(minsupp, |cs| cs.support_floor(num_items, minsupp));
+        (floor != u32::MAX).then_some(floor)
+    }
+
+    /// The interrupted outcome of a run whose budget trips before any
+    /// work (an expired deadline, a cancelled token); `total` is the
+    /// work the run would have done, when known.
+    pub fn tripped_up_front(&self, total: Option<u64>) -> Option<MineOutcome> {
+        let reason = self.governor()?.check(0, 0, 0)?;
+        Some(MineOutcome::Interrupted {
+            partial: MiningResult::new(),
+            reason,
+            progress: Progress {
+                processed: 0,
+                total,
+            },
+        })
+    }
+
+    /// Keeps the sets of `outcome`, complete or partial, that satisfy the
+    /// request's constraints, and counts the dropped ones in
+    /// [`Counter::ConstraintPrunes`]. A filtered partial stays an exact
+    /// subset of the complete constrained answer.
+    pub fn filter(&self, outcome: MineOutcome, counters: &mut Counters) -> MineOutcome {
+        let Some(cs) = self.constraints else {
+            return outcome;
+        };
+        outcome.map_result(|result| {
+            let before = result.len();
+            let result = apply_constraints_owned(result, cs);
+            counters.add(Counter::ConstraintPrunes, (before - result.len()) as u64);
+            result
+        })
+    }
+
+    /// The request answered by a miner without a governed loop: the budget
+    /// is checked once up front, `mine` runs to completion, and the
+    /// constraints filter its output. `mine` returns the result and the
+    /// run's counters.
+    pub fn run_to_completion(
+        &self,
+        db: &RecodedDatabase,
+        mine: impl FnOnce() -> (MiningResult, Counters),
+    ) -> (MineOutcome, Counters) {
+        if let Some(tripped) = self.tripped_up_front(Some(db.transactions().len() as u64)) {
+            return (tripped, Counters::new());
+        }
+        let (result, mut counters) = mine();
+        let outcome = self.filter(MineOutcome::complete(result), &mut counters);
+        (outcome, counters)
+    }
+}
+
 /// A closed frequent item set miner.
 ///
 /// Implementations must report **exactly** the closed item sets of `db` with
@@ -199,73 +311,37 @@ pub trait ClosedMiner {
         TransactionOrder::AscendingSize
     }
 
-    /// Mines under a resource [`Budget`], returning a structured
-    /// [`MineOutcome`].
-    ///
-    /// The default implementation checks the budget once up front and then
-    /// runs [`ClosedMiner::mine`] to completion, so miners without a
-    /// governed hot loop still honour an already-expired deadline or an
-    /// already-cancelled token. Miners with governed hot loops (IsTa,
-    /// Carpenter, Eclat) override this to interrupt mid-run and return the
-    /// exact closed sets of the processed prefix.
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        let mut gov = budget.start();
-        if let Some(reason) = gov.check(0, 0, 0) {
-            return MineOutcome::Interrupted {
-                partial: MiningResult::new(),
-                reason,
-                progress: Progress {
-                    processed: 0,
-                    total: Some(db.transactions().len() as u64),
-                },
-            };
-        }
-        MineOutcome::complete(self.mine(db, minsupp))
-    }
-
     /// Whether this miner pushes constraints into its search loops.
     ///
     /// Miners that return `false` still mine correctly under constraints:
-    /// the constrained drivers fall back to post-filtering their
-    /// unconstrained output through
-    /// [`apply_constraints`](crate::constraint::apply_constraints).
+    /// [`mine_with`](Self::mine_with) filters their output.
     fn supports_constraints(&self) -> bool {
         false
     }
 
-    /// Mines the closed frequent sets of `db` that satisfy `constraints`.
+    /// The one mining call: answers `req` — threshold, budget, constraints —
+    /// and returns the outcome with the run's counters. Spans and the
+    /// heartbeat of a family that reports them land in `obs`; observation
+    /// never changes the mined sets.
     ///
-    /// `constraints` is expressed over the dense codes of `db`, with an
-    /// empty exclude set — exclusion is a database projection applied by
-    /// [`RecodedDatabase::prepare_excluding`] before the miner runs, never
-    /// a per-set predicate (see [`crate::constraint`]). Implementations
-    /// must return **exactly** the subset of their unconstrained output
-    /// that [`ConstraintSet::satisfied_by`] accepts; pushing the
-    /// constraints deeper than the final emission gate is the performance
-    /// contract this method exists for.
-    fn mine_constrained(
+    /// On a tripped budget the outcome is
+    /// [`Interrupted`](MineOutcome::Interrupted) with an exact partial
+    /// result, and the counters describe the work done up to the trip.
+    ///
+    /// The default serves the families without a governed loop
+    /// ([`MineRequest::run_to_completion`]): it checks the budget once up
+    /// front, so an already-expired deadline or an already-cancelled token
+    /// is still honoured, then runs [`mine`](Self::mine) to completion and
+    /// filters the constraints, counting the dropped sets in
+    /// `constraint_prunes`. Its other counters are zero. A family with
+    /// counters or a governed loop overrides it, and its `mine` calls it.
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        apply_constraints_owned(self.mine(db, minsupp), constraints)
-    }
-
-    /// Governed variant of [`mine_constrained`](Self::mine_constrained).
-    ///
-    /// The default post-filters whichever outcome (complete or partial)
-    /// the governed mine produces; an interrupted partial filtered this
-    /// way remains an exact subset of the complete constrained result.
-    fn mine_constrained_governed(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-        budget: &Budget,
-    ) -> MineOutcome {
-        self.mine_governed(db, minsupp, budget)
-            .map_result(|r| apply_constraints_owned(r, constraints))
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        req.run_to_completion(db, || (self.mine(db, req.minsupp), Counters::new()))
     }
 }
 
@@ -307,13 +383,14 @@ pub fn mine_closed_relative(
     mine_closed(db, minsupp.max(1), miner)
 }
 
-/// End-to-end constrained mining: validates `constraints`, recodes `db`
-/// with the must-exclude items projected away
+/// End-to-end constrained mining under a budget: validates `constraints`,
+/// recodes `db` with the must-exclude items projected away
 /// ([`RecodedDatabase::prepare_excluding`]), translates the remaining
-/// constraints to dense codes, mines — pushed into the miner's search
-/// loops when `push` is set and the miner
-/// [`supports_constraints`](ClosedMiner::supports_constraints), post-filtered
-/// otherwise — and decodes + canonicalizes the result.
+/// constraints to dense codes, mines under `budget` — the constraints
+/// pushed into the miner's search loops when `push` is set and the miner
+/// [`supports_constraints`](ClosedMiner::supports_constraints),
+/// post-filtered otherwise — and decodes + canonicalizes the outcome
+/// (complete or exact partial).
 ///
 /// An include item that did not survive recoding (infrequent, unknown, or
 /// itself excluded) makes the constraints unsatisfiable: the result is
@@ -323,37 +400,8 @@ pub fn mine_closed_relative(
 ///
 /// Panics if `constraints` fail [`ConstraintSet::validate`] — callers
 /// (the CLI) surface contradictory constraints as usage errors first.
-pub fn mine_closed_constrained(
-    db: &TransactionDatabase,
-    minsupp: u32,
-    miner: &dyn ClosedMiner,
-    constraints: &ConstraintSet,
-    item_order: ItemOrder,
-    tx_order: TransactionOrder,
-    push: bool,
-) -> MiningResult {
-    constraints
-        .validate()
-        .expect("contradictory constraints reached the mining driver");
-    let recoded =
-        RecodedDatabase::prepare_excluding(db, minsupp, item_order, tx_order, &constraints.exclude);
-    let dense = match constraints.encode(recoded.recode()) {
-        Some(d) => d,
-        None => return MiningResult::new(),
-    };
-    let result = if push && miner.supports_constraints() {
-        miner.mine_constrained(&recoded, minsupp.max(1), &dense)
-    } else {
-        apply_constraints_owned(miner.mine(&recoded, minsupp.max(1)), &dense)
-    };
-    result.into_canonical(&recoded.recode().item_to_old)
-}
-
-/// Governed variant of [`mine_closed_constrained`]: same preparation and
-/// push/post-filter split, but the miner runs under `budget` and the
-/// outcome (complete or exact partial) is decoded + canonicalized.
 #[allow(clippy::too_many_arguments)]
-pub fn mine_closed_constrained_governed(
+pub fn mine_closed_constrained(
     db: &TransactionDatabase,
     minsupp: u32,
     miner: &dyn ClosedMiner,
@@ -372,12 +420,17 @@ pub fn mine_closed_constrained_governed(
         Some(d) => d,
         None => return MineOutcome::complete(MiningResult::new()),
     };
-    let outcome = if push && miner.supports_constraints() {
-        miner.mine_constrained_governed(&recoded, minsupp.max(1), &dense, budget)
+    let pushed = push && miner.supports_constraints();
+    let req = MineRequest {
+        minsupp: minsupp.max(1),
+        budget,
+        constraints: pushed.then_some(&dense),
+    };
+    let (outcome, _) = miner.mine_with(&recoded, &req, &mut Obs::new());
+    let outcome = if pushed {
+        outcome
     } else {
-        miner
-            .mine_governed(&recoded, minsupp.max(1), budget)
-            .map_result(|r| apply_constraints_owned(r, &dense))
+        outcome.map_result(|r| apply_constraints_owned(r, &dense))
     };
     outcome.map_result(|r| r.into_canonical(&recoded.recode().item_to_old))
 }
@@ -469,14 +522,19 @@ mod tests {
     }
 
     #[test]
-    fn default_mine_governed_honours_expired_budget() {
+    fn default_mine_with_honours_expired_budget() {
         let db = TransactionDatabase::from_named(&[vec!["x", "y"], vec!["x"]]);
         let recoded =
             RecodedDatabase::prepare(&db, 1, ItemOrder::default(), TransactionOrder::default());
         let cancel = crate::CancelToken::new();
         cancel.cancel();
         let budget = crate::Budget::unlimited().with_cancel(cancel);
-        let outcome = SingletonMiner.mine_governed(&recoded, 1, &budget);
+        let req = MineRequest {
+            budget: &budget,
+            ..MineRequest::new(1)
+        };
+        let (outcome, counters) = SingletonMiner.mine_with(&recoded, &req, &mut Obs::new());
+        assert!(counters.is_zero());
         match outcome {
             crate::MineOutcome::Interrupted {
                 partial,
@@ -490,8 +548,33 @@ mod tests {
             other => panic!("expected interruption, got {other:?}"),
         }
         // an unlimited budget falls through to a plain complete mine
-        let outcome = SingletonMiner.mine_governed(&recoded, 1, &crate::Budget::unlimited());
+        let (outcome, _) =
+            SingletonMiner.mine_with(&recoded, &MineRequest::new(1), &mut Obs::new());
         assert!(!outcome.is_interrupted());
+    }
+
+    #[test]
+    fn default_mine_with_filters_and_counts_constraints() {
+        let db = TransactionDatabase::from_named(&[vec!["x", "y"], vec!["x"], vec!["z"]]);
+        let recoded =
+            RecodedDatabase::prepare(&db, 1, ItemOrder::default(), TransactionOrder::default());
+        let all = SingletonMiner.mine(&recoded, 1);
+        let cs = ConstraintSet {
+            min_area: 2,
+            ..ConstraintSet::none()
+        };
+        let req = MineRequest {
+            constraints: Some(&cs),
+            ..MineRequest::new(1)
+        };
+        let (outcome, counters) = SingletonMiner.mine_with(&recoded, &req, &mut Obs::new());
+        let kept = outcome.into_result();
+        assert_eq!(kept, apply_constraints_owned(all.clone(), &cs));
+        assert_eq!(
+            counters.get(Counter::ConstraintPrunes),
+            (all.len() - kept.len()) as u64
+        );
+        assert!(kept.len() < all.len(), "the area bound drops a set");
     }
 
     #[test]

@@ -2,27 +2,10 @@
 
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::{
-    apply_constraints_owned, checkpoint, prepare, Budget, ClosedMiner, ConstraintSet, Degradation,
-    Governor, MineOutcome, MiningResult, Progress, RecodedDatabase, Representation, TripReason,
+    checkpoint, prepare, ClosedMiner, Degradation, Governor, MineOutcome, MineRequest,
+    MiningResult, Progress, RecodedDatabase, Representation, TripReason,
 };
-use fim_obs::{Counter, Counters, Obs, ProgressSnapshot};
-
-/// Opens a span when an observability bundle is attached; a `None` bundle
-/// costs one branch (same discipline as [`checkpoint!`]).
-#[inline]
-fn span_enter(obs: &mut Option<&mut Obs>, name: &'static str) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.span_enter(name);
-    }
-}
-
-/// Closes the current span when an observability bundle is attached.
-#[inline]
-fn span_exit(obs: &mut Option<&mut Obs>) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.span_exit();
-    }
-}
+use fim_obs::{Counters, Obs, ProgressSnapshot};
 
 /// When to run the item-elimination pruning pass (paper §3.2).
 ///
@@ -144,7 +127,7 @@ impl IstaConfig {
 }
 
 /// Counters and final memory occupancy of one [`IstaMiner`] run, reported
-/// by [`IstaMiner::mine_with_stats`] (surfaced by the CLI `--stats` flag
+/// by [`IstaMiner::mine_stats`] (surfaced by the CLI `--stats` flag
 /// and the bench harness).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MineStats {
@@ -181,75 +164,66 @@ impl IstaMiner {
         IstaMiner { config }
     }
 
-    /// Like [`ClosedMiner::mine`], but also reports run counters and the
-    /// final tree memory occupancy.
+    /// [`mine_stats`](Self::mine_stats) at `minsupp`, unlimited and
+    /// unconstrained. Kept for the benchmark probe (`perfbench/probe`),
+    /// which calls it and changes only with the benchmark.
     pub fn mine_with_stats(&self, db: &RecodedDatabase, minsupp: u32) -> (MiningResult, MineStats) {
-        let (outcome, stats) = self.run(db, minsupp, None, false, None);
+        let (outcome, stats) = self.mine_stats(db, &MineRequest::new(minsupp), &mut Obs::new());
         (outcome.into_result(), stats)
     }
 
-    /// Like [`mine_with_stats`](Self::mine_with_stats) with an
-    /// observability bundle attached: phase spans and heartbeat progress
-    /// land in `obs`, counters in the returned [`MineStats`]. Observation
-    /// never changes the mined output (proptested).
-    pub fn mine_with_obs(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        obs: &mut Obs,
-    ) -> (MiningResult, MineStats) {
-        let (outcome, stats) = self.run(db, minsupp, None, false, Some(obs));
-        (outcome.into_result(), stats)
-    }
-
-    /// Governed mining with run counters: like
-    /// [`ClosedMiner::mine_governed`] with the [`MineStats`] of
-    /// [`mine_with_stats`](Self::mine_with_stats) alongside. On a trip the
-    /// stats describe the tree at the trip point.
-    pub fn mine_governed_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        budget: &Budget,
-    ) -> (MineOutcome, MineStats) {
-        self.run(db, minsupp, Some(budget.start()), budget.degrade, None)
-    }
-
-    /// Like [`ClosedMiner::mine_constrained`], also returning the
-    /// [`MineStats`] of the run.
+    /// The one mining call: [`ClosedMiner::mine_with`] with the whole
+    /// [`MineStats`] of the run — counters, passes, peak and final tree
+    /// occupancy — instead of the counters alone. Phase spans and the
+    /// heartbeat land in `obs`, which always receives a final heartbeat.
+    /// On a trip the stats describe the tree at the trip point.
     ///
     /// IsTa's constraint push is the **support-floor raise**: a min-area
     /// constraint implies a support lower bound
-    /// ([`ConstraintSet::support_floor`]), and mining at that raised
-    /// threshold lets every item-elimination pruning pass cut tree paths
-    /// that could only complete into sub-floor (hence unsatisfying) sets.
-    /// Size and include predicates, by contrast, must **not** prune tree
-    /// nodes mid-run — a too-small or include-missing path still feeds the
-    /// cumulative intersections of later transactions — so they gate only
-    /// the final report (`constraint_prunes` counts the sets they drop).
-    pub fn mine_constrained_with_stats(
+    /// ([`ConstraintSet::support_floor`](fim_core::ConstraintSet::support_floor)),
+    /// and mining at that raised threshold lets every item-elimination
+    /// pruning pass cut tree paths that could only complete into sub-floor
+    /// (hence unsatisfying) sets. Size and include predicates, by contrast,
+    /// must **not** prune tree nodes mid-run — a too-small or
+    /// include-missing path still feeds the cumulative intersections of
+    /// later transactions — so they gate only the final report
+    /// (`constraint_prunes` counts the sets they drop). An interrupted
+    /// partial is the exact constrained answer of the processed prefix.
+    pub fn mine_stats(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> (MiningResult, MineStats) {
-        let eff = constraints.support_floor(db.num_items(), minsupp.max(1));
-        if eff == u32::MAX {
-            return (MiningResult::new(), MineStats::default());
-        }
-        let (result, mut stats) = self.mine_with_stats(db, eff);
-        let before = result.sets.len();
-        let result = apply_constraints_owned(result, constraints);
-        stats.counters.add(
-            Counter::ConstraintPrunes,
-            (before - result.sets.len()) as u64,
-        );
-        (result, stats)
+        req: &MineRequest<'_>,
+        obs: &mut Obs,
+    ) -> (MineOutcome, MineStats) {
+        let total = db.transactions().len() as u64;
+        let (outcome, mut stats) = match req.support_floor(db.num_items()) {
+            Some(minsupp) => self.run(db, minsupp, req.governor(), req.budget.degrade, obs),
+            None => (
+                MineOutcome::complete(MiningResult::new()),
+                MineStats {
+                    total_transactions: total as usize,
+                    ..MineStats::default()
+                },
+            ),
+        };
+        let outcome = req.filter(outcome, &mut stats.counters);
+        let processed = match &outcome {
+            MineOutcome::Interrupted { progress, .. } => progress.processed,
+            MineOutcome::Complete { .. } => total,
+        };
+        obs.finish(&ProgressSnapshot {
+            processed,
+            total: Some(total),
+            pending: 0,
+            peak_nodes: stats.peak_nodes as u64,
+            sets: outcome.result().len() as u64,
+        });
+        (outcome, stats)
     }
 
-    /// The one mining loop behind both entry points. `gov` is `None` for
-    /// ungoverned runs, whose per-transaction checkpoint is then a single
-    /// pattern match (see [`checkpoint!`]).
+    /// The mining loop behind [`mine_stats`](Self::mine_stats). `gov` is
+    /// `None` for ungoverned runs, whose per-transaction checkpoint is then
+    /// a single pattern match (see [`checkpoint!`]).
     ///
     /// The partial result on interruption is *exact*: the tree after `k`
     /// (weighted) transactions holds the closed sets of that prefix, and
@@ -264,14 +238,14 @@ impl IstaMiner {
         minsupp: u32,
         mut gov: Option<Governor>,
         degrade: bool,
-        mut obs: Option<&mut Obs>,
+        obs: &mut Obs,
     ) -> (MineOutcome, MineStats) {
         let requested = minsupp.max(1);
         let mut minsupp_eff = requested;
         let mut degradation: Option<Degradation> = None;
-        span_enter(&mut obs, "coalesce");
+        obs.span_enter("coalesce");
         let txs = prepare::coalesce(db.transactions());
-        span_exit(&mut obs);
+        obs.span_exit();
         let mut stats = MineStats {
             total_transactions: db.transactions().len(),
             distinct_transactions: txs.len(),
@@ -296,7 +270,7 @@ impl IstaMiner {
             };
             return (outcome, stats);
         }
-        span_enter(&mut obs, "transactions");
+        obs.span_enter("transactions");
         let mut processed: u64 = 0;
         for (t, w) in &txs {
             for &i in t.iter() {
@@ -308,15 +282,13 @@ impl IstaMiner {
                 g.add_processed(u64::from(*w));
             }
             processed += u64::from(*w);
-            if let Some(o) = obs.as_deref_mut() {
-                o.tick(&ProgressSnapshot {
-                    processed,
-                    total: Some(total_weight),
-                    pending: 0,
-                    peak_nodes: stats.peak_nodes as u64,
-                    sets: tree.node_count() as u64,
-                });
-            }
+            obs.tick(&ProgressSnapshot {
+                processed,
+                total: Some(total_weight),
+                pending: 0,
+                peak_nodes: stats.peak_nodes as u64,
+                sets: tree.node_count() as u64,
+            });
             if let Some(reason) =
                 checkpoint!(gov, tree.node_count(), tree.memory_stats().approx_bytes, 0)
             {
@@ -345,14 +317,14 @@ impl IstaMiner {
                     }
                     pacer.pruned(tree.node_count());
                 } else {
-                    span_exit(&mut obs); // transactions
+                    obs.span_exit(); // transactions
                     stats.memory = tree.memory_stats();
                     stats.counters = *tree.counters();
-                    span_enter(&mut obs, "report");
+                    obs.span_enter("report");
                     let partial = MiningResult {
                         sets: tree.report(minsupp_eff),
                     };
-                    span_exit(&mut obs);
+                    obs.span_exit();
                     let processed = gov.as_ref().map_or(0, Governor::processed);
                     let outcome = MineOutcome::Interrupted {
                         partial,
@@ -366,43 +338,34 @@ impl IstaMiner {
                 }
             }
             if pacer.due(tree.node_count()) {
-                span_enter(&mut obs, "prune");
+                obs.span_enter("prune");
                 tree.prune(&remaining, minsupp_eff);
-                span_exit(&mut obs);
+                obs.span_exit();
                 pacer.pruned(tree.node_count());
                 stats.prune_passes += 1;
-                span_enter(&mut obs, "compact");
+                obs.span_enter("compact");
                 if tree.compact_if_fragmented() {
                     stats.compactions += 1;
                 }
-                span_exit(&mut obs);
+                obs.span_exit();
             }
         }
-        span_exit(&mut obs); // transactions
+        obs.span_exit(); // transactions
 
         // one last compaction before reporting: `report` walks the whole
         // tree in DFS order, which is exactly the order compact lays out
-        span_enter(&mut obs, "compact");
+        obs.span_enter("compact");
         if tree.compact_if_fragmented() {
             stats.compactions += 1;
         }
-        span_exit(&mut obs);
+        obs.span_exit();
         stats.memory = tree.memory_stats();
         stats.counters = *tree.counters();
-        span_enter(&mut obs, "report");
+        obs.span_enter("report");
         let result = MiningResult {
             sets: tree.report(minsupp_eff),
         };
-        span_exit(&mut obs);
-        if let Some(o) = obs {
-            o.finish(&ProgressSnapshot {
-                processed,
-                total: Some(total_weight),
-                pending: 0,
-                peak_nodes: stats.peak_nodes as u64,
-                sets: result.sets.len() as u64,
-            });
-        }
+        obs.span_exit();
         let outcome = MineOutcome::Complete {
             result,
             degradation,
@@ -421,42 +384,23 @@ impl ClosedMiner for IstaMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        self.mine_with_stats(db, minsupp).0
-    }
-
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        self.mine_governed_with_stats(db, minsupp, budget).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
     fn supports_constraints(&self) -> bool {
         true
     }
 
-    fn mine_constrained(
+    fn mine_with(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-    ) -> MiningResult {
-        self.mine_constrained_with_stats(db, minsupp, constraints).0
-    }
-
-    fn mine_constrained_governed(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-        constraints: &ConstraintSet,
-        budget: &Budget,
-    ) -> MineOutcome {
-        let eff = constraints.support_floor(db.num_items(), minsupp.max(1));
-        if eff == u32::MAX {
-            return MineOutcome::complete(MiningResult::new());
-        }
-        // governed at the raised floor; an interrupted partial is the exact
-        // constrained answer of the processed prefix (the same prefix
-        // contract as the unconstrained governed run, filtered)
-        self.mine_governed(db, eff, budget)
-            .map_result(|r| apply_constraints_owned(r, constraints))
+        req: &MineRequest<'_>,
+        obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        let (outcome, stats) = self.mine_stats(db, req, obs);
+        (outcome, stats.counters)
     }
 }
 
@@ -464,7 +408,21 @@ impl ClosedMiner for IstaMiner {
 mod tests {
     use super::*;
     use fim_core::reference::mine_reference;
-    use fim_core::{Item, ItemSet};
+    use fim_core::{Budget, Item, ItemSet};
+
+    fn governed(
+        miner: &IstaMiner,
+        db: &RecodedDatabase,
+        minsupp: u32,
+        budget: &Budget,
+    ) -> (MineOutcome, MineStats) {
+        let req = MineRequest {
+            minsupp,
+            budget,
+            constraints: None,
+        };
+        miner.mine_stats(db, &req, &mut Obs::new())
+    }
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -655,8 +613,8 @@ mod tests {
         let db = paper_db();
         for minsupp in 1..=4 {
             let want = IstaMiner::default().mine(&db, minsupp).canonicalized();
-            let outcome =
-                IstaMiner::default().mine_governed(&db, minsupp, &fim_core::Budget::unlimited());
+            let budget = fim_core::Budget::unlimited();
+            let (outcome, _) = governed(&IstaMiner::default(), &db, minsupp, &budget);
             assert!(!outcome.is_interrupted());
             assert_eq!(outcome.into_result().canonicalized(), want);
         }
@@ -670,7 +628,7 @@ mod tests {
         let miner = IstaMiner::default();
         for k in 1..db.transactions().len() {
             let budget = fim_core::Budget::unlimited().with_max_transactions(k as u64);
-            let (outcome, _) = miner.mine_governed_with_stats(&db, 2, &budget);
+            let (outcome, _) = governed(&miner, &db, 2, &budget);
             let prefix = RecodedDatabase::from_dense(
                 db.transactions()
                     .iter()
@@ -702,7 +660,7 @@ mod tests {
         let token = fim_core::CancelToken::new();
         token.cancel();
         let budget = fim_core::Budget::unlimited().with_cancel(token);
-        let (outcome, _) = IstaMiner::default().mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, _) = governed(&IstaMiner::default(), &db, 1, &budget);
         match outcome {
             fim_core::MineOutcome::Interrupted {
                 partial,
@@ -721,7 +679,7 @@ mod tests {
     fn node_budget_without_degradation_interrupts() {
         let db = paper_db();
         let budget = fim_core::Budget::unlimited().with_max_nodes(3);
-        let (outcome, _) = IstaMiner::default().mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, _) = governed(&IstaMiner::default(), &db, 1, &budget);
         match outcome {
             fim_core::MineOutcome::Interrupted { reason, .. } => {
                 assert_eq!(reason, fim_core::TripReason::NodeBudget);
@@ -736,7 +694,7 @@ mod tests {
         let budget = fim_core::Budget::unlimited()
             .with_max_nodes(6)
             .with_degradation();
-        let (outcome, stats) = IstaMiner::default().mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, stats) = governed(&IstaMiner::default(), &db, 1, &budget);
         match outcome {
             fim_core::MineOutcome::Complete {
                 result,
@@ -759,7 +717,7 @@ mod tests {
     fn byte_budget_trips() {
         let db = paper_db();
         let budget = fim_core::Budget::unlimited().with_max_bytes(64);
-        let (outcome, _) = IstaMiner::default().mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, _) = governed(&IstaMiner::default(), &db, 1, &budget);
         match outcome {
             fim_core::MineOutcome::Interrupted { reason, .. } => {
                 assert_eq!(reason, fim_core::TripReason::ByteBudget);

@@ -26,10 +26,10 @@
 use crate::miner::{IstaConfig, IstaMiner, PrunePacer, PrunePolicy};
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::{
-    checkpoint, Budget, CancelToken, ClosedMiner, Governor, ItemRows, MineOutcome, MiningResult,
-    Progress, RecodedDatabase, Rows, TripReason,
+    checkpoint, Budget, CancelToken, ClosedMiner, Governor, ItemRows, MineOutcome, MineRequest,
+    MiningResult, Progress, RecodedDatabase, Rows, TripReason,
 };
-use fim_obs::Counters;
+use fim_obs::{Counters, Obs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -148,8 +148,10 @@ impl ParallelIstaMiner {
         }
     }
 
-    /// Like [`ClosedMiner::mine`], but also reports the shard count, the
-    /// panic-recovery count, and the final tree occupancy.
+    /// The one mining call: [`ClosedMiner::mine_with`] with the whole
+    /// [`ParallelMineStats`] of the run — shard count, panic-recovery
+    /// count, final tree occupancy and the summed counters. Constraints
+    /// filter the reduced result.
     ///
     /// A shard thread that panics does not take the run down: the panic is
     /// caught at the reduction step ([`catch_unwind`]), the lost shard's
@@ -158,34 +160,23 @@ impl ParallelIstaMiner {
     /// [`shards_recovered`](ParallelMineStats::shards_recovered) — the
     /// mined result is identical to an unpanicked run. A panic during the
     /// re-mine itself (a deterministic bug, not a fault) propagates.
-    pub fn mine_with_stats(
-        &self,
-        db: &RecodedDatabase,
-        minsupp: u32,
-    ) -> (MiningResult, ParallelMineStats) {
-        let (outcome, stats) = self.mine_governed_with_stats(db, minsupp, &Budget::unlimited());
-        (outcome.into_result(), stats)
-    }
-
-    /// Governed parallel mining (see [`ClosedMiner::mine_governed`]).
     ///
-    /// Every shard and every merge step runs under its own [`Governor`]
-    /// sharing one internal [`CancelToken`]: the first shard to trip
-    /// records the reason and cancels its siblings, so the whole reduction
-    /// winds down at the next checkpoint instead of running to completion.
-    /// Node/byte budgets bound each shard (and merge) tree individually,
-    /// and the transaction budget is likewise per shard. The partial
-    /// result is exact for the processed transaction subset. Graceful
-    /// degradation (`Budget::degrade`) is a sequential-miner feature and
-    /// is ignored here — a per-shard raised threshold would be unsound to
-    /// merge.
-    pub fn mine_governed_with_stats(
+    /// Under a limited budget every shard and every merge step runs under
+    /// its own [`Governor`] sharing one internal [`CancelToken`]: the
+    /// first shard to trip records the reason and cancels its siblings, so
+    /// the whole reduction winds down at the next checkpoint instead of
+    /// running to completion. Node/byte budgets bound each shard (and
+    /// merge) tree individually, and the transaction budget is likewise
+    /// per shard. The partial result is exact for the processed
+    /// transaction subset. Graceful degradation (`Budget::degrade`) is a
+    /// sequential-miner feature and is ignored here — a per-shard raised
+    /// threshold would be unsound to merge.
+    pub fn mine_stats(
         &self,
         db: &RecodedDatabase,
-        minsupp: u32,
-        budget: &Budget,
+        req: &MineRequest<'_>,
     ) -> (MineOutcome, ParallelMineStats) {
-        let minsupp = minsupp.max(1);
+        let minsupp = req.minsupp.max(1);
         let threads = self.config.effective_threads();
         let txs = db.transactions();
         if threads <= 1 || txs.len() <= 1 {
@@ -193,7 +184,7 @@ impl ParallelIstaMiner {
                 policy: self.config.policy,
                 rep: fim_core::Representation::Scalar,
             });
-            let (outcome, stats) = seq.mine_governed_with_stats(db, minsupp, budget);
+            let (outcome, stats) = seq.mine_stats(db, req, &mut Obs::new());
             let stats = ParallelMineStats {
                 shards: 1,
                 shards_recovered: 0,
@@ -211,15 +202,15 @@ impl ParallelIstaMiner {
             minsupp,
             chunk,
             recovered: AtomicUsize::new(0),
-            gov: (!budget.is_unlimited()).then(|| GovShared {
-                budget: budget.clone(),
+            gov: (!req.budget.is_unlimited()).then(|| GovShared {
+                budget: req.budget.clone(),
                 shared: CancelToken::new(),
                 tripped: Mutex::new(None),
                 processed: AtomicU64::new(0),
             }),
         };
         let reduced = mine_reduce(txs, nchunks, 0, &ctx, true);
-        let stats = ParallelMineStats {
+        let mut stats = ParallelMineStats {
             shards: nchunks,
             shards_recovered: ctx.recovered.load(Ordering::SeqCst),
             memory: reduced.tree.memory_stats(),
@@ -243,7 +234,7 @@ impl ParallelIstaMiner {
             },
             None => MineOutcome::complete(result),
         };
-        (outcome, stats)
+        (req.filter(outcome, &mut stats.counters), stats)
     }
 }
 
@@ -510,11 +501,19 @@ impl ClosedMiner for ParallelIstaMiner {
     }
 
     fn mine(&self, db: &RecodedDatabase, minsupp: u32) -> MiningResult {
-        self.mine_with_stats(db, minsupp).0
+        self.mine_with(db, &MineRequest::new(minsupp), &mut Obs::new())
+            .0
+            .into_result()
     }
 
-    fn mine_governed(&self, db: &RecodedDatabase, minsupp: u32, budget: &Budget) -> MineOutcome {
-        self.mine_governed_with_stats(db, minsupp, budget).0
+    fn mine_with(
+        &self,
+        db: &RecodedDatabase,
+        req: &MineRequest<'_>,
+        _obs: &mut Obs,
+    ) -> (MineOutcome, Counters) {
+        let (outcome, stats) = self.mine_stats(db, req);
+        (outcome, stats.counters)
     }
 }
 
@@ -522,6 +521,20 @@ impl ClosedMiner for ParallelIstaMiner {
 mod tests {
     use super::*;
     use fim_core::reference::mine_reference;
+
+    fn governed(
+        threads: usize,
+        db: &RecodedDatabase,
+        minsupp: u32,
+        budget: &Budget,
+    ) -> (MineOutcome, ParallelMineStats) {
+        let req = MineRequest {
+            minsupp,
+            budget,
+            constraints: None,
+        };
+        ParallelIstaMiner::with_threads(threads).mine_stats(db, &req)
+    }
 
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
@@ -620,8 +633,11 @@ mod tests {
     #[test]
     fn healthy_run_reports_zero_recoveries() {
         let db = paper_db();
-        let (result, stats) = ParallelIstaMiner::with_threads(3).mine_with_stats(&db, 2);
-        assert_eq!(result.canonicalized(), mine_reference(&db, 2));
+        let (outcome, stats) = governed(3, &db, 2, &Budget::unlimited());
+        assert_eq!(
+            outcome.into_result().canonicalized(),
+            mine_reference(&db, 2)
+        );
         assert_eq!(stats.shards, 3);
         assert_eq!(stats.shards_recovered, 0);
         assert!(stats.memory.live_nodes >= 1);
@@ -633,11 +649,7 @@ mod tests {
     #[test]
     fn governed_unlimited_is_complete() {
         let db = paper_db();
-        let (outcome, _) = ParallelIstaMiner::with_threads(3).mine_governed_with_stats(
-            &db,
-            2,
-            &Budget::unlimited(),
-        );
+        let (outcome, _) = governed(3, &db, 2, &Budget::unlimited());
         assert!(!outcome.is_interrupted());
         assert_eq!(
             outcome.into_result().canonicalized(),
@@ -651,8 +663,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let (outcome, _) =
-            ParallelIstaMiner::with_threads(3).mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, _) = governed(3, &db, 1, &budget);
         match outcome {
             MineOutcome::Interrupted { reason, .. } => {
                 assert_eq!(reason, TripReason::Cancelled);
@@ -665,8 +676,7 @@ mod tests {
     fn node_budget_interrupts_with_sound_partial() {
         let db = paper_db();
         let budget = Budget::unlimited().with_max_nodes(2);
-        let (outcome, _) =
-            ParallelIstaMiner::with_threads(3).mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, _) = governed(3, &db, 1, &budget);
         match outcome {
             MineOutcome::Interrupted {
                 partial, reason, ..
@@ -690,8 +700,7 @@ mod tests {
     fn governed_sequential_fallback_still_governs() {
         let db = paper_db();
         let budget = Budget::unlimited().with_max_transactions(2);
-        let (outcome, stats) =
-            ParallelIstaMiner::with_threads(1).mine_governed_with_stats(&db, 1, &budget);
+        let (outcome, stats) = governed(1, &db, 1, &budget);
         assert_eq!(stats.shards, 1);
         assert!(outcome.is_interrupted());
     }

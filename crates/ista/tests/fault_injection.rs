@@ -9,12 +9,23 @@
 //! binary mines in this process, so the hook cannot leak across suites.
 
 use fim_core::reference::mine_reference;
-use fim_core::{Budget, ClosedMiner, RecodedDatabase};
+use fim_core::{Budget, ClosedMiner, MineRequest, MiningResult, RecodedDatabase};
 use fim_ista::parallel::test_hooks;
-use fim_ista::{IstaMiner, ParallelIstaMiner};
+use fim_ista::{IstaMiner, ParallelIstaMiner, ParallelMineStats};
 use std::sync::Mutex;
 
 static HOOK: Mutex<()> = Mutex::new(());
+
+/// Mines `db` at `minsupp` over `threads` shards, unlimited.
+fn sharded(
+    threads: usize,
+    db: &RecodedDatabase,
+    minsupp: u32,
+) -> (MiningResult, ParallelMineStats) {
+    let miner = ParallelIstaMiner::with_threads(threads);
+    let (outcome, stats) = miner.mine_stats(db, &MineRequest::new(minsupp));
+    (outcome.into_result(), stats)
+}
 
 fn paper_db() -> RecodedDatabase {
     RecodedDatabase::from_dense(
@@ -58,7 +69,7 @@ fn every_shard_panic_recovers_to_exact_sequential_result() {
     for shard in 0..3 {
         for minsupp in 1..=4 {
             test_hooks::arm_shard_panic(shard);
-            let (result, stats) = ParallelIstaMiner::with_threads(3).mine_with_stats(&db, minsupp);
+            let (result, stats) = sharded(3, &db, minsupp);
             test_hooks::disarm();
             let want = IstaMiner::default().mine(&db, minsupp).canonicalized();
             assert_eq!(want, mine_reference(&db, minsupp));
@@ -81,7 +92,7 @@ fn recovery_on_wider_database_and_more_shards() {
     let db = wide_db();
     for shard in 0..4 {
         test_hooks::arm_shard_panic(shard);
-        let (result, stats) = ParallelIstaMiner::with_threads(4).mine_with_stats(&db, 3);
+        let (result, stats) = sharded(4, &db, 3);
         test_hooks::disarm();
         assert_eq!(
             result.canonicalized(),
@@ -97,11 +108,13 @@ fn recovery_composes_with_a_governed_run() {
     let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     let db = wide_db();
     test_hooks::arm_shard_panic(1);
-    let (outcome, stats) = ParallelIstaMiner::with_threads(4).mine_governed_with_stats(
-        &db,
-        3,
-        &Budget::unlimited().with_max_closed_sets(1_000_000),
-    );
+    let budget = Budget::unlimited().with_max_closed_sets(1_000_000);
+    let req = MineRequest {
+        minsupp: 3,
+        budget: &budget,
+        constraints: None,
+    };
+    let (outcome, stats) = ParallelIstaMiner::with_threads(4).mine_stats(&db, &req);
     test_hooks::disarm();
     assert!(!outcome.is_interrupted(), "generous budget must not trip");
     assert_eq!(
@@ -116,7 +129,7 @@ fn unarmed_runs_do_not_recover_anything() {
     let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     test_hooks::disarm();
     let db = paper_db();
-    let (result, stats) = ParallelIstaMiner::with_threads(3).mine_with_stats(&db, 2);
+    let (result, stats) = sharded(3, &db, 2);
     assert_eq!(result.canonicalized(), mine_reference(&db, 2));
     assert_eq!(stats.shards_recovered, 0);
 }

@@ -14,8 +14,9 @@
 //!   effective threshold it reports.
 
 use fim_core::reference::mine_reference;
-use fim_core::{coalesce, Budget, Item, MineOutcome, RecodedDatabase, TripReason};
+use fim_core::{coalesce, Budget, Item, MineOutcome, MineRequest, RecodedDatabase, TripReason};
 use fim_ista::{IstaConfig, IstaMiner, IstaStream, PrunePolicy};
+use fim_obs::Obs;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -55,7 +56,8 @@ proptest! {
             ..IstaConfig::default()
         });
         let budget = Budget::unlimited().with_max_transactions(k);
-        let (outcome, _) = miner.mine_governed_with_stats(&db, minsupp, &budget);
+        let req = MineRequest { minsupp, budget: &budget, constraints: None };
+        let (outcome, _) = miner.mine_stats(&db, &req, &mut Obs::new());
         // the miner processes the distinct rows in first-occurrence order,
         // one weighted row at a time, and checks the budget after each: it
         // stops after the shortest leading run of rows that weighs `k`
@@ -101,7 +103,8 @@ proptest! {
         let (txs, num_items) = txs_items;
         let db = RecodedDatabase::from_dense(txs, num_items);
         let budget = Budget::unlimited().with_max_nodes(max_nodes).with_degradation();
-        let (outcome, _) = IstaMiner::default().mine_governed_with_stats(&db, minsupp, &budget);
+        let req = MineRequest { minsupp, budget: &budget, constraints: None };
+        let (outcome, _) = IstaMiner::default().mine_stats(&db, &req, &mut Obs::new());
         match outcome {
             MineOutcome::Complete { result, degradation } => {
                 let eff = match degradation {

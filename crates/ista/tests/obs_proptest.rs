@@ -9,7 +9,7 @@
 //! nodes, scans at least as numerous as insertions).
 
 use fim_core::reference::mine_reference;
-use fim_core::{ClosedMiner, Item, MiningResult, RecodedDatabase, Representation};
+use fim_core::{ClosedMiner, Item, MineRequest, MiningResult, RecodedDatabase, Representation};
 use fim_ista::{IstaConfig, IstaMiner, PrunePolicy};
 use fim_obs::{
     Counter, Obs, PhaseHistograms, ProgressEmitter, ProgressStyle, ResourceGauges, ResourceSampler,
@@ -107,7 +107,8 @@ proptest! {
         let sink = Sink::default();
         let trace_sink = Sink::default();
         let mut obs = full_obs(&sink, &trace_sink);
-        let (observed, stats) = miner.mine_with_obs(&db, minsupp, &mut obs);
+        let (observed, stats) = miner.mine_stats(&db, &MineRequest::new(minsupp), &mut obs);
+        let observed = observed.into_result();
         prop_assert_eq!(canon(&unobserved), canon(&observed.canonicalized()));
 
         // render both to text as the CLI would: byte-identical output
@@ -151,7 +152,7 @@ proptest! {
         let trace_sink = Sink::default();
         let mut obs = full_obs(&sink, &trace_sink);
         let miner = IstaMiner::default();
-        let _ = miner.mine_with_obs(&db, minsupp, &mut obs);
+        let _ = miner.mine_stats(&db, &MineRequest::new(minsupp), &mut obs);
 
         let emitted = obs.progress.as_ref().unwrap().emitted();
         prop_assert!(emitted >= 1, "finish() must always emit");

@@ -204,7 +204,8 @@ impl Obs {
     pub fn take_resources(&mut self) -> ResourceMetrics {
         let mut section = ResourceMetrics::probe_now();
         if let Some(sampler) = self.sampler.take() {
-            section.sample_interval_ms = Some(sampler.interval().as_millis() as u64);
+            let ms = sampler.interval().as_millis();
+            section.sample_interval_ms = Some(u64::try_from(ms).unwrap_or(u64::MAX));
             section.samples = sampler.stop();
         }
         if let Some(hist) = self.hist.take() {

@@ -153,9 +153,10 @@ impl ResourceSampler {
                     };
                     thread_samples.lock().unwrap().push(sample);
                     // Sleep in short slices so stop() returns promptly even
-                    // with a multi-second interval.
-                    let deadline = Instant::now() + interval;
-                    while Instant::now() < deadline {
+                    // with a multi-second interval. An interval past the
+                    // clock's range takes this first sample only.
+                    let deadline = Instant::now().checked_add(interval);
+                    while deadline.is_none_or(|d| Instant::now() < d) {
                         if thread_stop.load(Ordering::Relaxed) {
                             return;
                         }

@@ -18,10 +18,11 @@ use fim_carpenter::{CarpenterConfig, CarpenterListMiner, CarpenterTableMiner};
 use fim_core::{ClosedMiner, Representation};
 use fim_ista::{IstaConfig, IstaMiner, ParallelIstaMiner};
 
-/// A configured miner, by family. The families with run counters keep
-/// their concrete type, so a caller can set their configuration and reach
-/// their `mine_with_stats` entry points; the rest are used through
-/// [`ClosedMiner`] only.
+/// A configured miner, by family. The families a flag configures keep
+/// their concrete type, so a caller can set their configuration, and the
+/// two IsTa families can be asked for their whole run statistics; the rest
+/// are used through [`ClosedMiner`] only. Every family reports its run
+/// counters through [`ClosedMiner::mine_with`].
 #[derive(Clone, Copy)]
 pub enum Miner {
     /// Sequential IsTa (paper §3.2–3.3).
@@ -36,9 +37,9 @@ pub enum Miner {
     Eclat(EclatMiner),
     /// Diffset Eclat with a closed-set filter.
     DEclat(DEclatMiner),
-    /// A family without run counters: FP-close, LCM, SaM, Apriori and the
+    /// A family no flag configures: FP-close, LCM, SaM, Apriori and the
     /// naive cumulative scheme.
-    Uncounted(&'static dyn ClosedMiner),
+    Fixed(&'static dyn ClosedMiner),
 }
 
 /// A table row: a name and the miner it builds.
@@ -102,9 +103,9 @@ const TABLE: [Row; 26] = [
             ..CarpenterConfig::default()
         }))
     }),
-    ("fpclose", || Miner::Uncounted(&FpCloseMiner)),
-    ("lcm", || Miner::Uncounted(&LcmMiner)),
-    ("lcm-noreuse", || Miner::Uncounted(&LcmClassicMiner)),
+    ("fpclose", || Miner::Fixed(&FpCloseMiner)),
+    ("lcm", || Miner::Fixed(&LcmMiner)),
+    ("lcm-noreuse", || Miner::Fixed(&LcmClassicMiner)),
     ("eclat", || Miner::Eclat(EclatMiner::default())),
     ("eclat-bitset", || {
         Miner::Eclat(EclatMiner::with_rep(Representation::Bitset))
@@ -119,11 +120,9 @@ const TABLE: [Row; 26] = [
     ("declat-gallop", || {
         Miner::DEclat(DEclatMiner::with_rep(Representation::Gallop))
     }),
-    ("sam", || Miner::Uncounted(&SamMiner)),
-    ("apriori", || Miner::Uncounted(&AprioriMiner)),
-    ("naive-cumulative", || {
-        Miner::Uncounted(&NaiveCumulativeMiner)
-    }),
+    ("sam", || Miner::Fixed(&SamMiner)),
+    ("apriori", || Miner::Fixed(&AprioriMiner)),
+    ("naive-cumulative", || Miner::Fixed(&NaiveCumulativeMiner)),
 ];
 
 /// The algorithm `fim mine` and `fim rules` run without `--algo`: the
@@ -154,7 +153,7 @@ impl Miner {
             Miner::CarpenterTable(m) => m,
             Miner::Eclat(m) => m,
             Miner::DEclat(m) => m,
-            Miner::Uncounted(m) => *m,
+            Miner::Fixed(m) => *m,
         }
     }
 
@@ -169,7 +168,7 @@ impl Miner {
             Miner::CarpenterTable(_) => CarpenterTableMiner::default().name(),
             Miner::Eclat(_) => EclatMiner::default().name(),
             Miner::DEclat(_) => DEclatMiner::default().name(),
-            Miner::Uncounted(m) => m.name(),
+            Miner::Fixed(m) => m.name(),
         }
     }
 
@@ -190,7 +189,12 @@ impl Miner {
 mod tests {
     use super::*;
     use fim_core::reference::mine_reference;
-    use fim_core::{ItemOrder, RecodedDatabase, TransactionDatabase, TransactionOrder};
+    use fim_core::{
+        apply_constraints_owned, Budget, ConstraintSet, ItemOrder, MineRequest, RecodedDatabase,
+        TransactionDatabase, TransactionOrder,
+    };
+    use fim_obs::Obs;
+    use std::time::Duration;
 
     #[test]
     fn names_are_unique_and_resolve() {
@@ -218,9 +222,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_row_mines_the_reference_answer() {
-        let db = TransactionDatabase::from_named(&[
+    fn paper_db() -> TransactionDatabase {
+        TransactionDatabase::from_named(&[
             vec!["a", "b", "c"],
             vec!["a", "d", "e"],
             vec!["b", "c", "d"],
@@ -229,7 +232,62 @@ mod tests {
             vec!["a", "b", "d"],
             vec!["d", "e"],
             vec!["c", "d", "e"],
-        ]);
+        ])
+    }
+
+    /// A budget that never trips runs the same search as no budget: the
+    /// same sets and the same counters, for every row, with and without
+    /// constraints.
+    #[test]
+    fn every_row_answers_alike_under_a_budget_that_never_trips() {
+        let db = paper_db();
+        let hour = Budget::unlimited().with_timeout(Duration::from_secs(3600));
+        let cs = ConstraintSet {
+            min_size: 2,
+            ..ConstraintSet::none()
+        };
+        for minsupp in [1, 2, 3] {
+            let recoded = RecodedDatabase::prepare(
+                &db,
+                minsupp,
+                ItemOrder::default(),
+                TransactionOrder::default(),
+            );
+            let reference = mine_reference(&recoded, minsupp).canonicalized();
+            for constraints in [None, Some(&cs)] {
+                let want = match constraints {
+                    Some(c) => apply_constraints_owned(reference.clone(), c),
+                    None => reference.clone(),
+                };
+                for name in names() {
+                    let miner = Miner::by_name(name).unwrap();
+                    let run = |budget: &Budget| {
+                        let req = MineRequest {
+                            minsupp,
+                            budget,
+                            constraints,
+                        };
+                        let (outcome, counters) =
+                            miner.as_dyn().mine_with(&recoded, &req, &mut Obs::new());
+                        assert!(!outcome.is_interrupted(), "{name}");
+                        (outcome.into_result().canonicalized(), counters)
+                    };
+                    let (free, free_counters) = run(&Budget::unlimited());
+                    let (governed, governed_counters) = run(&hour);
+                    assert_eq!(free, want, "{name} at {minsupp}, {constraints:?}");
+                    assert_eq!(governed, free, "{name} at {minsupp}, {constraints:?}");
+                    assert_eq!(
+                        governed_counters, free_counters,
+                        "{name} at {minsupp}, {constraints:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_mines_the_reference_answer() {
+        let db = paper_db();
         for minsupp in [1, 2, 3] {
             let recoded = RecodedDatabase::prepare(
                 &db,

@@ -32,6 +32,7 @@ pub use fim_carpenter as carpenter;
 pub use fim_core as core;
 pub use fim_io as io;
 pub use fim_ista as ista;
+pub use fim_obs as obs;
 pub use fim_rules as rules;
 pub use fim_synth as synth;
 
@@ -45,7 +46,7 @@ pub mod prelude {
     pub use fim_carpenter::{CarpenterListMiner, CarpenterTableMiner};
     pub use fim_core::{
         closure, is_closed, mine_closed, mine_closed_with_orders, ClosedMiner, FoundSet, ItemOrder,
-        ItemSet, MiningResult, RecodedDatabase, TransactionDatabase, TransactionOrder,
+        ItemSet, MineRequest, MiningResult, RecodedDatabase, TransactionDatabase, TransactionOrder,
     };
     pub use fim_ista::IstaMiner;
     pub use fim_rules::{AssociationRule, RuleMiner};

@@ -5,8 +5,10 @@
 //! eliminations and early stops. A change to the search that keeps the
 //! output but moves one of these numbers changes how Carpenter works; it
 //! has to update the figures here on purpose, with the reason in its change
-//! notes.
+//! notes. A constrained case pins the pushed size and area cuts too.
 
+use closed_fim::core::ConstraintSet;
+use closed_fim::obs::Obs;
 use closed_fim::prelude::*;
 use closed_fim::synth::Preset;
 
@@ -21,11 +23,13 @@ struct Work {
     absorption_hits: u64,
     eliminations: u64,
     tid_early_stops: u64,
+    constraint_prunes: u64,
 }
 
 /// Mines `preset` at `scale` (generator seed 1) the way `fim mine` does:
-/// ascending item frequency, the miner's own transaction order.
-fn work(preset: Preset, scale: f64, supp: u32) -> Work {
+/// ascending item frequency, the miner's own transaction order, with
+/// `constraints` (over dense codes) pushed when given.
+fn work(preset: Preset, scale: f64, supp: u32, constraints: Option<&ConstraintSet>) -> Work {
     let db = preset.build(scale, 1);
     let miner = CarpenterListMiner::default();
     let recoded = RecodedDatabase::prepare(
@@ -34,7 +38,12 @@ fn work(preset: Preset, scale: f64, supp: u32) -> Work {
         ItemOrder::AscendingFrequency,
         miner.transaction_order(),
     );
-    let (result, counters) = miner.mine_with_stats(&recoded, supp);
+    let req = MineRequest {
+        constraints,
+        ..MineRequest::new(supp)
+    };
+    let (outcome, counters) = miner.mine_with(&recoded, &req, &mut Obs::new());
+    let result = outcome.into_result();
     let counter = |name: &str| {
         counters
             .iter_nonzero()
@@ -49,12 +58,13 @@ fn work(preset: Preset, scale: f64, supp: u32) -> Work {
         absorption_hits: counter("absorption_hits"),
         eliminations: counter("eliminations"),
         tid_early_stops: counter("tid_early_stops"),
+        constraint_prunes: counter("constraint_prunes"),
     }
 }
 
 #[test]
 fn dense_ncbi60_work_is_pinned() {
-    let got = work(Preset::Ncbi60, 0.3, 12);
+    let got = work(Preset::Ncbi60, 0.3, 12, None);
     assert_eq!(
         got,
         Work {
@@ -65,13 +75,14 @@ fn dense_ncbi60_work_is_pinned() {
             absorption_hits: 10755,
             eliminations: 40527,
             tid_early_stops: 1335,
+            constraint_prunes: 0,
         }
     );
 }
 
 #[test]
 fn sparse_webview_work_is_pinned() {
-    let got = work(Preset::Webview, 0.2, 2);
+    let got = work(Preset::Webview, 0.2, 2, None);
     assert_eq!(
         got,
         Work {
@@ -82,6 +93,32 @@ fn sparse_webview_work_is_pinned() {
             absorption_hits: 8159,
             eliminations: 5573,
             tid_early_stops: 0,
+            constraint_prunes: 0,
+        }
+    );
+}
+
+#[test]
+fn constrained_webview_work_is_pinned() {
+    // min-size and min-area cut states that shrank too far; min-area also
+    // raises the support floor
+    let cs = ConstraintSet {
+        min_size: 3,
+        min_area: 12,
+        ..ConstraintSet::none()
+    };
+    let got = work(Preset::Webview, 0.2, 2, Some(&cs));
+    assert_eq!(
+        got,
+        Work {
+            sets: 9796,
+            search_steps: 25534,
+            repo_lookups: 25534,
+            repo_hits: 1189,
+            absorption_hits: 1513,
+            eliminations: 5573,
+            tid_early_stops: 0,
+            constraint_prunes: 14454,
         }
     );
 }
