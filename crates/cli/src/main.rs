@@ -19,7 +19,7 @@ use fim_core::{
     Budget, ConstraintSet, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MineRequest, MiningResult,
     Progress, RecodedDatabase, Representation, TransactionDatabase, TransactionOrder, TripReason,
 };
-use fim_ista::{IstaConfig, IstaMiner, ParallelConfig, ParallelIstaMiner, PrunePolicy};
+use fim_ista::{IstaConfig, IstaMiner, PrunePolicy};
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -32,7 +32,7 @@ use args::Args;
 use errors::{usage, CliError};
 use fim_obs::{
     ConstraintMetrics, Counter, KernelMetrics, MetricsReport, Obs, PassMetrics, ProgressSnapshot,
-    ShardMetrics, SpillMetrics,
+    SpillMetrics,
 };
 use observe::ObsArgs;
 
@@ -52,7 +52,7 @@ type Command = fn(&Args) -> Result<(), CliError>;
 
 /// The flags of `fim mine`, in the order its usage text documents them.
 const MINE_FLAGS: &str = "supp supp-rel algo in out item-order tx-order maximal no-prune \
-    threads include exclude min-size max-size min-area no-push rep stats metrics \
+    include exclude min-size max-size min-area no-push rep stats metrics \
     progress profile trace-events sample ledger timeout max-nodes max-sets degrade checkpoint \
     resume out-of-core mem-budget spill-dir resume-spill io-retries";
 
@@ -161,8 +161,18 @@ fn tx_order(args: &Args) -> Result<Option<TransactionOrder>, CliError> {
 }
 
 /// Builds the mining [`Budget`] from `--timeout` / `--max-nodes` /
-/// `--max-sets` / `--degrade`. Unlimited when none are given.
-fn budget_from(args: &Args) -> Result<Budget, CliError> {
+/// `--max-sets` / `--degrade`. Unlimited when none are given. A node or
+/// set limit that `miner`'s family never checks would never trip, so it is
+/// a usage error naming the flag and the family.
+fn budget_from(args: &Args, miner: &Miner) -> Result<Budget, CliError> {
+    for flag in ["max-nodes", "max-sets"] {
+        if args.get(flag).is_some() && !miner.checked_limits().contains(&flag) {
+            return Err(usage(format!(
+                "--{flag} is not available for '{}': its search never checks it",
+                miner.family()
+            )));
+        }
+    }
     let mut budget = Budget::unlimited();
     if let Some(t) = args.get("timeout") {
         let secs: f64 = t
@@ -187,6 +197,7 @@ fn budget_from(args: &Args) -> Result<Budget, CliError> {
             .map_err(|e| usage(format!("bad --max-sets: {e}")))?;
         budget = budget.with_max_closed_sets(sets);
     }
+    // only IsTa checks the node limit, so only IsTa degrades
     if args.flag("degrade") {
         if budget.max_nodes.is_none() {
             return Err(usage("--degrade needs --max-nodes (it raises the support threshold until the tree fits the node budget)"));
@@ -213,32 +224,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     if args.get("checkpoint").is_some() || args.get("resume").is_some() {
         return cmd_mine_stream(args, algo, miner);
     }
-    let is_ista = matches!(miner, Miner::Ista(_) | Miner::ParallelIsta(_));
-    // `--threads N` selects the data-parallel miner with N shards (0 = one
-    // per available core); only meaningful for ista variants. Every shard
-    // thread reserves a large stack, so N is capped at the core count.
-    let threads: Option<usize> = match args.get("threads") {
-        None => None,
-        Some(t) => {
-            let n: usize = t
-                .parse()
-                .map_err(|e| usage(format!("bad --threads: {e}")))?;
-            Some(n.min(std::thread::available_parallelism().map_or(1, |c| c.get())))
-        }
-    };
-    if threads.is_some() && !is_ista {
-        return Err(usage(format!(
-            "--threads is not available for '{}'",
-            miner.family()
-        )));
-    }
-    let budget = budget_from(args)?;
-    let parallel = threads.is_some() || matches!(miner, Miner::ParallelIsta(_));
-    if budget.degrade && (!is_ista || parallel) {
-        return Err(usage(
-            "--degrade is only available for the sequential ista miner",
-        ));
-    }
+    let budget = budget_from(args, &miner)?;
     let item_order = item_order(args)?;
     let tx_order = tx_order(args)?;
     let obs_args = ObsArgs::from_args(args)?;
@@ -259,8 +245,8 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     let db = load_db(args)?;
     obs.span_exit();
     let supp = resolve_supp(args, db.num_transactions() as u64)?;
-    let rep = resolve_rep(args, &miner, &db, parallel)?;
-    let miner = configure(args, miner, rep, threads)?;
+    let rep = resolve_rep(args, &miner, &db)?;
+    let miner = configure(args, miner, rep)?;
     let constraints = constraints_from(args, &db)?;
     let query = Query {
         miner,
@@ -346,12 +332,12 @@ struct Query {
 }
 
 impl Query {
-    /// Mines the recoded database with one call. Sequential and sharded
-    /// IsTa answer through their stats calls, which also fill the tree,
-    /// pass and shard sections of `report`; every other family answers
-    /// through [`mine_with`](fim_core::ClosedMiner::mine_with). Returns
-    /// the coded outcome and whether the miner already sent the final
-    /// heartbeat, as sequential IsTa does.
+    /// Mines the recoded database with one call. IsTa answers through its
+    /// stats call, which also fills the tree and pass sections of
+    /// `report`; every other family answers through
+    /// [`mine_with`](fim_core::ClosedMiner::mine_with). Returns the coded
+    /// outcome and whether the miner already sent the final heartbeat, as
+    /// IsTa does.
     fn run(
         &self,
         db: &RecodedDatabase,
@@ -384,17 +370,6 @@ impl Query {
                 });
                 (outcome, stats.counters)
             }
-            Miner::ParallelIsta(m) => {
-                let (outcome, stats) = m.mine_stats(db, &req);
-                // no cross-shard peak is tracked; the reduced tree's arena
-                // high-water (total slots) is the closest honest figure
-                report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-                report.shards = Some(ShardMetrics {
-                    shards: stats.shards as u64,
-                    recovered: stats.shards_recovered as u64,
-                });
-                (outcome, stats.counters)
-            }
             other => other.as_dyn().mine_with(db, &req, obs),
         };
         report.counters = counters;
@@ -418,7 +393,7 @@ impl Query {
 /// recoding; the pre-recode estimate is used here so the choice is made
 /// once, before any miner runs.
 ///
-/// The kernelized families are sequential IsTa, eclat, declat, and
+/// The kernelized families are IsTa, eclat, declat, and
 /// carpenter-lists; the rest reject a selection. IsTa has no galloping
 /// kernel (its epoch probe is already O(1)): [`configure`] turns that
 /// selection into the scalar kernel it runs.
@@ -426,7 +401,6 @@ fn resolve_rep(
     args: &Args,
     miner: &Miner,
     db: &TransactionDatabase,
-    parallel: bool,
 ) -> Result<Option<Representation>, CliError> {
     let flag = match args.get("rep") {
         None => None,
@@ -445,11 +419,6 @@ fn resolve_rep(
         }
     }
     if flag.is_some() || named.is_some() {
-        if parallel {
-            return Err(usage(
-                "--rep is not available for the parallel miner (the shards run the scalar kernel)",
-            ));
-        }
         let kernelized = matches!(
             miner,
             Miner::Ista(_) | Miner::CarpenterLists(_) | Miner::Eclat(_) | Miner::DEclat(_)
@@ -472,22 +441,10 @@ fn ista_toggles(args: &Args, mut config: IstaConfig) -> IstaConfig {
     config
 }
 
-/// Applies the IsTa toggles, `--rep`, `--no-prune` and `--threads` to the
-/// table row's miner. Each flag sets the field a row name sets, so a name
-/// and its flag spelling build the same miner.
-fn configure(
-    args: &Args,
-    miner: Miner,
-    rep: Option<Representation>,
-    threads: Option<usize>,
-) -> Result<Miner, CliError> {
-    // the shards carry the sequential pruning policy over
-    let sharded = |threads: usize, c: IstaConfig| {
-        Miner::ParallelIsta(ParallelIstaMiner::with_config(ParallelConfig {
-            threads,
-            policy: c.policy,
-        }))
-    };
+/// Applies the IsTa toggles, `--rep` and `--no-prune` to the table row's
+/// miner. Each flag sets the field a row name sets, so a name and its flag
+/// spelling build the same miner.
+fn configure(args: &Args, miner: Miner, rep: Option<Representation>) -> Result<Miner, CliError> {
     let no_prune = args.flag("no-prune");
     Ok(match miner {
         Miner::Ista(m) => {
@@ -498,18 +455,7 @@ fn configure(
                 Representation::Bitset => Representation::Bitset,
                 _ => Representation::Scalar,
             };
-            match threads {
-                Some(t) => sharded(t, config),
-                None => Miner::Ista(IstaMiner::with_config(config)),
-            }
-        }
-        Miner::ParallelIsta(m) => {
-            let c = m.config;
-            let config = IstaConfig {
-                policy: c.policy,
-                ..IstaConfig::default()
-            };
-            sharded(threads.unwrap_or(c.threads), ista_toggles(args, config))
+            Miner::Ista(IstaMiner::with_config(config))
         }
         Miner::CarpenterTable(mut m) if no_prune => {
             m.config = fim_carpenter::CarpenterConfig::unpruned();
@@ -723,7 +669,6 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         )));
     }
     for f in [
-        "threads",
         "stats",
         "profile",
         "no-prune",
@@ -743,7 +688,7 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         }
     }
     let supp: u32 = args.require_parsed("supp")?;
-    let budget = budget_from(args)?;
+    let budget = budget_from(args, &miner)?;
     let obs_args = ObsArgs::from_args(args)?;
     let mut obs = obs_args.build()?;
     let (mut stream, mut catalog) = match args.get("resume") {
@@ -919,16 +864,9 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
             )))
         }
     };
-    for f in [
-        "threads",
-        "checkpoint",
-        "resume",
-        "rep",
-        "tx-order",
-        "degrade",
-    ]
-    .into_iter()
-    .chain(CONSTRAINT_FLAGS)
+    for f in ["checkpoint", "resume", "rep", "tx-order", "degrade"]
+        .into_iter()
+        .chain(CONSTRAINT_FLAGS)
     {
         if args.get(f).is_some() {
             return Err(usage(format!("--{f} is not available with --out-of-core")));
@@ -946,7 +884,7 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     let spill_dir = args.require("spill-dir")?;
     let io_retries: u32 = args.parse_or("io-retries", 0)?;
     let resume = args.flag("resume-spill");
-    let budget = budget_from(args)?;
+    let budget = budget_from(args, &miner)?;
     let obs_args = ObsArgs::from_args(args)?;
     let item_order = item_order(args)?;
     let limits = fim_io::FimiLimits::default();
@@ -966,10 +904,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     // no cross-shard peak is tracked; the reduced tree's arena high-water
     // (total slots) is the closest honest figure
     report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-    report.shards = Some(ShardMetrics {
-        shards: stats.shards,
-        recovered: 0,
-    });
     report.spill = Some(SpillMetrics::from_counters(&stats.counters));
     report.counters = stats.counters;
     let heartbeat = ProgressSnapshot {
@@ -1170,7 +1104,7 @@ const USAGE: &str = "fim — closed frequent item set mining by intersecting tra
 USAGE:
   fim mine  --supp N | --supp-rel F   [--algo NAME] [--in FILE] [--out FILE]
             [--item-order asc|desc|orig] [--tx-order asc|desc|orig]
-            [--maximal] [--no-prune] [--threads N]
+            [--maximal] [--no-prune]
             [--include A,B] [--exclude C,D] [--min-size N] [--max-size N]
             [--min-area N] [--no-push]
             [--rep auto|scalar|bitset|gallop]
@@ -1187,9 +1121,6 @@ USAGE:
              default to the paper's §3.4 order, ascending size (asc),
              except for eclat and declat, which keep the file order (orig):
              their vertical search never reads the rows in order)
-            (--threads N shards the database over N threads and merges the
-             per-shard prefix trees; 0 = one shard per core, and N is
-             capped at the core count; ista only)
             (constraints: --include/--exclude take comma-separated item
              names; --min-size/--max-size bound the item count and
              --min-area the product support x size of the reported sets.
@@ -1205,8 +1136,8 @@ USAGE:
              and unknown item names are usage errors, exit code 2; not
              combinable with --maximal, --checkpoint/--resume, or
              --out-of-core)
-            (--rep selects the physical tid-set kernel for the sequential
-             ista variants, eclat, declat, and carpenter-lists: scalar
+            (--rep selects the physical tid-set kernel for the ista
+             variants, eclat, declat, and carpenter-lists: scalar
              sorted-list merges (the default), bitset word-AND + popcount,
              gallop exponential-search merges; auto picks by database
              density. Output is identical across kernels; only the work
@@ -1236,11 +1167,12 @@ USAGE:
              available for every algorithm, with budget and constraint
              flags too; stdout stays clean result output throughout)
             (budgets: --timeout caps wall-clock seconds, --max-nodes caps
-             live prefix-tree nodes, --max-sets caps emitted sets; each
-             family checks only some of them (README, Budgets); on a
+             live prefix-tree nodes (ista only), --max-sets caps emitted
+             sets (carpenter and eclat only); a family that never checks
+             a limit refuses it with exit code 2 (README, Budgets). On a
              trip the exact sets of the processed prefix are written and
              the exit code is 4. --degrade instead raises the effective
-             support until the tree fits --max-nodes; sequential ista only)
+             support until the tree fits --max-nodes; ista only)
             (--checkpoint writes a resumable stream snapshot — atomically,
              on completion or on a budget trip; --resume loads one and
              skips the transactions it already covers; ista only)

@@ -125,7 +125,7 @@ fn all_algorithms_agree_via_cli() {
         .lines()
         .map(str::to_owned)
         .collect();
-    assert_eq!(names.len(), 26);
+    assert_eq!(names.len(), 25);
     let metrics = dir.path("metrics.json");
     let ledger = dir.path("ledger.jsonl");
     // an explicit transaction order and each miner's own give the same
@@ -237,28 +237,6 @@ fn metrics_name_the_ista_kernel_that_runs() {
     assert!(out.stdout == want.stdout);
     let doc = std::fs::read_to_string(&metrics).unwrap();
     assert!(doc.contains("\"rep\": \"scalar\""), "{doc}");
-}
-
-/// `--threads` is capped at the core count: every shard thread reserves a
-/// large stack, so an oversized count must not start one thread per row.
-#[test]
-fn threads_are_capped_at_the_core_count() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let dir = Scratch::new("threads");
-    let data = dir.path("rows.fimi");
-    let rows: String = (0..cores + 2).map(|r| format!("a b c{r}\n")).collect();
-    std::fs::write(&data, rows).unwrap();
-    let out = fim()
-        .args(["mine", "--supp", "1", "--in", &data, "--threads", "1000"])
-        .args(["--metrics", "-"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", stderr(&out));
-    let doc = stderr(&out);
-    let key = "\"shards\": {\"total\": ";
-    let at = doc.find(key).unwrap_or_else(|| panic!("no {key} in {doc}")) + key.len();
-    let shards: usize = doc[at..].split(',').next().unwrap().parse().unwrap();
-    assert!(shards <= cores, "{shards} shards on {cores} cores");
 }
 
 /// A run where no miner runs (a must-include item does not survive the

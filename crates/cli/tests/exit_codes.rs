@@ -94,6 +94,17 @@ fn usage_errors_exit_2() {
             "--in",
             &data("valid.fimi"),
         ],
+        // the retired data-parallel row, spelt so that no source line
+        // names it any more
+        vec![
+            "mine",
+            "--supp",
+            "1",
+            "--algo",
+            concat!("ista", "-par"),
+            "--in",
+            &data("valid.fimi"),
+        ],
         vec![
             "mine",
             "--supp",
@@ -129,6 +140,7 @@ fn unknown_flags_exit_2_naming_the_flag() {
         (mine("--no-coalesce", None), "--no-coalesce"),
         (mine("--no-compact", None), "--no-compact"),
         (mine("--no-patricia", None), "--no-patricia"),
+        (mine("--threads", Some("2")), "--threads"),
         (vec!["gen", "--preset", "ncbi60", "--seeed", "5"], "--seeed"),
         (
             vec![
@@ -270,6 +282,73 @@ fn tripped_timeout_exits_4_for_every_governed_algo() {
         ]);
         assert_eq!(code(&out), 4, "{algo}: {}", stderr(&out));
         assert!(stderr(&out).contains("timeout"), "{algo}: {}", stderr(&out));
+    }
+}
+
+/// A node or set limit that a family's search never checks would never
+/// trip, so `fim mine` refuses it with exit 2, naming the flag and the
+/// family, on every path; a limit the family checks trips (exit 4).
+#[test]
+fn budget_limits_a_family_never_checks_exit_2() {
+    // every family, whose rows are its name or its name plus a suffix,
+    // and the one limit its search checks ("" for neither)
+    let families = [
+        ("ista", "--max-nodes"),
+        ("carpenter-lists", "--max-sets"),
+        ("carpenter-table", "--max-sets"),
+        ("fpclose", ""),
+        ("lcm-noreuse", ""),
+        ("lcm", ""),
+        ("eclat", "--max-sets"),
+        ("declat", ""),
+        ("sam", ""),
+        ("apriori", ""),
+        ("naive-cumulative", ""),
+    ];
+    let valid = data("valid.fimi");
+    let names = fim(&["algos"]);
+    let names = String::from_utf8(names.stdout).expect("utf-8 names");
+    for name in names.lines() {
+        let (family, checked) = families
+            .iter()
+            .find(|(f, _)| name == *f || name.starts_with(&format!("{f}-")))
+            .unwrap_or_else(|| panic!("{name} belongs to no listed family"));
+        for flag in ["--max-sets", "--max-nodes"] {
+            let out = fim(&[
+                "mine", "--supp", "1", "--in", &valid, "--algo", name, flag, "1",
+            ]);
+            if flag == *checked {
+                assert_eq!(code(&out), 4, "{name} {flag}: {}", stderr(&out));
+                continue;
+            }
+            assert_eq!(code(&out), 2, "{name} {flag}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(&format!("{flag} is not available for '{family}'")),
+                "{name} {flag}: {}",
+                stderr(&out)
+            );
+            assert!(out.stdout.is_empty(), "{name} {flag}");
+        }
+    }
+    // IsTa's stream and out-of-core paths check the node limit only, too
+    let spill = std::env::temp_dir().join(format!("fim_cli_{}_limit_spill", std::process::id()));
+    let spill = spill.to_string_lossy().into_owned();
+    for path in [
+        &["--checkpoint", "/nonexistent/ck.bin"][..],
+        &["--out-of-core", "--mem-budget", "64", "--spill-dir", &spill],
+    ] {
+        let argv = [
+            &["mine", "--supp", "1", "--in", &valid, "--max-sets", "1"][..],
+            path,
+        ]
+        .concat();
+        let out = fim(&argv);
+        assert_eq!(code(&out), 2, "{argv:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--max-sets is not available for 'ista'"),
+            "{argv:?}: {}",
+            stderr(&out)
+        );
     }
 }
 

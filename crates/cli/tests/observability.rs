@@ -105,7 +105,6 @@ fn metrics_file_passes_schema_validation() {
     for algo in [
         "ista",
         "ista-bitset",
-        "ista-par",
         "carpenter-lists",
         "carpenter-table",
         "eclat",

@@ -188,13 +188,6 @@ impl Budget {
     /// per-run checking state. A deadline past the clock's range is no
     /// deadline.
     pub fn start(&self) -> Governor {
-        self.start_with_secondary(None)
-    }
-
-    /// Like [`start`](Budget::start), with an additional internal
-    /// cancellation token — used by parallel miners so one tripped shard
-    /// can stop its siblings without touching the caller's token.
-    pub fn start_with_secondary(&self, secondary: Option<CancelToken>) -> Governor {
         Governor {
             deadline: self.timeout.and_then(|t| Instant::now().checked_add(t)),
             max_nodes: self.max_nodes.unwrap_or(usize::MAX),
@@ -202,8 +195,7 @@ impl Budget {
             max_sets: self.max_closed_sets.unwrap_or(usize::MAX),
             max_transactions: self.max_transactions.unwrap_or(u64::MAX),
             cancel: self.cancel.clone(),
-            enabled: !self.is_unlimited() || secondary.is_some(),
-            secondary,
+            enabled: !self.is_unlimited(),
             processed: 0,
             tick: 0,
         }
@@ -219,7 +211,6 @@ pub struct Governor {
     max_sets: usize,
     max_transactions: u64,
     cancel: Option<CancelToken>,
-    secondary: Option<CancelToken>,
     processed: u64,
     tick: u32,
     enabled: bool,
@@ -267,11 +258,6 @@ impl Governor {
             return Some(TripReason::TransactionBudget);
         }
         if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return Some(TripReason::Cancelled);
-            }
-        }
-        if let Some(c) = &self.secondary {
             if c.is_cancelled() {
                 return Some(TripReason::Cancelled);
             }
@@ -475,15 +461,6 @@ mod tests {
         let mut g = Budget::unlimited().with_cancel(clone).start();
         assert_eq!(g.check(0, 0, 0), None);
         token.cancel();
-        assert_eq!(g.check(0, 0, 0), Some(TripReason::Cancelled));
-    }
-
-    #[test]
-    fn secondary_token_trips_too() {
-        let internal = CancelToken::new();
-        let mut g = Budget::unlimited().start_with_secondary(Some(internal.clone()));
-        assert_eq!(g.check(0, 0, 0), None);
-        internal.cancel();
         assert_eq!(g.check(0, 0, 0), Some(TripReason::Cancelled));
     }
 

@@ -43,7 +43,6 @@
 pub mod arena;
 pub mod miner;
 pub mod outofcore;
-pub mod parallel;
 pub mod snapshot;
 pub mod stream;
 pub mod tree;
@@ -54,6 +53,5 @@ pub use outofcore::{
     load_spill, spill_tree, sync_parent_dir, AdoptedSpill, OutOfCoreConfig, OutOfCoreMiner,
     OutOfCoreStats, ResumePlan, SpillJournal, TxInterval,
 };
-pub use parallel::{ParallelConfig, ParallelIstaMiner, ParallelMineStats};
 pub use stream::IstaStream;
 pub use tree::{intersect_segment, intersect_segment_words, PrefixTree, TreeMemoryStats};

@@ -4,16 +4,26 @@
 //! versioned snapshot, and merge-reducing the spilled trees pairwise from
 //! disk.
 //!
-//! The soundness argument is the same additive support identity the
-//! data-parallel miner rests on (see [`crate::parallel`]): shards are
-//! disjoint contiguous transaction multisets, each shard tree starts from
-//! a snapshot of the *global* item support counts and decrements only what
-//! it consumed itself, so the per-shard viability bound stays safe, and
-//! replaying one spilled tree's stored transactions into another computes
-//! exactly the cross-shard intersections with correct summed supports.
+//! The decomposition rests on the additive support identity
 //!
-//! What is different from the parallel miner is the *resident-set shape*:
-//! at no point does the pipeline hold more than
+//! ```text
+//! supp_{D₁ ∪ D₂}(S) = supp_{D₁}(S) + supp_{D₂}(S)
+//! ```
+//!
+//! for a database split into disjoint transaction multisets: the closed
+//! sets of the union are the closed sets of the parts plus their pairwise
+//! intersections, and replaying one shard tree's stored transactions into
+//! another through the ordinary cumulative intersection update
+//! ([`PrefixTree::try_merge_with`]) computes exactly those intersections
+//! with correct summed supports. Shards are contiguous, so the §3.4
+//! processing order holds inside each of them. Each shard tree starts
+//! from a snapshot of the *global* item support counts and decrements only
+//! what it consumed itself: occurrences held by other shards arrive later
+//! through a merge, so they still count as remaining and the viability
+//! bound `supp + remaining[i] ≥ minsupp` stays safe.
+//!
+//! The resident set stays small: at no point does the pipeline hold more
+//! than
 //!
 //! * one shard's transaction slice (bounded by
 //!   [`OutOfCoreConfig::mem_budget`] plus one transaction), **or**
@@ -32,7 +42,6 @@
 //! trip, error, or panic — so the spill directory is left clean.
 
 use crate::miner::{IstaConfig, PrunePacer, PrunePolicy};
-use crate::parallel::test_hooks;
 use crate::snapshot;
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::fault::{self, points, RetryPolicy};
@@ -265,8 +274,8 @@ pub struct ResumePlan {
 
 /// One outstanding spill: its snapshot on disk, the item occurrences *not
 /// yet folded into it* — the global support snapshot minus everything the
-/// covered transactions consumed (the merge-safety invariant of
-/// [`crate::parallel`], kept in memory because it is one `u32` per item) —
+/// covered transactions consumed (the merge-safety invariant of the
+/// module docs, kept in memory because it is one `u32` per item) —
 /// and the stream intervals it covers, for journaling.
 struct Spill {
     path: PathBuf,
@@ -361,13 +370,13 @@ impl OutOfCoreMiner {
     /// reader), `total_transactions` the stream length if known (used
     /// only for progress reporting on interruption).
     ///
-    /// The `budget` governs tree growth exactly as in the sequential and
-    /// parallel miners: shard mining and merge replays checkpoint per
-    /// transaction, and the first trip stops further stream consumption
-    /// while the already-spilled shards are still reduced, so the partial
-    /// result is exact for the processed transaction subset. Graceful
-    /// degradation (`Budget::degrade`) is a sequential-miner feature and
-    /// is ignored here, as in the parallel miner.
+    /// The `budget` governs tree growth exactly as in the sequential
+    /// miner: shard mining and merge replays checkpoint per transaction,
+    /// and the first trip stops further stream consumption while the
+    /// already-spilled shards are still reduced, so the partial result is
+    /// exact for the processed transaction subset. Graceful degradation
+    /// (`Budget::degrade`) is a sequential-miner feature and is ignored
+    /// here: a per-shard raised threshold would be unsound to merge.
     pub fn mine_stream<F>(
         &self,
         num_items: u32,
@@ -565,7 +574,6 @@ impl OutOfCoreMiner {
             // sets are invariant under the shard boundaries themselves.
             shard.sort_unstable_by(|a, b| fim_core::cmp_size_then_desc_lex(a, b));
             let shard_idx = stats.shards as usize;
-            test_hooks::maybe_panic(shard_idx);
             let was_tripped = tripped.is_some();
             obs.span_enter("shard");
             let mined = mine_shard(
@@ -847,11 +855,16 @@ impl OutOfCoreMiner {
     }
 }
 
-/// Mines one shard slice into its own tree — the sequential sibling of
-/// [`crate::parallel`]'s shard miner, with the same merge-safety
-/// discipline: globally hopeless items are filtered before insertion and
-/// only the terminal-keeping prune runs, so the stored transactions stay
-/// exact for the later replay.
+/// Mines one shard slice into its own tree, keeping it safe to merge.
+///
+/// Items that are globally hopeless (`global_supports[i] < minsupp`) are
+/// filtered out of every transaction before insertion: no viable set can
+/// contain them. That lets the shard prune with
+/// [`PrefixTree::prune_keeping_terminals`], which never reduces a stored
+/// transaction, so the later replay stays exact for viable sets. The plain
+/// [`PrefixTree::prune`] could drop an item that is hopeless for this
+/// shard but viable overall from a stored transaction, and the replay
+/// would then under-count that item's supersets.
 #[allow(clippy::too_many_arguments)]
 fn mine_shard(
     txs: Vec<Vec<Item>>,
@@ -906,11 +919,14 @@ fn mine_shard(
     (tree, remaining)
 }
 
-/// Folds `right` into `left` — [`crate::parallel`]'s pruned merge replay
-/// over reloaded spill trees. Remaining counts are decremented transaction
-/// by transaction during the replay; `is_final` marks the root of the
-/// reduction, whose result is only reported and may therefore use the
-/// plain (terminal-reducing) prune.
+/// Folds `right` into `left`: replays the reloaded donor's stored
+/// transactions, pruning mid-replay so the combined tree stays as bounded
+/// as the shard trees were. Remaining counts are decremented transaction
+/// by transaction during the replay; decrementing them all up front would
+/// over-prune nodes whose support has not yet absorbed the unreplayed
+/// occurrences. `is_final` marks the root of the reduction, whose result
+/// is only reported and may therefore use the plain (terminal-reducing)
+/// prune.
 fn merge_spilled(
     left: &mut TreeAndRemaining,
     right: TreeAndRemaining,
@@ -954,7 +970,7 @@ fn merge_spilled(
     });
     if let Err(reason) = replay {
         // the merged tree holds the replayed prefix exactly; the rest of
-        // the donor is dropped — sound partial, same as the parallel miner
+        // the donor is dropped — a sound partial
         if tripped.is_none() {
             *tripped = Some(reason);
         }

@@ -435,8 +435,8 @@ impl PrefixTree {
         self.arena.counters()
     }
 
-    /// Adds another tree's counters into this one (parallel shard
-    /// aggregation after a merge).
+    /// Adds another tree's counters into this one (shard aggregation
+    /// after a merge).
     pub fn absorb_counters(&mut self, other: &Counters) {
         self.arena.absorb_counters(other);
     }
@@ -599,9 +599,7 @@ impl PrefixTree {
     /// reduced transaction would then under-count viable subsets in the
     /// tree it is replayed into. Items that are globally hopeless should
     /// instead be filtered out of transactions before insertion, which is
-    /// what [`ParallelIstaMiner`] does.
-    ///
-    /// [`ParallelIstaMiner`]: crate::parallel::ParallelIstaMiner
+    /// what the out-of-core shard miner ([`crate::outofcore`]) does.
     pub fn prune_keeping_terminals(&mut self, remaining: &[u32], minsupp: u32) {
         let head = self.arena.get(self.root).children;
         let mut buf = Vec::new();
@@ -803,33 +801,20 @@ impl PrefixTree {
     ///
     /// Both trees must be over the same item universe.
     pub fn merge(&mut self, other: &PrefixTree) {
-        self.merge_with(other, |_, _, _| {});
+        // the callback never fails, so neither does the replay
+        let _ = self.try_merge_with(other, |_, _, _| Ok::<(), std::convert::Infallible>(()));
     }
 
     /// Like [`merge`](Self::merge), but invokes `after_each(self, t, w)`
     /// after every replayed weighted transaction, letting the caller
-    /// interleave pruning (or progress accounting) with the replay — for
-    /// large merges an unpruned combined tree can grow far beyond what the
-    /// per-shard pruning kept bounded.
-    pub fn merge_with<F>(&mut self, other: &PrefixTree, mut after_each: F)
-    where
-        F: FnMut(&mut PrefixTree, &[Item], u32),
-    {
-        let infallible: Result<(), std::convert::Infallible> =
-            self.try_merge_with(other, |tree, t, w| {
-                after_each(tree, t, w);
-                Ok(())
-            });
-        let _ = infallible; // Infallible: the replay cannot stop early
-    }
-
-    /// Fallible [`merge_with`](Self::merge_with): `after_each` may return
-    /// `Err` to stop the replay (a governed merge checkpoint). On an early
-    /// stop the tree is left in a consistent state representing `self` plus
-    /// the replayed prefix of `other`'s transactions — its reported sets
-    /// are the exact closed sets of that combined multiset — and `other`'s
-    /// remaining transactions (including its empty-set weight) are *not*
-    /// accounted.
+    /// interleave pruning with the replay — for large merges an unpruned
+    /// combined tree can grow far beyond what the per-shard pruning kept
+    /// bounded. `after_each` may return `Err` to stop the replay (a
+    /// governed merge checkpoint). On an early stop the tree is left in a
+    /// consistent state representing `self` plus the replayed prefix of
+    /// `other`'s transactions — its reported sets are the exact closed
+    /// sets of that combined multiset — and `other`'s remaining
+    /// transactions (including its empty-set weight) are *not* accounted.
     pub fn try_merge_with<E, F>(&mut self, other: &PrefixTree, mut after_each: F) -> Result<(), E>
     where
         F: FnMut(&mut PrefixTree, &[Item], u32) -> Result<(), E>,

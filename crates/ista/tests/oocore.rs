@@ -1,17 +1,18 @@
 //! Fault injection and corruption handling for the out-of-core pipeline.
 //!
 //! The pipeline's scope guard must leave the spill directory clean on
-//! *every* exit — a panic in the middle of a shard mine (injected through
-//! `fim_ista::parallel::test_hooks`, the same process-global one-shot hook
-//! the parallel miner's fault tests use), a budget trip, or a normal
-//! return — and every reload of a spill snapshot must detect arbitrary
-//! single-byte corruption or truncation as [`FimError::Corrupt`] naming
-//! the offending file. Because the panic hook is process-global, the tests
-//! that arm it serialize on one mutex.
+//! *every* exit — a panic in the middle of the pipeline (injected through
+//! the [`fim_core::fault`] registry's spill and merge points), a budget
+//! trip, or a normal return — and every reload of a spill snapshot must
+//! detect arbitrary single-byte corruption or truncation as
+//! [`FimError::Corrupt`] naming the offending file. The fault registry is
+//! process-global, so every test that reaches a fault point (`spill_tree`,
+//! `load_spill`, `mine_stream`) holds one mutex: an armed fault must not
+//! fire in another test's run.
 
+use fim_core::fault;
 use fim_core::reference::mine_reference;
 use fim_core::{Budget, FimError, MineOutcome, RecodedDatabase, TripReason};
-use fim_ista::parallel::test_hooks;
 use fim_ista::{
     load_spill, spill_tree, OutOfCoreConfig, OutOfCoreMiner, OutOfCoreStats, PrefixTree,
 };
@@ -85,29 +86,39 @@ fn mine_db(
 fn shard_panic_leaves_the_spill_dir_clean_at_every_depth() {
     let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     let db = paper_db();
-    // shard 0 panics before the first spill exists, shard 2 with two
-    // spills on disk, shard 7 with the directory at its fullest
-    for shard in [0usize, 2, 7] {
-        let dir = temp_dir(&format!("panic-{shard}"));
-        test_hooks::arm_shard_panic(shard);
+    // one-transaction shards spill all 8 before the merge reads any: the
+    // first spill write panics with it in flight and none complete, the
+    // third with two spills on disk, the first merge read with all 8
+    for (k, spec) in [
+        "spill.write:1:panic",
+        "spill.write:3:panic",
+        "merge.read:1:panic",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = temp_dir(&format!("panic-{k}"));
+        fault::arm_str(spec).expect("valid spec");
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             mine_db(&db, 2, 1, &dir, &Budget::unlimited())
         }));
-        test_hooks::disarm();
-        assert!(panicked.is_err(), "shard={shard}: armed panic must fire");
+        let fired = fault::injected_count();
+        fault::disarm_all();
+        assert!(panicked.is_err(), "{spec}: armed panic must fire");
+        assert_eq!(fired, 1, "{spec}");
         assert!(
             dir_is_empty(&dir),
-            "shard={shard}: unwinding must remove every partial spill"
+            "{spec}: unwinding must remove every partial spill"
         );
         // the directory is immediately reusable: a fresh run is exact
         let (outcome, stats) = mine_db(&db, 2, 1, &dir, &Budget::unlimited());
         assert_eq!(
             outcome.into_result().canonicalized(),
             mine_reference(&db, 2),
-            "shard={shard}"
+            "{spec}"
         );
         assert_eq!(stats.shards, 8);
-        assert!(dir_is_empty(&dir), "shard={shard}: clean after the rerun");
+        assert!(dir_is_empty(&dir), "{spec}: clean after the rerun");
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -115,7 +126,6 @@ fn shard_panic_leaves_the_spill_dir_clean_at_every_depth() {
 #[test]
 fn budget_trip_mid_pipeline_leaves_the_spill_dir_clean() {
     let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
-    test_hooks::disarm();
     let db = paper_db();
     let dir = temp_dir("trip");
     let budget = Budget::unlimited().with_max_nodes(3);
@@ -133,6 +143,7 @@ fn budget_trip_mid_pipeline_leaves_the_spill_dir_clean() {
 
 #[test]
 fn every_byte_flip_in_a_spill_is_detected_and_names_the_file() {
+    let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     let db = paper_db();
     let dir = temp_dir("flip");
     fs::create_dir_all(&dir).unwrap();
@@ -163,6 +174,7 @@ fn every_byte_flip_in_a_spill_is_detected_and_names_the_file() {
 
 #[test]
 fn truncation_at_every_length_is_detected_and_names_the_file() {
+    let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     let db = paper_db();
     let dir = temp_dir("trunc");
     fs::create_dir_all(&dir).unwrap();

@@ -1,10 +1,15 @@
-//! Property tests for the out-of-core shard-spill pipeline.
+//! Property tests for the out-of-core shard-spill pipeline and the tree
+//! merge it reduces with.
 //!
-//! Two families, both pinned against the brute-force reference miner:
+//! Three families, all pinned against the brute-force reference miner:
 //!
 //! * the whole [`OutOfCoreMiner::mine_stream`] pipeline across arbitrary
 //!   byte budgets (from one-transaction shards to everything-resident)
-//!   must reproduce the reference and leave the spill directory clean;
+//!   and every pruning policy must reproduce the reference and leave the
+//!   spill directory clean;
+//! * the merge operator itself — two halves of a split database, plain
+//!   or terminal-pruned, merge to the reference (additive supports,
+//!   DESIGN.md §17);
 //! * **merge-order invariance** — slicing the transaction list into
 //!   contiguous shards, building one terminal-pruned tree per shard,
 //!   round-tripping every shard *and* every intermediate merge result
@@ -15,7 +20,7 @@
 
 use fim_core::reference::mine_reference;
 use fim_core::{Budget, Item, MiningResult, RecodedDatabase};
-use fim_ista::{load_spill, spill_tree, OutOfCoreConfig, OutOfCoreMiner, PrefixTree};
+use fim_ista::{load_spill, spill_tree, OutOfCoreConfig, OutOfCoreMiner, PrefixTree, PrunePolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fs;
@@ -58,6 +63,17 @@ fn dup_db() -> impl Strategy<Value = RecodedDatabase> {
             RecodedDatabase::from_dense(txs, num_items)
         })
     })
+}
+
+/// Strategy: every pruning-placement policy the miners support.
+fn any_policy() -> impl Strategy<Value = PrunePolicy> {
+    prop_oneof![
+        Just(PrunePolicy::Never),
+        Just(PrunePolicy::EveryN(1)),
+        Just(PrunePolicy::EveryN(3)),
+        Just(PrunePolicy::Growth(1.2)),
+        Just(PrunePolicy::Growth(2.0)),
+    ]
 }
 
 /// Canonical (items, support) view of a mining result, for comparison.
@@ -127,19 +143,23 @@ fn reduce_in_seeded_order(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The full pipeline across arbitrary byte budgets: identical to the
-    /// reference, spill directory left clean — on random rows and on rows
-    /// that are certain to repeat (which each shard coalesces).
+    /// The full pipeline across arbitrary byte budgets and pruning
+    /// policies: identical to the reference, spill directory left clean —
+    /// on random rows and on rows that are certain to repeat (which each
+    /// shard coalesces).
     #[test]
     fn mine_stream_matches_reference_for_any_byte_budget(
         db in small_db(),
         dups in dup_db(),
         minsupp in 1u32..6,
         mem_budget in 1u64..400,
+        policy in any_policy(),
     ) {
         for db in [db, dups] {
             let dir = case_dir("stream");
-            let miner = OutOfCoreMiner::with_config(OutOfCoreConfig::new(mem_budget, &dir));
+            let mut config = OutOfCoreConfig::new(mem_budget, &dir);
+            config.policy = policy;
+            let miner = OutOfCoreMiner::with_config(config);
             let txs = db.transactions();
             let mut i = 0usize;
             let (outcome, stats) = miner
@@ -164,7 +184,10 @@ proptest! {
             prop_assert!(!outcome.is_interrupted());
             let got = outcome.into_result().canonicalized();
             let want = mine_reference(&db, minsupp).canonicalized();
-            prop_assert_eq!(got, want, "budget={} shards={}", mem_budget, stats.shards);
+            prop_assert_eq!(
+                got, want,
+                "budget={} shards={} policy={:?}", mem_budget, stats.shards, policy
+            );
             let leftover = fs::read_dir(&dir).map_or(0, |d| d.count());
             prop_assert_eq!(leftover, 0, "spill dir not clean");
             let _ = fs::remove_dir_all(&dir);
@@ -213,5 +236,65 @@ proptest! {
             order_seed
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The merge operator itself: splitting the transaction list at an
+    /// arbitrary point (including empty halves), building one tree per
+    /// half, and merging must reproduce the reference on the whole
+    /// database: supp over D1 ∪ D2 = supp over D1 + supp over D2.
+    #[test]
+    fn merge_of_split_halves_matches_reference(
+        db in small_db(),
+        minsupp in 1u32..6,
+        cut_seed in 0usize..16,
+    ) {
+        let txs = db.transactions();
+        let cut = if txs.is_empty() { 0 } else { cut_seed % (txs.len() + 1) };
+        let mut left = PrefixTree::new(db.num_items());
+        for t in txs.slice(0..cut) {
+            left.add_transaction(t);
+        }
+        let mut right = PrefixTree::new(db.num_items());
+        for t in txs.slice(cut..txs.len()) {
+            right.add_transaction(t);
+        }
+        left.merge(&right);
+        left.validate_invariants();
+        let want = canon(&mine_reference(&db, minsupp));
+        prop_assert_eq!(canon_tree(&left, minsupp), want, "cut = {}", cut);
+    }
+
+    /// Merge after terminal-preserving pruning of both halves: pruning a
+    /// shard tree against (upper-bound) remaining counts must never change
+    /// the merged result.
+    #[test]
+    fn merge_of_pruned_halves_matches_reference(
+        db in small_db(),
+        minsupp in 1u32..6,
+        cut_seed in 0usize..16,
+    ) {
+        let txs = db.transactions();
+        let cut = if txs.is_empty() { 0 } else { cut_seed % (txs.len() + 1) };
+        // global per-item supports are a sound upper bound on what any
+        // itemset can still gain from the other shard
+        let remaining = db.item_supports().to_vec();
+        let mut left = PrefixTree::new(db.num_items());
+        for t in txs.slice(0..cut) {
+            left.add_transaction(t);
+            left.prune_keeping_terminals(&remaining, minsupp);
+        }
+        let mut right = PrefixTree::new(db.num_items());
+        for t in txs.slice(cut..txs.len()) {
+            right.add_transaction(t);
+            right.prune_keeping_terminals(&remaining, minsupp);
+        }
+        left.merge(&right);
+        left.validate_invariants();
+        let want = canon(&mine_reference(&db, minsupp));
+        prop_assert_eq!(canon_tree(&left, minsupp), want, "cut = {}", cut);
     }
 }

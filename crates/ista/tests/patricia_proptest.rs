@@ -1,9 +1,9 @@
 //! Property tests for the path-compressed (Patricia) prefix tree.
 //!
 //! The Patricia layout (paper §3.3) must be a pure representation change:
-//! every configuration — prune policy × segment kernel × minimum support ×
-//! shard count — has to report exactly the closed sets of the brute-force
-//! reference. On top of the equivalence
+//! every configuration — prune policy × segment kernel × minimum support,
+//! in memory and sharded out of core — has to report exactly the closed
+//! sets of the brute-force reference. On top of the equivalence
 //! sweep, the suite pins order-independence of the stored repository
 //! (split/merge churn from different insertion orders must converge to
 //! the same conceptual node set) and the snapshot compatibility path: a
@@ -12,14 +12,47 @@
 //! observably identical tree and survive corruption attempts.
 
 use fim_core::reference::mine_reference;
-use fim_core::{ClosedMiner, Item, MiningResult, RecodedDatabase};
+use fim_core::{Budget, ClosedMiner, Item, MiningResult, RecodedDatabase};
 use fim_ista::snapshot::{crc32, read_tree, write_tree, MAGIC};
-use fim_ista::{IstaConfig, IstaMiner, ParallelIstaMiner, PrefixTree, PrunePolicy};
+use fim_ista::{IstaConfig, IstaMiner, OutOfCoreConfig, OutOfCoreMiner, PrefixTree, PrunePolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shard counts of the acceptance sweep.
-const SHARDS: [usize; 3] = [1, 2, 3];
+/// Mines `db` through the out-of-core pipeline under `policy`. The 64-byte
+/// budget closes a shard after one or two transactions, so every database
+/// of more than two rows is mined as several shard trees that are spilled,
+/// reloaded and merged.
+fn mine_out_of_core(db: &RecodedDatabase, minsupp: u32, policy: PrunePolicy) -> MiningResult {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("fim-patricia-prop-{}-{n}", std::process::id()));
+    let mut config = OutOfCoreConfig::new(64, &dir);
+    config.policy = policy;
+    let txs = db.transactions();
+    let mut i = 0usize;
+    let (outcome, _) = OutOfCoreMiner::with_config(config)
+        .mine_stream(
+            db.num_items(),
+            db.item_supports(),
+            Some(txs.len() as u64),
+            minsupp,
+            &Budget::unlimited(),
+            |buf| {
+                buf.clear();
+                if i < txs.len() {
+                    buf.extend_from_slice(&txs[i]);
+                    i += 1;
+                    Ok(true)
+                } else {
+                    Ok(false)
+                }
+            },
+        )
+        .expect("pipeline");
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome.into_result()
+}
 
 /// Strategy: a database of up to 14 transactions over up to 9 items.
 fn small_db() -> impl Strategy<Value = RecodedDatabase> {
@@ -173,7 +206,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The acceptance sweep: Patricia == reference for every prune policy,
-    /// both segment kernels, every minimum support, and shard count 1/2/3.
+    /// both segment kernels, every minimum support, in memory and sharded
+    /// out of core.
     #[test]
     fn patricia_matches_reference(
         db in small_db(),
@@ -195,18 +229,8 @@ proptest! {
         .mine(&db, minsupp)
         .canonicalized();
         prop_assert_eq!(canon(&bitset), canon(&want), "bitset, policy={:?}", policy);
-        for threads in SHARDS {
-            let sharded = ParallelIstaMiner::with_config(fim_ista::ParallelConfig {
-                threads,
-                policy,
-            })
-            .mine(&db, minsupp)
-            .canonicalized();
-            prop_assert_eq!(
-                canon(&sharded), canon(&want),
-                "shards={}, policy={:?}", threads, policy
-            );
-        }
+        let sharded = mine_out_of_core(&db, minsupp, policy).canonicalized();
+        prop_assert_eq!(canon(&sharded), canon(&want), "out of core, policy={:?}", policy);
     }
 
     /// Same sweep on the segment-heavy shape (long overlapping ranges),

@@ -57,8 +57,8 @@ pub use counters::{Counter, Counters, NUM_COUNTERS};
 pub use ledger::{fnv1a, fnv1a_file, read_ledger, LedgerEntry, LEDGER_SCHEMA};
 pub use metrics::{
     validate_metrics_json, ConstraintMetrics, EventsMetrics, KernelMetrics, MetricsReport,
-    PassMetrics, ResourceMetrics, ShardMetrics, SpillMetrics, TreeMetrics, METRICS_SCHEMA,
-    METRICS_SCHEMA_V1, REQUIRED_METRICS_KEYS,
+    PassMetrics, ResourceMetrics, SpillMetrics, TreeMetrics, METRICS_SCHEMA, METRICS_SCHEMA_V1,
+    REQUIRED_METRICS_KEYS,
 };
 pub use progress::{ProgressEmitter, ProgressSnapshot, ProgressStyle};
 pub use resource::{

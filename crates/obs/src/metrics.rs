@@ -74,15 +74,6 @@ pub struct PassMetrics {
     pub compactions: u64,
 }
 
-/// Shard metrics (parallel miner only).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardMetrics {
-    /// Shards mined.
-    pub shards: u64,
-    /// Shards re-mined sequentially after a worker panic.
-    pub recovered: u64,
-}
-
 /// Spill metrics (out-of-core pipeline only).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpillMetrics {
@@ -238,8 +229,6 @@ pub struct MetricsReport<'a> {
     pub tree: Option<TreeMetrics>,
     /// Maintenance-pass section.
     pub passes: Option<PassMetrics>,
-    /// Parallel-shard section.
-    pub shards: Option<ShardMetrics>,
     /// Out-of-core spill section.
     pub spill: Option<SpillMetrics>,
     /// Intersection-kernel section (representation-aware miners).
@@ -266,7 +255,6 @@ impl<'a> MetricsReport<'a> {
             transactions_distinct: None,
             tree: None,
             passes: None,
-            shards: None,
             spill: None,
             kernel: None,
             constraint: None,
@@ -310,13 +298,6 @@ impl<'a> MetricsReport<'a> {
                 w,
                 "  \"passes\": {{\"prune_passes\": {}, \"compactions\": {}}},",
                 p.prune_passes, p.compactions
-            )?;
-        }
-        if let Some(s) = &self.shards {
-            writeln!(
-                w,
-                "  \"shards\": {{\"total\": {}, \"recovered\": {}}},",
-                s.shards, s.recovered
             )?;
         }
         if let Some(s) = &self.spill {
@@ -563,7 +544,6 @@ mod tests {
         validate_metrics_json(&bare).expect("bare report validates");
         assert!(!bare.contains("\"tree\""));
         assert!(!bare.contains("\"passes\""));
-        assert!(!bare.contains("\"shards\""));
         assert!(!bare.contains("\"spill\""));
         assert!(!bare.contains("\"kernel\""));
         assert!(!bare.contains("\"constraint\""));

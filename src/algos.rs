@@ -6,9 +6,12 @@
 //! `carpenter-table-noelim`, …) are rows of their own that mean "family +
 //! configuration": the family's miner with one setting changed. Adding such
 //! a name is a one-row change. A caller that configures a miner further, as
-//! the CLI does with `--rep`, `--no-prune` and `--threads`, changes the
-//! same fields a row sets, so a name and its flag spelling build the same
-//! miner.
+//! the CLI does with `--rep` and `--no-prune`, changes the same fields a
+//! row sets, so a name and its flag spelling build the same miner.
+//!
+//! Beside the table, [`Miner::checked_limits`] states which budget limits
+//! each family's search checks, so a caller can refuse a limit that would
+//! never trip instead of ignoring it.
 
 use fim_baseline::{
     AprioriMiner, DEclatMiner, EclatMiner, FpCloseMiner, LcmClassicMiner, LcmMiner,
@@ -16,19 +19,17 @@ use fim_baseline::{
 };
 use fim_carpenter::{CarpenterConfig, CarpenterListMiner, CarpenterTableMiner};
 use fim_core::{ClosedMiner, Representation};
-use fim_ista::{IstaConfig, IstaMiner, ParallelIstaMiner};
+use fim_ista::{IstaConfig, IstaMiner};
 
 /// A configured miner, by family. The families a flag configures keep
-/// their concrete type, so a caller can set their configuration, and the
-/// two IsTa families can be asked for their whole run statistics; the rest
-/// are used through [`ClosedMiner`] only. Every family reports its run
-/// counters through [`ClosedMiner::mine_with`].
+/// their concrete type, so a caller can set their configuration, and IsTa
+/// can be asked for its whole run statistics; the rest are used through
+/// [`ClosedMiner`] only. Every family reports its run counters through
+/// [`ClosedMiner::mine_with`].
 #[derive(Clone, Copy)]
 pub enum Miner {
-    /// Sequential IsTa (paper §3.2–3.3).
+    /// IsTa (paper §3.2–3.3).
     Ista(IstaMiner),
-    /// IsTa over sharded prefix trees, merged at the end.
-    ParallelIsta(ParallelIstaMiner),
     /// Carpenter over per-item tid lists.
     CarpenterLists(CarpenterListMiner),
     /// Carpenter over the Table-1 matrix.
@@ -47,11 +48,8 @@ type Row = (&'static str, fn() -> Miner);
 
 /// Every algorithm in `fim algos` order, grouped by family, each family's
 /// default miner first.
-const TABLE: [Row; 26] = [
+const TABLE: [Row; 25] = [
     ("ista", || Miner::Ista(IstaMiner::default())),
-    ("ista-par", || {
-        Miner::ParallelIsta(ParallelIstaMiner::default())
-    }),
     ("ista-noprune", || {
         Miner::Ista(IstaMiner::with_config(IstaConfig::without_pruning()))
     }),
@@ -148,7 +146,6 @@ impl Miner {
     pub fn as_dyn(&self) -> &dyn ClosedMiner {
         match self {
             Miner::Ista(m) => m,
-            Miner::ParallelIsta(m) => m,
             Miner::CarpenterLists(m) => m,
             Miner::CarpenterTable(m) => m,
             Miner::Eclat(m) => m,
@@ -163,12 +160,26 @@ impl Miner {
     pub fn family(&self) -> &'static str {
         match self {
             Miner::Ista(_) => IstaMiner::default().name(),
-            Miner::ParallelIsta(_) => ParallelIstaMiner::default().name(),
             Miner::CarpenterLists(_) => CarpenterListMiner::default().name(),
             Miner::CarpenterTable(_) => CarpenterTableMiner::default().name(),
             Miner::Eclat(_) => EclatMiner::default().name(),
             Miner::DEclat(_) => DEclatMiner::default().name(),
             Miner::Fixed(m) => m.name(),
+        }
+    }
+
+    /// The budget limits the family's search checks, by the `fim mine`
+    /// flag that sets them: `max-nodes` (the size of the family's
+    /// repository) and `max-sets` (the sets found so far). A limit the
+    /// family never checks would never trip; a caller should refuse it.
+    /// The timeout is not listed: every family checks it at least once,
+    /// before mining. IsTa checks the node limit on every path, the
+    /// checkpointing stream and the out-of-core pipeline included.
+    pub fn checked_limits(&self) -> &'static [&'static str] {
+        match self {
+            Miner::Ista(_) => &["max-nodes"],
+            Miner::CarpenterLists(_) | Miner::CarpenterTable(_) | Miner::Eclat(_) => &["max-sets"],
+            Miner::DEclat(_) | Miner::Fixed(_) => &[],
         }
     }
 
@@ -199,13 +210,13 @@ mod tests {
     #[test]
     fn names_are_unique_and_resolve() {
         let mut names: Vec<&str> = names().collect();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 25);
         for name in &names {
             assert!(Miner::by_name(name).is_ok(), "{name}");
         }
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 26, "duplicate table rows");
+        assert_eq!(names.len(), 25, "duplicate table rows");
         let err = Miner::by_name("bogus").err().unwrap();
         assert_eq!(err, "unknown algorithm 'bogus'");
     }
