@@ -10,9 +10,12 @@
 //! `P` is `d(P ∪ {i,j}) = d(P ∪ {j}) − d(P ∪ {i})`; only the first level
 //! computes `d(ij) = t(i) − t(j)` from real tid lists.
 //!
-//! The diffsets run behind the same [`TidSetKernel`] as Eclat's tid sets:
+//! The diffsets run behind the same tid-set kernel as Eclat's tid sets:
 //! linear-merge lists (`declat`), galloping lists (`declat-gallop`), or
 //! packed bitsets with word-ANDNOT (`declat-bitset`), all output-identical.
+//! A child is kept iff `|d| ≤ supp(P ∪ {i}) − minsupp`, so the bitset
+//! kernel stops counting a diffset once it passes that budget and copies
+//! only the diffsets of kept children.
 
 use crate::filter::{candidate_prunable, filter_closed, subtree_prunable};
 use crate::kernel::{with_kernel, TidSetKernel};
@@ -21,8 +24,6 @@ use fim_core::{
     RecodedDatabase, Representation, TidLists, TransactionOrder,
 };
 use fim_obs::{Counter, Counters, Obs};
-
-pub use crate::kernel::diff_into;
 
 /// The diffset-based Eclat miner (closed output via subsumption filter).
 #[derive(Clone, Copy, Debug, Default)]
@@ -77,33 +78,38 @@ impl ClosedMiner for DEclatMiner {
     /// selected representation. Constraints are pushed as in Eclat's
     /// `mine_with`: min-area raises the effective support floor, per-node
     /// envelope bounds cut subtrees, and the anti-monotone max-size waits
-    /// for [`filter_closed`].
+    /// for [`filter_closed`], which runs in a `filter` span.
     fn mine_with(
         &self,
         db: &RecodedDatabase,
         req: &MineRequest<'_>,
-        _obs: &mut Obs,
+        obs: &mut Obs,
     ) -> (MineOutcome, Counters) {
         req.run_to_completion(db, || {
             let Some(minsupp) = req.support_floor(db.num_items()) else {
                 return (MiningResult::new(), Counters::new());
             };
             let cs = req.constraints.cloned();
-            with_kernel!(self.rep, db.transactions().len() as u32, |k| drive(
-                &k, db, minsupp, cs
-            ))
+            let (candidates, counters) =
+                with_kernel!(self.rep, db.transactions().len() as u32, |k| drive(
+                    &k, db, minsupp, cs
+                ));
+            obs.span_enter("filter");
+            let closed = filter_closed(candidates);
+            obs.span_exit();
+            (closed, counters)
         })
     }
 }
 
 /// First level (tid lists → first diffsets) plus the diffset recursion,
-/// monomorphized per kernel.
+/// monomorphized per kernel. Returns the raw candidates and the counters.
 fn drive<K: TidSetKernel>(
     kernel: &K,
     db: &RecodedDatabase,
     minsupp: u32,
     cs: Option<ConstraintSet>,
-) -> (MiningResult, Counters) {
+) -> (Vec<FoundSet>, Counters) {
     let lists = TidLists::from_database(db);
     let mut ctx = Ctx {
         minsupp,
@@ -126,8 +132,9 @@ fn drive<K: TidSetKernel>(
         let mut next: Vec<(Item, K::Set, u32)> = Vec::new();
         let mut perfect: Vec<Item> = Vec::new();
         for (j_idx, &j) in frequent.iter().enumerate().skip(idx + 1) {
-            // d(ij) = t(i) − t(j)
-            let d = kernel.diff(&sets[idx], &sets[j_idx], &mut buf, &mut ctx.counters);
+            // d(ij) = t(i) − t(j), exact while ij can stay frequent
+            let max = supp_i - ctx.minsupp;
+            let d = kernel.diff(&sets[idx], &sets[j_idx], max, &mut buf, &mut ctx.counters);
             let supp_ij = supp_i - d;
             if supp_ij == supp_i {
                 ctx.counters.bump(Counter::PerfectExtensions);
@@ -138,10 +145,7 @@ fn drive<K: TidSetKernel>(
         }
         emit_and_recurse(&mut ctx, kernel, &[i], supp_i, perfect, next);
     }
-    (
-        filter_closed(std::mem::take(&mut ctx.candidates)),
-        ctx.counters,
-    )
+    (ctx.candidates, ctx.counters)
 }
 
 /// Emits the perfect-extension-collapsed candidate for `prefix` and
@@ -198,8 +202,10 @@ fn recurse<K: TidSetKernel>(
         let mut next: Vec<(Item, K::Set, u32)> = Vec::new();
         let mut perfect: Vec<Item> = Vec::new();
         for (j, d_j, _) in &frontier[idx + 1..] {
-            // d(P ∪ {i,j}) = d(P ∪ {j}) − d(P ∪ {i})
-            let d = kernel.diff(d_j, d_i, &mut buf, &mut ctx.counters);
+            // d(P ∪ {i,j}) = d(P ∪ {j}) − d(P ∪ {i}), exact while it can
+            // stay frequent
+            let max = supp_i - ctx.minsupp;
+            let d = kernel.diff(d_j, d_i, max, &mut buf, &mut ctx.counters);
             let supp_ij = supp_i - d;
             if supp_ij == *supp_i {
                 ctx.counters.bump(Counter::PerfectExtensions);
@@ -218,6 +224,7 @@ fn recurse<K: TidSetKernel>(
 mod tests {
     use super::*;
     use crate::eclat::EclatMiner;
+    use crate::kernel::diff_into;
     use fim_core::reference::mine_reference;
 
     fn paper_db() -> RecodedDatabase {

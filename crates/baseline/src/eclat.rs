@@ -9,11 +9,13 @@
 //! maximal one (prefix ∪ all perfect extensions) can be closed, so the
 //! expansion is never materialized.
 //!
-//! The tid sets are carried behind a [`TidSetKernel`], so the same search
+//! The tid sets are carried behind a tid-set kernel, so the same search
 //! runs on sorted lists with linear merges (`eclat`), galloping merges
-//! (`eclat-gallop`), or packed bitsets with word-AND + popcount
+//! (`eclat-gallop`), or packed bitsets with word-ANDNOT + popcount
 //! (`eclat-bitset`) — selected by the [`Representation`] field, all
-//! output-identical.
+//! output-identical. The frontier carries each tid set's support, so the
+//! bitset kernel can stop reading a pair once its intersection cannot
+//! reach minsupp, and copies only the tid sets of kept children.
 
 use crate::filter::{candidate_prunable, filter_closed, subtree_prunable};
 use crate::kernel::{with_kernel, TidSetKernel};
@@ -93,11 +95,12 @@ impl ClosedMiner for EclatMiner {
     /// may not have been enumerated yet, so the interrupted partial is
     /// verified against the database directly — every surviving set is a
     /// closed frequent set of the full database with its exact support.
+    /// Either filter runs in a `filter` span.
     fn mine_with(
         &self,
         db: &RecodedDatabase,
         req: &MineRequest<'_>,
-        _obs: &mut Obs,
+        obs: &mut Obs,
     ) -> (MineOutcome, Counters) {
         let Some(minsupp) = req.support_floor(db.num_items()) else {
             return (MineOutcome::complete(MiningResult::new()), Counters::new());
@@ -109,6 +112,7 @@ impl ClosedMiner for EclatMiner {
         let cs = req.constraints.cloned();
         let (candidates, gov, tripped, mut counters) =
             with_kernel!(self.rep, n, |k| drive(&k, db, minsupp, req.governor(), cs));
+        obs.span_enter("filter");
         let outcome = match tripped {
             None => MineOutcome::complete(filter_closed(candidates)),
             Some(reason) => MineOutcome::Interrupted {
@@ -120,6 +124,7 @@ impl ClosedMiner for EclatMiner {
                 },
             },
         };
+        obs.span_exit();
         (req.filter(outcome, &mut counters), counters)
     }
 }
@@ -150,7 +155,6 @@ fn drive<K: TidSetKernel>(
     Option<TripReason>,
     Counters,
 ) {
-    let lists = TidLists::from_database(db);
     let mut ctx = Ctx {
         minsupp,
         candidates: Vec::new(),
@@ -158,11 +162,15 @@ fn drive<K: TidSetKernel>(
         counters: Counters::new(),
         cs,
     };
-    // items with their full tid sets, ascending item order
-    let frontier: Vec<(Item, K::Set)> = (0..db.num_items())
-        .filter(|&i| lists.item_support(i) >= minsupp)
-        .map(|i| (i, kernel.pack_list(lists.list(i))))
-        .collect();
+    // items with their full tid sets and supports, ascending item order;
+    // the tid lists are freed before the walk starts
+    let frontier: Vec<(Item, K::Set, u32)> = {
+        let lists = TidLists::from_database(db);
+        (0..db.num_items())
+            .filter(|&i| lists.item_support(i) >= minsupp)
+            .map(|i| (i, kernel.pack_list(lists.list(i)), lists.item_support(i)))
+            .collect()
+    };
     let tripped = recurse(&mut ctx, kernel, &[], &frontier).err();
     (ctx.candidates, ctx.gov, tripped, ctx.counters)
 }
@@ -196,35 +204,42 @@ fn verified_closed(db: &RecodedDatabase, candidates: Vec<FoundSet>) -> MiningRes
 }
 
 /// Processes the conditional database `frontier` (items with their tid sets
-/// restricted to transactions containing `prefix`).
+/// restricted to transactions containing `prefix`, and the supports of
+/// those sets).
 fn recurse<K: TidSetKernel>(
     ctx: &mut Ctx,
     kernel: &K,
     prefix: &[Item],
-    frontier: &[(Item, K::Set)],
+    frontier: &[(Item, K::Set, u32)],
 ) -> Result<(), TripReason> {
     let mut buf = kernel.empty();
-    for (idx, (item, tids)) in frontier.iter().enumerate() {
+    for (idx, (item, tids, supp)) in frontier.iter().enumerate() {
         // one lattice node per frontier element: the natural checkpoint
         if let Some(reason) = checkpoint!(ctx.gov, 0, 0, ctx.candidates.len()) {
             return Err(reason);
         }
         ctx.counters.bump(Counter::SearchSteps);
-        let supp = kernel.support(tids);
+        let supp = *supp;
         // the item set prefix ∪ {item} is frequent with support `supp`
         let mut items: Vec<Item> = prefix.to_vec();
         items.push(*item);
 
         // build the conditional frontier and collect perfect extensions
-        let mut next: Vec<(Item, K::Set)> = Vec::new();
+        let mut next: Vec<(Item, K::Set, u32)> = Vec::new();
         let mut perfect: Vec<Item> = Vec::new();
-        for (other, other_tids) in &frontier[idx + 1..] {
-            let s = kernel.intersect(tids, other_tids, &mut buf, &mut ctx.counters);
+        for (other, other_tids, other_supp) in &frontier[idx + 1..] {
+            let s = kernel.intersect(
+                (tids, supp),
+                (other_tids, *other_supp),
+                ctx.minsupp,
+                &mut buf,
+                &mut ctx.counters,
+            );
             if s == supp {
                 ctx.counters.bump(Counter::PerfectExtensions);
                 perfect.push(*other);
             } else if s >= ctx.minsupp {
-                next.push((*other, buf.clone()));
+                next.push((*other, buf.clone(), s));
             }
         }
 
@@ -244,7 +259,7 @@ fn recurse<K: TidSetKernel>(
                 let descend = if next.is_empty() {
                     false
                 } else {
-                    let pool: Vec<Item> = next.iter().map(|(i, _)| *i).collect();
+                    let pool: Vec<Item> = next.iter().map(|(i, _, _)| *i).collect();
                     !subtree_prunable(cs, candidate.as_slice(), &pool, supp)
                 };
                 if !emit || (!descend && !next.is_empty()) {

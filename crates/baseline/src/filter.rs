@@ -65,31 +65,57 @@ pub(crate) fn subtree_prunable(
 /// The input must contain every frequent item set's closure (this holds for
 /// the complete frequent collection, and for closure-candidate collections
 /// like FP-close's); duplicates of the same item set are merged first.
+///
+/// Only the survivors need testing against: the longest same-support
+/// superset of a set is never itself subsumed, so a set is subsumed iff a
+/// longer survivor of its support contains it. Each support group is
+/// therefore read longest first, and a set is tested only against the
+/// survivors so far that hold its rarest item among them (an index from
+/// item to survivors), not against every longer set of its group. That
+/// index has one slot per item code up to the largest, so the sets must use
+/// dense codes, as the sets mined from a recoded database do.
 pub fn filter_closed(sets: Vec<FoundSet>) -> MiningResult {
     // dedup identical item sets (supports are exact, so they must agree)
-    let mut dedup: HashMap<fim_core::ItemSet, u32> = HashMap::with_capacity(sets.len());
+    let mut dedup: HashMap<ItemSet, u32> = HashMap::with_capacity(sets.len());
     for s in sets {
-        if let Some(prev) = dedup.insert(s.items.clone(), s.support) {
-            debug_assert_eq!(prev, s.support, "inconsistent supports for {:?}", s.items);
-        }
+        let prev = *dedup.entry(s.items).or_insert(s.support);
+        debug_assert_eq!(prev, s.support, "inconsistent supports");
     }
     // group by support: only equal-support supersets can subsume
-    let mut by_support: HashMap<u32, Vec<&fim_core::ItemSet>> = HashMap::new();
+    let mut by_support: HashMap<u32, Vec<&ItemSet>> = HashMap::new();
     for (items, supp) in &dedup {
         by_support.entry(*supp).or_default().push(items);
     }
-    // within each group, longer sets can never be subsumed by shorter ones;
-    // sort descending by length so each set is only checked against the
-    // candidates that could subsume it
+    let universe = dedup.keys().filter_map(ItemSet::max_item).max();
+    // holding[i]: the survivors of the current group that contain item i
+    let mut holding: Vec<Vec<usize>> = vec![Vec::new(); universe.map_or(0, |m| m as usize + 1)];
     let mut result = MiningResult::new();
     for (supp, mut group) in by_support {
         group.sort_unstable_by_key(|s| std::cmp::Reverse(s.len()));
-        for (idx, items) in group.iter().enumerate() {
-            let subsumed = group[..idx]
+        let mut kept: Vec<&ItemSet> = Vec::new();
+        for items in group {
+            let subsumed = match items
                 .iter()
-                .any(|other| other.len() > items.len() && items.is_subset_of(other));
+                .map(|i| &holding[i as usize])
+                .min_by_key(|h| h.len())
+            {
+                Some(rarest) => rarest
+                    .iter()
+                    .any(|&k| kept[k].len() > items.len() && items.is_subset_of(kept[k])),
+                // the empty set: every survivor is longer
+                None => !kept.is_empty(),
+            };
             if !subsumed {
-                result.sets.push(FoundSet::new((*items).clone(), supp));
+                for i in items.iter() {
+                    holding[i as usize].push(kept.len());
+                }
+                kept.push(items);
+                result.sets.push(FoundSet::new(items.clone(), supp));
+            }
+        }
+        for items in kept {
+            for i in items.iter() {
+                holding[i as usize].clear();
             }
         }
     }
@@ -150,6 +176,17 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(filter_closed(vec![]).is_empty());
+    }
+
+    #[test]
+    fn the_empty_set_is_subsumed_by_any_longer_set_of_its_support() {
+        let empty = FoundSet::new(ItemSet::empty(), 3);
+        let r = filter_closed(vec![empty.clone(), FoundSet::new(ItemSet::from([4]), 3)]);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.support_of(&ItemSet::from([4])), Some(3));
+        let r = filter_closed(vec![empty, FoundSet::new(ItemSet::from([4]), 2)]);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.support_of(&ItemSet::empty()), Some(3));
     }
 
     #[test]

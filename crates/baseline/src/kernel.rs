@@ -17,18 +17,26 @@
 //!   workspace targets.
 //!
 //! All kernels are output-invariant: the cross-kernel proptest suite pins
-//! byte-identical [`fim_core::MiningResult`]s. The kernels account their
-//! work in the shared [`Counters`] registry (`tid_intersections` for every
-//! merge regardless of layout, plus `words_anded`/`popcount_calls` for the
-//! bitset layout and `gallop_probes` for the galloping one), which is what
-//! the `kernel` section of the metrics JSON reports.
+//! byte-identical [`fim_core::MiningResult`]s. Both merges are bounded by
+//! the minimum support: a result that cannot reach it need not be exact,
+//! and the merged set is guaranteed only for a child the search keeps. The
+//! list kernels ignore the bound and always merge in full; the bitset
+//! kernel stops reading a pair at the first block of words that proves it
+//! infrequent ([`WordSet::andnot_count_within`]) and writes the merged set
+//! only for a kept child.
+//!
+//! The kernels account their work in the shared [`Counters`] registry
+//! (`tid_intersections` for every merge regardless of layout, plus
+//! `words_anded`/`popcount_calls` for the bitset layout and
+//! `gallop_probes` for the galloping one), which is what the `kernel`
+//! section of the metrics JSON reports.
 
 use fim_core::{gallop_advance, gallop_intersect_into, itemset::intersect_into, Tid, WordSet};
 use fim_obs::{Counter, Counters};
 
 /// The tid-set operations a vertical lattice walk needs, monomorphized per
 /// physical layout.
-pub trait TidSetKernel {
+pub(crate) trait TidSetKernel {
     /// The physical transaction-id set.
     type Set: Clone;
 
@@ -38,20 +46,37 @@ pub trait TidSetKernel {
     /// An empty set (reused as the merge scratch buffer).
     fn empty(&self) -> Self::Set;
 
-    /// Number of transactions in the set.
-    fn support(&self, s: &Self::Set) -> u32;
+    /// `|a ∩ b|` of a node's set `a` and a sibling's set `b`, each given
+    /// with its support. Exact when it is at least `min`; otherwise some
+    /// value below `min`. `buf` holds `a ∩ b` whenever `min ≤ |a ∩ b| <
+    /// supp(a)`, the children the search keeps: neither infrequent nor a
+    /// perfect extension. Otherwise its contents are unspecified.
+    fn intersect(
+        &self,
+        a: (&Self::Set, u32),
+        b: (&Self::Set, u32),
+        min: u32,
+        buf: &mut Self::Set,
+        c: &mut Counters,
+    ) -> u32;
 
-    /// `buf = a ∩ b`; returns the support of the result.
-    fn intersect(&self, a: &Self::Set, b: &Self::Set, buf: &mut Self::Set, c: &mut Counters)
-        -> u32;
-
-    /// `buf = a − b`; returns the size of the result (for the diffset
-    /// recurrence `supp(P ∪ {i,j}) = supp(P ∪ {i}) − |d(P ∪ {i,j})|`).
-    fn diff(&self, a: &Self::Set, b: &Self::Set, buf: &mut Self::Set, c: &mut Counters) -> u32;
+    /// `|a − b|`, exact when it is at most `max`; otherwise some value
+    /// above `max` (for the diffset recurrence `supp(P ∪ {i,j}) = supp(P ∪
+    /// {i}) − |d(P ∪ {i,j})|`, where `max = supp(P ∪ {i}) − minsupp`).
+    /// `buf` holds `a − b` whenever `0 < |a − b| ≤ max`; otherwise its
+    /// contents are unspecified.
+    fn diff(
+        &self,
+        a: &Self::Set,
+        b: &Self::Set,
+        max: u32,
+        buf: &mut Self::Set,
+        c: &mut Counters,
+    ) -> u32;
 }
 
 /// `out = a − b` on strictly ascending slices (linear merge).
-pub fn diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
+pub(crate) fn diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
     out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() {
@@ -69,7 +94,7 @@ pub fn diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
 
 /// `out = a − b` with galloping cursor advances through `b`; returns the
 /// probe count. Output-identical to [`diff_into`].
-pub fn gallop_diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) -> u64 {
+pub(crate) fn gallop_diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) -> u64 {
     out.clear();
     let mut probes = 0u64;
     let mut j = 0usize;
@@ -86,7 +111,7 @@ pub fn gallop_diff_into(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) -> u64 {
 
 /// Sorted `Vec<Tid>` with linear merges.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ScalarKernel;
+pub(crate) struct ScalarKernel;
 
 impl TidSetKernel for ScalarKernel {
     type Set = Vec<Tid>;
@@ -99,17 +124,27 @@ impl TidSetKernel for ScalarKernel {
         Vec::new()
     }
 
-    fn support(&self, s: &Vec<Tid>) -> u32 {
-        s.len() as u32
-    }
-
-    fn intersect(&self, a: &Vec<Tid>, b: &Vec<Tid>, buf: &mut Vec<Tid>, c: &mut Counters) -> u32 {
+    fn intersect(
+        &self,
+        (a, _): (&Vec<Tid>, u32),
+        (b, _): (&Vec<Tid>, u32),
+        _min: u32,
+        buf: &mut Vec<Tid>,
+        c: &mut Counters,
+    ) -> u32 {
         c.bump(Counter::TidIntersections);
         intersect_into(a, b, buf);
         buf.len() as u32
     }
 
-    fn diff(&self, a: &Vec<Tid>, b: &Vec<Tid>, buf: &mut Vec<Tid>, c: &mut Counters) -> u32 {
+    fn diff(
+        &self,
+        a: &Vec<Tid>,
+        b: &Vec<Tid>,
+        _max: u32,
+        buf: &mut Vec<Tid>,
+        c: &mut Counters,
+    ) -> u32 {
         c.bump(Counter::TidIntersections);
         diff_into(a, b, buf);
         buf.len() as u32
@@ -118,7 +153,7 @@ impl TidSetKernel for ScalarKernel {
 
 /// Sorted `Vec<Tid>` with galloping merges.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct GallopKernel;
+pub(crate) struct GallopKernel;
 
 impl TidSetKernel for GallopKernel {
     type Set = Vec<Tid>;
@@ -131,18 +166,28 @@ impl TidSetKernel for GallopKernel {
         Vec::new()
     }
 
-    fn support(&self, s: &Vec<Tid>) -> u32 {
-        s.len() as u32
-    }
-
-    fn intersect(&self, a: &Vec<Tid>, b: &Vec<Tid>, buf: &mut Vec<Tid>, c: &mut Counters) -> u32 {
+    fn intersect(
+        &self,
+        (a, _): (&Vec<Tid>, u32),
+        (b, _): (&Vec<Tid>, u32),
+        _min: u32,
+        buf: &mut Vec<Tid>,
+        c: &mut Counters,
+    ) -> u32 {
         c.bump(Counter::TidIntersections);
         let probes = gallop_intersect_into(a, b, buf);
         c.add(Counter::GallopProbes, probes);
         buf.len() as u32
     }
 
-    fn diff(&self, a: &Vec<Tid>, b: &Vec<Tid>, buf: &mut Vec<Tid>, c: &mut Counters) -> u32 {
+    fn diff(
+        &self,
+        a: &Vec<Tid>,
+        b: &Vec<Tid>,
+        _max: u32,
+        buf: &mut Vec<Tid>,
+        c: &mut Counters,
+    ) -> u32 {
         c.bump(Counter::TidIntersections);
         let probes = gallop_diff_into(a, b, buf);
         c.add(Counter::GallopProbes, probes);
@@ -150,19 +195,26 @@ impl TidSetKernel for GallopKernel {
     }
 }
 
-/// Packed [`WordSet`] bitsets over a fixed transaction universe.
+/// Packed [`WordSet`] bitsets over a fixed transaction universe, with
+/// merges bounded by the minimum support.
+///
+/// Both merges first count `|x \ y|` of one operand `x` against the other
+/// under a budget ([`WordSet::andnot_count_within`]), and run the writing
+/// pass only for a kept child. `words_anded` counts the words that counting
+/// pass read, up to where it stopped; the writing pass of a kept child is
+/// one more pass over the operands and is not counted, as the unbounded
+/// kernel's copy of its operand was not.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BitsetKernel {
+pub(crate) struct BitsetKernel {
     /// Number of transactions (the bitset universe).
     pub universe: u32,
 }
 
 impl BitsetKernel {
     /// Per-call accounting shared by [`Self::intersect`] and [`Self::diff`]:
-    /// one fused AND(-NOT)+popcount pass over the whole word array.
-    fn account(&self, buf: &WordSet, c: &mut Counters) {
+    /// one merge, one (bounded) popcount pass.
+    fn account(&self, c: &mut Counters) {
         c.bump(Counter::TidIntersections);
-        c.add(Counter::WordsAnded, buf.words().len() as u64);
         c.bump(Counter::PopcountCalls);
     }
 }
@@ -178,22 +230,62 @@ impl TidSetKernel for BitsetKernel {
         WordSet::new(self.universe as usize)
     }
 
-    fn support(&self, s: &WordSet) -> u32 {
-        s.count()
+    /// Counts the tids of the operand with the smaller support `s` that
+    /// the other lacks, under the budget `s − min`: `|a ∩ b| = s − |x \
+    /// y|`, so the count passes the budget exactly when the pair cannot
+    /// reach `min`. A pair stopped early reports `min − 1`.
+    fn intersect(
+        &self,
+        (a, supp_a): (&WordSet, u32),
+        (b, supp_b): (&WordSet, u32),
+        min: u32,
+        buf: &mut WordSet,
+        c: &mut Counters,
+    ) -> u32 {
+        self.account(c);
+        let (x, s, y) = if supp_a <= supp_b {
+            (a, supp_a, b)
+        } else {
+            (b, supp_b, a)
+        };
+        let Some(budget) = s.checked_sub(min) else {
+            return s;
+        };
+        match x.andnot_count_within(y, budget) {
+            Ok(missing) => {
+                c.add(Counter::WordsAnded, a.words().len() as u64);
+                let supp = s - missing;
+                if supp < supp_a {
+                    buf.clone_from(a);
+                    buf.and_in_place(b);
+                }
+                supp
+            }
+            Err(read) => {
+                c.add(Counter::WordsAnded, read as u64);
+                min - 1
+            }
+        }
     }
 
-    fn intersect(&self, a: &WordSet, b: &WordSet, buf: &mut WordSet, c: &mut Counters) -> u32 {
-        buf.clone_from(a);
-        let supp = buf.and_in_place(b);
-        self.account(buf, c);
-        supp
-    }
-
-    fn diff(&self, a: &WordSet, b: &WordSet, buf: &mut WordSet, c: &mut Counters) -> u32 {
-        buf.clone_from(a);
-        let size = buf.andnot_in_place(b);
-        self.account(buf, c);
-        size
+    /// `|a − b|` counted under the budget `max`; a pair stopped early
+    /// reports `max + 1`.
+    fn diff(&self, a: &WordSet, b: &WordSet, max: u32, buf: &mut WordSet, c: &mut Counters) -> u32 {
+        self.account(c);
+        match a.andnot_count_within(b, max) {
+            Ok(size) => {
+                c.add(Counter::WordsAnded, a.words().len() as u64);
+                if size > 0 {
+                    buf.clone_from(a);
+                    buf.andnot_in_place(b);
+                }
+                size
+            }
+            Err(read) => {
+                c.add(Counter::WordsAnded, read as u64);
+                max + 1
+            }
+        }
     }
 }
 
@@ -226,23 +318,34 @@ mod tests {
     const A: &[Tid] = &[0, 3, 5, 63, 64, 65, 100];
     const B: &[Tid] = &[3, 5, 64, 99, 100, 101];
 
-    fn check_kernel<K: TidSetKernel>(kernel: &K) {
+    /// Checks one kernel against the merges of `A` and `B` wherever the
+    /// contract binds it; `tids` lists a set's elements.
+    fn check_kernel<K: TidSetKernel>(kernel: &K, tids: impl Fn(&K::Set) -> Vec<Tid>) {
         let mut c = Counters::new();
-        let a = kernel.pack_list(A);
-        let b = kernel.pack_list(B);
-        assert_eq!(kernel.support(&a), 7);
+        let a = (&kernel.pack_list(A), A.len() as u32);
+        let b = (&kernel.pack_list(B), B.len() as u32);
         let mut buf = kernel.empty();
-        assert_eq!(kernel.intersect(&a, &b, &mut buf, &mut c), 4); // 3,5,64,100
-        assert_eq!(kernel.diff(&a, &b, &mut buf, &mut c), 3); // 0,63,65
-        assert_eq!(kernel.diff(&b, &a, &mut buf, &mut c), 2); // 99,101
-        assert!(c.get(Counter::TidIntersections) == 3);
+        // a kept child (1 ≤ 4 < 7) is exact and written; 4 is exact at
+        // min 4, and min 5 cannot be reached
+        assert_eq!(kernel.intersect(a, b, 1, &mut buf, &mut c), 4);
+        assert_eq!(tids(&buf), [3, 5, 64, 100]);
+        assert_eq!(kernel.intersect(b, a, 4, &mut buf, &mut c), 4);
+        assert_eq!(tids(&buf), [3, 5, 64, 100]);
+        assert!(kernel.intersect(a, b, 5, &mut buf, &mut c) < 5);
+        // diffs: exact and written within the budget, above it otherwise
+        assert_eq!(kernel.diff(a.0, b.0, 3, &mut buf, &mut c), 3);
+        assert_eq!(tids(&buf), [0, 63, 65]);
+        assert_eq!(kernel.diff(b.0, a.0, 6, &mut buf, &mut c), 2);
+        assert_eq!(tids(&buf), [99, 101]);
+        assert!(kernel.diff(a.0, b.0, 2, &mut buf, &mut c) > 2);
+        assert_eq!(c.get(Counter::TidIntersections), 6);
     }
 
     #[test]
     fn all_kernels_agree_on_the_same_lists() {
-        check_kernel(&ScalarKernel);
-        check_kernel(&GallopKernel);
-        check_kernel(&BitsetKernel { universe: 102 });
+        check_kernel(&ScalarKernel, Vec::clone);
+        check_kernel(&GallopKernel, Vec::clone);
+        check_kernel(&BitsetKernel { universe: 102 }, |s| s.iter().collect());
     }
 
     #[test]
@@ -266,14 +369,41 @@ mod tests {
     }
 
     #[test]
-    fn bitset_kernel_accounts_words_and_popcounts() {
-        let k = BitsetKernel { universe: 130 };
+    fn bitset_kernel_reads_until_the_bound_and_copies_kept_children() {
+        // three check blocks; `low` fills the first, `high` the second
+        let block = fim_core::matrix::COUNT_BLOCK_WORDS as u32 * 64;
+        let k = BitsetKernel {
+            universe: 3 * block,
+        };
+        let words = 3 * fim_core::matrix::COUNT_BLOCK_WORDS as u64;
+        let low: Vec<Tid> = (0..block).collect();
+        let both: Vec<Tid> = (0..2 * block).collect();
+        let (low, high, both) = (
+            (&k.pack_list(&low), block),
+            (&k.pack_list(&(block..2 * block).collect::<Vec<_>>()), block),
+            (&k.pack_list(&both), 2 * block),
+        );
         let mut c = Counters::new();
-        let a = k.pack_list(&[0, 64, 128]);
-        let b = k.pack_list(&[64]);
         let mut buf = k.empty();
-        assert_eq!(k.intersect(&a, &b, &mut buf, &mut c), 1);
-        assert_eq!(c.get(Counter::WordsAnded), 3); // ⌈130/64⌉ words
-        assert_eq!(c.get(Counter::PopcountCalls), 1);
+        // disjoint: the first block already misses `block` tids
+        assert!(k.intersect(low, high, 1, &mut buf, &mut c) < 1);
+        assert_eq!(c.get(Counter::WordsAnded), words / 3);
+        assert!(buf.is_empty(), "an infrequent pair is not written");
+        // a perfect extension reads everything and writes nothing
+        assert_eq!(k.intersect(low, both, 1, &mut buf, &mut c), block);
+        assert_eq!(c.get(Counter::WordsAnded), words / 3 + words);
+        assert!(buf.is_empty(), "a perfect extension is not written");
+        // a kept child (`both` is the node) is read, then written
+        assert_eq!(k.intersect(both, low, 1, &mut buf, &mut c), block);
+        assert_eq!(c.get(Counter::WordsAnded), words / 3 + 2 * words);
+        assert_eq!(buf.count(), block);
+        // diffs: an empty diffset is not written, a full one stops early
+        let mut buf = k.empty();
+        assert_eq!(k.diff(low.0, both.0, block, &mut buf, &mut c), 0);
+        assert!(buf.is_empty());
+        assert!(k.diff(low.0, high.0, block - 1, &mut buf, &mut c) > block - 1);
+        assert!(buf.is_empty());
+        assert_eq!(c.get(Counter::PopcountCalls), 5);
+        assert_eq!(c.get(Counter::TidIntersections), 5);
     }
 }

@@ -34,7 +34,7 @@ pub mod eclat;
 pub mod filter;
 pub mod fpclose;
 pub mod fptree;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod lcm;
 pub mod naive;
 pub mod sam;

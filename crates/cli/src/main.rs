@@ -946,7 +946,7 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     if args.flag("stats") {
         eprintln!(
             "ista-oocore: {} spills, {} faults injected, {} retries",
-            stats.counters.get(Counter::ShardsSpilled),
+            stats.spilled,
             stats.counters.get(Counter::FaultsInjected),
             stats.counters.get(Counter::RetriesAttempted)
         );

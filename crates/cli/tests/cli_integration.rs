@@ -221,6 +221,39 @@ fn names_are_accepted_where_their_flag_spellings_are() {
     );
 }
 
+/// The metrics' `spill.shards` counts the shard trees spilled, as the
+/// summary line does, while `spill_bytes` also counts the merge re-spills.
+#[test]
+fn spill_metrics_count_shards_and_every_spilled_byte() {
+    let dir = Scratch::new("spillcount");
+    let data = dir.preset("yeast", "0.05", "data.fimi");
+    let metrics = dir.path("metrics.json");
+    let spill = dir.path("spill");
+    let out = mine(
+        &data,
+        &[
+            "--out-of-core",
+            "--mem-budget",
+            "512",
+            "--spill-dir",
+            &spill,
+            "--metrics",
+            &metrics,
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(" over 4 shards (6 spilled, 3 merge passes)"),
+        "{}",
+        stderr(&out)
+    );
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        doc.contains("\"spill\": {\"shards\": 4, \"spill_bytes\": 13828, \"merge_passes\": 3,"),
+        "{doc}"
+    );
+}
+
 /// A kernel IsTa lacks runs, and is reported, as scalar: IsTa has no
 /// gallop kernel.
 #[test]

@@ -19,6 +19,10 @@
 
 use crate::{recode::RecodedDatabase, Item, Tid};
 
+/// Words [`WordSet::andnot_count_within`] reads between two checks of its
+/// budget (1,024 elements).
+pub const COUNT_BLOCK_WORDS: usize = 16;
+
 /// A set of small unsigned integers packed 64 per `u64` word.
 ///
 /// Element `x` lives at bit `x % 64` of word `x / 64`. The universe (maximum
@@ -147,6 +151,39 @@ impl WordSet {
             .zip(other.words.iter())
             .map(|(&a, &b)| (a & !b).count_ones())
             .sum()
+    }
+
+    /// `|self \ other|` if it is at most `budget`: `Ok(count)`, after
+    /// reading every word. Otherwise `Err(words)`, where `words` is how
+    /// many words of each operand were read. The count is checked once per
+    /// [`COUNT_BLOCK_WORDS`] words, so a pair whose count passes the budget
+    /// early is read only up to the end of the block where it did.
+    ///
+    /// This is the minsupp bound of the tid-set kernels: with `self` the
+    /// operand of smaller support `s`, `|self ∩ other| = s − |self \
+    /// other|`, so a budget of `s − minsupp` stops exactly the pairs whose
+    /// intersection cannot reach `minsupp`.
+    pub fn andnot_count_within(&self, other: &WordSet, budget: u32) -> Result<u32, usize> {
+        assert_eq!(self.universe, other.universe, "universe mismatch");
+        let missing = |a: &[u64], b: &[u64]| -> u32 {
+            a.iter().zip(b).map(|(&a, &b)| (a & !b).count_ones()).sum()
+        };
+        let a_blocks = self.words.chunks_exact(COUNT_BLOCK_WORDS);
+        let b_blocks = other.words.chunks_exact(COUNT_BLOCK_WORDS);
+        let (a_tail, b_tail) = (a_blocks.remainder(), b_blocks.remainder());
+        let mut count = 0u32;
+        for (read, (a, b)) in (1..).zip(a_blocks.zip(b_blocks)) {
+            count += missing(a, b);
+            if count > budget {
+                return Err(read * COUNT_BLOCK_WORDS);
+            }
+        }
+        count += missing(a_tail, b_tail);
+        if count > budget {
+            Err(self.words.len())
+        } else {
+            Ok(count)
+        }
     }
 
     /// Number of elements strictly below `x` (prefix popcount). Linear in
@@ -623,6 +660,55 @@ mod tests {
         assert_eq!(e.iter().count(), 0);
         let one = WordSet::from_sorted(&[5], 64);
         assert_eq!(one.and_count(&WordSet::from_sorted(&[5], 64)), 1);
+    }
+
+    /// The budgeted count over universes at word and block boundaries:
+    /// the exact count within the budget, and "over" at the end of the
+    /// first block whose running count passes it.
+    #[test]
+    fn andnot_count_within_is_exact_or_stops_at_the_first_block_over() {
+        let block = COUNT_BLOCK_WORDS * 64;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |fill_per_256: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 256 < fill_per_256
+        };
+        for universe in [1, 63, 64, 65, block - 1, block, block + 1, 3 * block + 5] {
+            let sets: Vec<WordSet> = [0, 4, 128, 252, 256]
+                .iter()
+                .map(|&fill| {
+                    let elems: Vec<u32> = (0..universe as u32).filter(|_| draw(fill)).collect();
+                    WordSet::from_sorted(&elems, universe)
+                })
+                .collect();
+            for a in &sets {
+                for b in &sets {
+                    let exact = a.iter().filter(|&x| !b.contains(x)).count() as u32;
+                    for budget in [0, exact.saturating_sub(1), exact, exact + 1] {
+                        let got = a.andnot_count_within(b, budget);
+                        if exact <= budget {
+                            assert_eq!(got, Ok(exact), "universe {universe} budget {budget}");
+                            continue;
+                        }
+                        let read = got.expect_err("over the budget");
+                        let missing_in = |words: usize| {
+                            a.words()[..words]
+                                .iter()
+                                .zip(b.words())
+                                .map(|(&x, &y)| (x & !y).count_ones())
+                                .sum::<u32>()
+                        };
+                        let n = a.words().len();
+                        assert!(read == n || read % COUNT_BLOCK_WORDS == 0, "read {read}");
+                        assert!(missing_in(read) > budget, "universe {universe}");
+                        let before = read.div_ceil(COUNT_BLOCK_WORDS) - 1;
+                        assert!(missing_in(before * COUNT_BLOCK_WORDS) <= budget);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! [`prop_oneof!`] macros.
 //!
 //! Differences from upstream: value generation is deterministic per
-//! (test name, case index) and there is **no shrinking** — a failing case
-//! reports its case index and panics with the original assertion message.
+//! (test name, case index, run seed) and there is **no shrinking** — a
+//! failing case reports its case index and the run seed, and panics with
+//! the original assertion message. The run seed is `FIM_PROPTEST_SEED`
+//! ([`test_runner::run_seed`]); unset, every run replays the same cases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,9 +87,10 @@ macro_rules! proptest {
                         ::std::panic::AssertUnwindSafe(run),
                     ) {
                         eprintln!(
-                            "proptest: {} failed at case {case}/{} (deterministic, no shrinking)",
+                            "proptest: {} failed at case {case}/{} ({}; no shrinking)",
                             stringify!($name),
                             config.cases,
+                            $crate::test_runner::seed_note(),
                         );
                         ::std::panic::resume_unwind(panic);
                     }
@@ -174,5 +177,15 @@ mod tests {
         let mut b = TestRng::for_case("seed-test", 3);
         let s = vec(0u32..1000, 5..10usize);
         assert_eq!(s.generate(&mut a), s.generate(&mut b));
+    }
+
+    #[test]
+    fn a_run_seed_draws_new_streams_and_none_keeps_the_fixed_ones() {
+        let first = |seed| TestRng::for_case_seeded("seed-test", 3, seed).next_u64();
+        // the stream every run drew before run seeds existed
+        assert_eq!(first(None), 0xeef5_0434_0447_422d);
+        assert_eq!(first(Some(7)), first(Some(7)));
+        assert_ne!(first(Some(7)), first(None));
+        assert_ne!(first(Some(7)), first(Some(8)));
     }
 }

@@ -1,5 +1,38 @@
 //! Deterministic RNG and configuration for the shimmed test runner.
 
+use std::sync::OnceLock;
+
+/// The environment variable whose value, an unsigned integer, is mixed
+/// into every case's stream, so that a run draws cases the fixed streams
+/// never reach. Unset, every stream depends only on the test name and the
+/// case index.
+pub const SEED_VAR: &str = "FIM_PROPTEST_SEED";
+
+/// The run seed from [`SEED_VAR`], read once per process.
+///
+/// # Panics
+///
+/// Panics if the variable is set to anything but an unsigned integer.
+pub fn run_seed() -> Option<u64> {
+    static SEED: OnceLock<Option<u64>> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        let value = std::env::var(SEED_VAR).ok()?;
+        let seed = value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{SEED_VAR}={value:?}: expected an unsigned integer"));
+        Some(seed)
+    })
+}
+
+/// How to reproduce a failing case: the run seed it was drawn under.
+pub fn seed_note() -> String {
+    match run_seed() {
+        Some(seed) => format!("{SEED_VAR}={seed}; rerun with it set to reproduce"),
+        None => format!("{SEED_VAR} unset: the fixed streams"),
+    }
+}
+
 /// Configuration accepted by `#![proptest_config(...)]`.
 #[derive(Clone, Copy, Debug)]
 pub struct ProptestConfig {
@@ -28,11 +61,20 @@ pub struct TestRng {
 }
 
 impl TestRng {
-    /// RNG for one named test case; the stream depends only on
-    /// `(name, case)`, so failures reproduce across runs and machines.
+    /// RNG for one named test case under the run seed ([`run_seed`]); the
+    /// stream depends only on `(name, case, seed)`, so failures reproduce
+    /// across runs and machines.
     pub fn for_case(name: &str, case: u64) -> Self {
+        Self::for_case_seeded(name, case, run_seed())
+    }
+
+    /// [`for_case`](Self::for_case) under an explicit run seed. Without
+    /// one, the stream is an FNV-1a hash of the name mixed with the case
+    /// index; a seed is hashed in after the name.
+    pub fn for_case_seeded(name: &str, case: u64, seed: Option<u64>) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
+        let seed_bytes = seed.map(u64::to_le_bytes);
+        for b in name.as_bytes().iter().chain(seed_bytes.iter().flatten()) {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }

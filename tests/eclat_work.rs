@@ -112,7 +112,7 @@ fn eclat_bitset_work_is_pinned() {
             search_steps: 2334,
             tid_intersections: 17793,
             perfect_extensions: 69,
-            words_anded: 836271,
+            words_anded: 701436,
             constraint_prunes: 0,
         }
     );
@@ -123,7 +123,7 @@ fn eclat_bitset_work_is_pinned() {
             search_steps: 1802,
             tid_intersections: 15908,
             perfect_extensions: 36,
-            words_anded: 747676,
+            words_anded: 596937,
             constraint_prunes: 613,
         }
     );

@@ -133,6 +133,34 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// 2,000–4,500 rows make the tid sets 32–71 words long, so they span
+    /// several of the blocks after which the bitset kernels check their
+    /// minsupp budget. Item frequencies are skewed (item `k` is drawn
+    /// with probability `(19 − 2k)%`), and minsupp is set to a quarter to
+    /// all of one item's support: pairs then pass the budget in the first
+    /// block, in the last one, or never.
+    #[test]
+    fn block_spanning_tid_sets_agree(
+        txs in vec(
+            vec((0u32..10, 0u32..10).prop_map(|(a, b)| a.min(b)), 0..=6usize),
+            2000..=4500,
+        ),
+        item in 0usize..10,
+        percent in 25u32..=100,
+    ) {
+        let db = RecodedDatabase::from_dense(txs, 10);
+        let minsupp = (db.item_supports()[item] * percent / 100).max(1);
+        for family in ["eclat", "declat"] {
+            let want = mine_rep(family, Representation::Scalar, &db, minsupp);
+            let got = mine_rep(family, Representation::Bitset, &db, minsupp);
+            prop_assert_eq!(&got, &want, "family {} minsupp {}", family, minsupp);
+        }
+    }
+}
+
 /// Deterministic word-boundary edge cases: items pinned to bit 0, bit 63,
 /// bit 64, and the last bit of the universe, where partial-word masks and
 /// prefix-rank indexing are most fragile.
