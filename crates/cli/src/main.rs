@@ -16,8 +16,9 @@
 
 use closed_fim::algos::{self, Miner};
 use fim_core::{
-    Budget, ConstraintSet, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MineRequest, MiningResult,
-    Progress, RecodedDatabase, Representation, TransactionDatabase, TransactionOrder, TripReason,
+    Budget, ConstraintSet, Density, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MineRequest,
+    MiningResult, Progress, RecodedDatabase, Representation, ScannedDatabase, TransactionDatabase,
+    TransactionOrder, TripReason,
 };
 use fim_ista::{IstaConfig, IstaMiner, PrunePolicy};
 use std::io::Write;
@@ -132,6 +133,16 @@ fn load_db(args: &Args) -> Result<TransactionDatabase, CliError> {
     .map_err(CliError::from)
 }
 
+/// [`load_db`] for a query that recodes the rows next: each row is left
+/// unsorted, for the recode to sort once in its own code order.
+fn scan_input(args: &Args) -> Result<ScannedDatabase, CliError> {
+    match args.get("in") {
+        Some("-") | None => fim_io::scan_fimi(std::io::stdin().lock()),
+        Some(path) => fim_io::scan_fimi_path(path),
+    }
+    .map_err(CliError::from)
+}
+
 /// The miner of the `--algo` name's table row.
 fn table_miner(algo: &str) -> Result<Miner, CliError> {
     Miner::by_name(algo).map_err(|e| usage(format!("{e} (try 'fim algos')")))
@@ -242,12 +253,12 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     // fires without touching the input)
     let mut obs = obs_args.build()?;
     obs.span_enter("parse");
-    let db = load_db(args)?;
+    let scan = scan_input(args)?;
     obs.span_exit();
-    let supp = resolve_supp(args, db.num_transactions() as u64)?;
-    let rep = resolve_rep(args, &miner, &db)?;
+    let supp = resolve_supp(args, scan.num_transactions() as u64)?;
+    let rep = resolve_rep(args, &miner, scan.density())?;
     let miner = configure(args, miner, rep)?;
-    let constraints = constraints_from(args, &db)?;
+    let constraints = constraints_from(args, scan.catalog())?;
     let query = Query {
         miner,
         supp,
@@ -263,10 +274,10 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         .as_ref()
         .map_or(&no_exclusion, |cs| &cs.exclude);
     let tx_order = tx_order.unwrap_or_else(|| miner.as_dyn().transaction_order());
-    let recoded = RecodedDatabase::prepare_excluding(&db, supp, item_order, tx_order, exclude);
-    // the miner reads only the recoded rows; of the raw database, only
+    // the rows are recoded in their own pool; of the raw database, only
     // the catalog is still needed, to name the result
-    let catalog = db.into_catalog();
+    let (recoded, catalog) =
+        RecodedDatabase::prepare_scanned(scan, supp, item_order, tx_order, exclude);
     obs.span_exit();
     let mut report = MetricsReport::new(
         miner.as_dyn().name(),
@@ -388,8 +399,8 @@ impl Query {
 /// keeps the kernel of the table row. A suffixed name (`eclat-bitset`)
 /// selects its kernel already, and the flag may only repeat it.
 ///
-/// `auto` applies [`Representation::select`] to the density of the raw
-/// database — the same rule the library's `AutoMiner` applies after
+/// `auto` applies [`Representation::select`] to `density`, that of the
+/// raw database — the same rule the library's `AutoMiner` applies after
 /// recoding; the pre-recode estimate is used here so the choice is made
 /// once, before any miner runs.
 ///
@@ -400,11 +411,11 @@ impl Query {
 fn resolve_rep(
     args: &Args,
     miner: &Miner,
-    db: &TransactionDatabase,
+    density: Density,
 ) -> Result<Option<Representation>, CliError> {
     let flag = match args.get("rep") {
         None => None,
-        Some("auto") => Some(Representation::select(&db.density())),
+        Some("auto") => Some(Representation::select(&density)),
         Some(s) => Some(
             s.parse::<Representation>()
                 .map_err(|e| usage(format!("bad --rep: {e} (or auto)")))?,
@@ -498,15 +509,12 @@ fn has_constraints(args: &Args) -> bool {
 }
 
 /// Builds the [`ConstraintSet`] from `--include`/`--exclude` (comma-
-/// separated item names, resolved against the database catalog) and
+/// separated item names, resolved against the input's `catalog`) and
 /// `--min-size`/`--max-size`/`--min-area`. Returns `None` when no
 /// constraint flag is present. Unknown item names and contradictory
 /// combinations (e.g. `--min-size 5 --max-size 3`, or an item both
 /// included and excluded) are usage errors — exit code 2.
-fn constraints_from(
-    args: &Args,
-    db: &TransactionDatabase,
-) -> Result<Option<ConstraintSet>, CliError> {
+fn constraints_from(args: &Args, catalog: &ItemCatalog) -> Result<Option<ConstraintSet>, CliError> {
     if !has_constraints(args) {
         if args.flag("no-push") {
             return Err(usage("--no-push needs at least one constraint flag"));
@@ -517,8 +525,7 @@ fn constraints_from(
         let mut items = Vec::new();
         if let Some(spec) = args.get(key) {
             for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                let code = db
-                    .catalog()
+                let code = catalog
                     .code(name)
                     .ok_or_else(|| usage(format!("--{key}: unknown item '{name}'")))?;
                 items.push(code);
@@ -556,7 +563,7 @@ fn resolve_supp(args: &Args, transactions: u64) -> Result<u32, CliError> {
             if !(0.0..=1.0).contains(&frac) {
                 return Err(usage("--supp-rel must be in [0, 1]"));
             }
-            Ok(((frac * transactions as f64).ceil() as u32).max(1))
+            Ok(fim_core::relative_minsupp(frac, transactions))
         }
         (None, None) => Err(usage("missing --supp (or --supp-rel)")),
     }

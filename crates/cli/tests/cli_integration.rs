@@ -52,6 +52,38 @@ fn mine_from_stdin() {
     assert_eq!(text.lines().count(), 3);
 }
 
+/// `--supp-rel` takes a whole product of the fraction and the row count
+/// as it is: 0.07 × 100 and 0.14 × 50 compute as 7.000000000000001, and
+/// must mine at supp 7, not 8.
+#[test]
+fn relative_support_of_a_whole_product_is_not_rounded_up() {
+    let dir = Scratch::new("supp_rel");
+    for (rows, fraction) in [(100, "0.07"), (50, "0.14")] {
+        // item 1 in 7 of the rows, item 2 in the rest
+        let path = dir.path(&format!("rows{rows}.fimi"));
+        let text: String = (0..rows)
+            .map(|k| if k < 7 { "1\n" } else { "2\n" })
+            .collect();
+        std::fs::write(&path, text).unwrap();
+        let run = |flag: &str, value: &str| {
+            let out = fim()
+                .args(["mine", flag, value, "--in", &path])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{}", stderr(&out));
+            (
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                stderr(&out),
+            )
+        };
+        let (absolute, _) = run("--supp", "7");
+        assert!(absolute.lines().any(|l| l == "1 (7)"), "{absolute}");
+        let (relative, summary) = run("--supp-rel", fraction);
+        assert_eq!(relative, absolute, "--supp-rel {fraction} of {rows} rows");
+        assert!(summary.contains("at supp >= 7 "), "{summary}");
+    }
+}
+
 /// A per-test scratch directory, removed on drop.
 struct Scratch(PathBuf);
 

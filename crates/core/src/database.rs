@@ -131,10 +131,9 @@ impl TransactionDatabase {
         self.transactions.view()
     }
 
-    /// Gives up the transactions and keeps the catalog, which names the
-    /// codes of everything mined from them.
-    pub fn into_catalog(self) -> ItemCatalog {
-        self.catalog
+    /// The transactions' storage, for a recode that copies it whole.
+    pub(crate) fn rows(&self) -> &ItemRows {
+        &self.transactions
     }
 
     /// Occurrence count of every item code (index = code).

@@ -15,6 +15,9 @@
 //!   reordered according to a [`TransactionOrder`] (paper §3.4),
 //! * [`ItemRows`] — the flat storage of both databases: one item pool plus
 //!   row offsets, read through the [`Rows`] view of `&[Item]` slices,
+//! * [`ScannedDatabase`] — a database as one reading pass leaves it: rows
+//!   duplicate-free in input order and item frequencies, sorted once by
+//!   whichever of the two databases is built from it,
 //! * [`TidLists`] — the vertical representation (per-item transaction-index
 //!   lists) used by the list-based Carpenter variant,
 //! * [`BitMatrix`] and [`SuffixCountMatrix`] — the table representation of
@@ -59,6 +62,7 @@ pub mod recode;
 pub mod reference;
 pub mod rep;
 pub mod rows;
+pub mod scan;
 
 pub use catalog::ItemCatalog;
 pub use closure::{closure, closure_with, is_closed, is_closed_with};
@@ -72,13 +76,14 @@ pub use matrix::{BitMatrix, BitsetRow, SuffixCountMatrix, WordSet};
 pub use maximal::maximal_from_closed;
 pub use miner::{
     mine_closed, mine_closed_constrained, mine_closed_relative, mine_closed_with_orders,
-    ClosedMiner, FoundSet, MineRequest, MiningResult,
+    relative_minsupp, ClosedMiner, FoundSet, MineRequest, MiningResult,
 };
 pub use order::{ItemOrder, TransactionOrder};
 pub use prepare::{cmp_size_then_desc_lex, coalesce};
 pub use recode::{Density, Recode, RecodedDatabase, StreamingRecode};
 pub use rep::Representation;
 pub use rows::{ItemRows, RowIter, Rows};
+pub use scan::ScannedDatabase;
 
 /// Dense item code used throughout the workspace.
 pub type Item = u32;

@@ -364,8 +364,7 @@ pub fn mine_closed(
 
 /// Like [`mine_closed`], but with a *relative* minimum support given as a
 /// fraction of the transaction count (paper §2.1 notes the two definitions
-/// are equivalent). The absolute threshold is `ceil(fraction · n)`,
-/// clamped to at least 1.
+/// are equivalent), converted by [`relative_minsupp`].
 ///
 /// # Panics
 ///
@@ -379,8 +378,28 @@ pub fn mine_closed_relative(
         (0.0..=1.0).contains(&fraction),
         "relative support must be a fraction in [0, 1]"
     );
-    let minsupp = (fraction * db.num_transactions() as f64).ceil() as u32;
-    mine_closed(db, minsupp.max(1), miner)
+    let minsupp = relative_minsupp(fraction, db.num_transactions() as u64);
+    mine_closed(db, minsupp, miner)
+}
+
+/// The absolute minimum support of a `fraction` of `transactions`:
+/// `ceil(fraction · transactions)`, at least 1.
+///
+/// A decimal fraction such as 0.07 is not exact in binary, so a product
+/// that is a whole number can come out a few ulps above it (0.07 × 100 =
+/// 7.000000000000001); a product within that rounding error of a whole
+/// number is that number, not the next one.
+pub fn relative_minsupp(fraction: f64, transactions: u64) -> u32 {
+    let product = fraction * transactions as f64;
+    let whole = product.round();
+    // two roundings (the fraction's and the product's) of at most half
+    // an ulp each, with room to spare
+    let minsupp = if (product - whole).abs() <= whole * 4.0 * f64::EPSILON {
+        whole
+    } else {
+        product.ceil()
+    };
+    (minsupp as u32).max(1)
 }
 
 /// End-to-end constrained mining under a budget: validates `constraints`,

@@ -13,11 +13,13 @@
 //! most that item's support and is therefore itself infrequent.
 
 use crate::{
+    catalog::ItemCatalog,
     database::TransactionDatabase,
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
     prepare::cmp_size_then_desc_lex,
     rows::{ItemRows, Rows},
+    scan::ScannedDatabase,
     Item, Tid,
 };
 
@@ -69,7 +71,8 @@ impl Recode {
 /// to the survivors — no second counting pass is needed.
 #[derive(Clone, Debug)]
 pub struct StreamingRecode {
-    item_to_new: Vec<Option<Item>>,
+    /// Raw code → dense code, [`DROPPED`] for filtered items.
+    item_to_new: Vec<Item>,
     item_to_old: Vec<Item>,
     item_supports: Vec<u32>,
     minsupp_used: u32,
@@ -81,22 +84,8 @@ impl StreamingRecode {
     /// item it contains). `minsupp` is clamped to at least 1.
     pub fn from_counts(freq: &[u32], minsupp: u32, item_order: ItemOrder) -> Self {
         let minsupp = minsupp.max(1);
-        let mut surviving: Vec<Item> = (0..freq.len() as Item)
-            .filter(|&i| freq[i as usize] >= minsupp)
-            .collect();
-        match item_order {
-            ItemOrder::AscendingFrequency => {
-                surviving.sort_by_key(|&i| (freq[i as usize], i));
-            }
-            ItemOrder::DescendingFrequency => {
-                surviving.sort_by_key(|&i| (std::cmp::Reverse(freq[i as usize]), i));
-            }
-            ItemOrder::Original => {}
-        }
-        let mut item_to_new: Vec<Option<Item>> = vec![None; freq.len()];
-        for (new, &old) in surviving.iter().enumerate() {
-            item_to_new[old as usize] = Some(new as Item);
-        }
+        let surviving = select_items(freq, minsupp, item_order, &ItemSet::empty());
+        let item_to_new = code_table(&surviving, freq.len());
         let item_supports = surviving.iter().map(|&old| freq[old as usize]).collect();
         StreamingRecode {
             item_to_new,
@@ -113,7 +102,12 @@ impl StreamingRecode {
     pub fn encode_transaction(&self, raw: &[Item], out: &mut Vec<Item>) -> bool {
         out.clear();
         for &i in raw {
-            if let Some(new) = self.item_to_new.get(i as usize).copied().flatten() {
+            if let Some(new) = self
+                .item_to_new
+                .get(i as usize)
+                .copied()
+                .filter(|&n| n != DROPPED)
+            {
                 out.push(new);
             }
         }
@@ -146,6 +140,38 @@ impl StreamingRecode {
     pub fn decode_items(&self, items: &ItemSet) -> ItemSet {
         decode_with(&self.item_to_old, items)
     }
+}
+
+/// The items of `freq` (raw code → frequency) that reach `minsupp` and
+/// are not excluded, in `item_order` with the raw code as tie-breaker:
+/// the new code of each is its index.
+fn select_items(freq: &[u32], minsupp: u32, item_order: ItemOrder, exclude: &ItemSet) -> Vec<Item> {
+    let mut surviving: Vec<Item> = (0..freq.len() as Item)
+        .filter(|&i| freq[i as usize] >= minsupp && !exclude.contains(i))
+        .collect();
+    match item_order {
+        ItemOrder::AscendingFrequency => {
+            surviving.sort_by_key(|&i| (freq[i as usize], i));
+        }
+        ItemOrder::DescendingFrequency => {
+            surviving.sort_by_key(|&i| (std::cmp::Reverse(freq[i as usize]), i));
+        }
+        ItemOrder::Original => { /* already ascending raw code */ }
+    }
+    surviving
+}
+
+/// Marks a raw code the recode drops in [`code_table`]'s table.
+const DROPPED: Item = Item::MAX;
+
+/// Raw code → new code over `items` raw codes, [`DROPPED`] for the codes
+/// `surviving` does not hold.
+fn code_table(surviving: &[Item], items: usize) -> Vec<Item> {
+    let mut table = vec![DROPPED; items];
+    for (new, &old) in surviving.iter().enumerate() {
+        table[old as usize] = new as Item;
+    }
+    table
 }
 
 /// The body of both `decode_items`: a copy of `items` translated through
@@ -216,43 +242,79 @@ impl RecodedDatabase {
         tx_order: TransactionOrder,
         exclude: &ItemSet,
     ) -> Self {
-        let minsupp = minsupp.max(1);
+        let (items, offsets) = db.rows().clone().into_parts();
         let freq = db.item_frequencies();
+        Self::recode_pool(
+            items, offsets, &freq, minsupp, item_order, tx_order, exclude,
+        )
+    }
 
-        // Select surviving raw codes and order them.
-        let mut surviving: Vec<Item> = (0..freq.len() as Item)
-            .filter(|&i| freq[i as usize] >= minsupp && !exclude.contains(i))
-            .collect();
-        match item_order {
-            ItemOrder::AscendingFrequency => {
-                surviving.sort_by_key(|&i| (freq[i as usize], i));
-            }
-            ItemOrder::DescendingFrequency => {
-                surviving.sort_by_key(|&i| (std::cmp::Reverse(freq[i as usize]), i));
-            }
-            ItemOrder::Original => { /* already ascending raw code */ }
-        }
+    /// [`prepare_excluding`](Self::prepare_excluding) for the rows of one
+    /// reading pass, recoded in their own pool, and the catalog that names
+    /// their raw codes. The rows need no sort before: each is sorted once,
+    /// in the new code order.
+    pub fn prepare_scanned(
+        scan: ScannedDatabase,
+        minsupp: u32,
+        item_order: ItemOrder,
+        tx_order: TransactionOrder,
+        exclude: &ItemSet,
+    ) -> (Self, ItemCatalog) {
+        let (catalog, items, offsets, freq) = scan.into_parts();
+        let recoded = Self::recode_pool(
+            items, offsets, &freq, minsupp, item_order, tx_order, exclude,
+        );
+        (recoded, catalog)
+    }
 
-        let mut item_to_new: Vec<Option<Item>> = vec![None; freq.len()];
-        for (new, &old) in surviving.iter().enumerate() {
-            item_to_new[old as usize] = Some(new as Item);
-        }
+    /// The one recode loop. It maps the pool in place through the raw →
+    /// new code table, dropping infrequent and excluded items and the rows
+    /// they empty, sorts each kept row, and gives the pool's unused end
+    /// back before the rows are reordered. Rows must be duplicate-free,
+    /// in any order; `freq` counts the rows that hold each raw code.
+    fn recode_pool(
+        mut items: Vec<Item>,
+        mut offsets: Vec<usize>,
+        freq: &[u32],
+        minsupp: u32,
+        item_order: ItemOrder,
+        tx_order: TransactionOrder,
+        exclude: &ItemSet,
+    ) -> Self {
+        let minsupp = minsupp.max(1);
+        let surviving = select_items(freq, minsupp, item_order, exclude);
+        let table = code_table(&surviving, freq.len());
         // a transaction that holds a surviving item keeps it and is not
         // dropped, so each survivor's support is its raw frequency
         let item_supports: Vec<u32> = surviving.iter().map(|&old| freq[old as usize]).collect();
-        let kept: u64 = item_supports.iter().map(|&s| u64::from(s)).sum();
 
-        // One pass: each kept transaction's codes go straight into the
-        // pool and are sorted there; emptied transactions are dropped.
-        let raw = db.transactions();
-        let mut transactions = ItemRows::with_capacity(raw.len(), kept as usize);
-        let mut tx_to_old: Vec<Tid> = Vec::with_capacity(raw.len());
-        for (tid, t) in raw.iter().enumerate() {
-            let codes = t.iter().filter_map(|&it| item_to_new[it as usize]);
-            if transactions.push_nonempty_set(codes) {
+        // a kept row is written where it or an earlier row was read, and
+        // its end offset where it or an earlier row's end was
+        let rows = offsets.len() - 1;
+        let mut tx_to_old: Vec<Tid> = Vec::with_capacity(rows);
+        let (mut read, mut write) = (0, 0);
+        for tid in 0..rows {
+            let (start, end) = (write, offsets[tid + 1]);
+            for k in read..end {
+                let new = table[items[k] as usize];
+                if new != DROPPED {
+                    items[write] = new;
+                    write += 1;
+                }
+            }
+            read = end;
+            if write > start {
+                items[start..write].sort_unstable();
                 tx_to_old.push(tid as Tid);
+                offsets[tx_to_old.len()] = write;
             }
         }
+        items.truncate(write);
+        offsets.truncate(tx_to_old.len() + 1);
+        // the raw pool's end would otherwise stay resident through mining
+        items.shrink_to_fit();
+        offsets.shrink_to_fit();
+        let mut transactions = ItemRows::from_parts(items, offsets);
         match tx_order {
             TransactionOrder::AscendingSize => {
                 (transactions, tx_to_old) =
@@ -271,11 +333,14 @@ impl RecodedDatabase {
             num_items: surviving.len() as u32,
             item_supports,
             recode: Recode {
-                item_to_new,
+                item_to_new: table
+                    .into_iter()
+                    .map(|new| (new != DROPPED).then_some(new))
+                    .collect(),
                 item_to_old: surviving,
                 tx_to_old,
             },
-            original_transactions: db.num_transactions() as u32,
+            original_transactions: rows as u32,
             minsupp_used: minsupp,
         }
     }

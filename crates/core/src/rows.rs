@@ -80,6 +80,25 @@ impl ItemRows {
         self.offsets.push(self.items.len());
     }
 
+    /// Rows from a pool and its offsets (one more than there are rows,
+    /// the first 0, none decreasing), each row strictly ascending.
+    pub(crate) fn from_parts(items: Vec<Item>, offsets: Vec<usize>) -> Self {
+        debug_assert!(offsets.first() == Some(&0) && offsets.last() == Some(&items.len()));
+        let rows = ItemRows { items, offsets };
+        debug_assert!(
+            rows.view()
+                .iter()
+                .all(|r| r.windows(2).all(|w| w[0] < w[1])),
+            "row is not strictly ascending"
+        );
+        rows
+    }
+
+    /// The pool and the offsets, for a pass that rewrites them in place.
+    pub(crate) fn into_parts(self) -> (Vec<Item>, Vec<usize>) {
+        (self.items, self.offsets)
+    }
+
     /// Appends `items` to the pool after the last row, sorts and
     /// deduplicates them there, and returns how many are left. They form
     /// no row until the caller pushes their end offset.

@@ -1,11 +1,13 @@
 //! The flat-pool recode against the boxed recode it replaced, kept here
 //! verbatim as the oracle: on every database, minimum support, exclusion
 //! and order pair, both give the same rows in the same order, the same code
-//! and transaction mappings, the same supports and the same counts.
+//! and transaction mappings, the same supports and the same counts. The
+//! recode of a one-pass scan, whose rows arrive unsorted and with repeats
+//! dropped as they come, gives the same as well.
 
 use fim_core::{
-    cmp_size_then_desc_lex, Item, ItemOrder, ItemSet, RecodedDatabase, Tid, TransactionDatabase,
-    TransactionOrder,
+    cmp_size_then_desc_lex, Item, ItemOrder, ItemSet, RecodedDatabase, ScannedDatabase, Tid,
+    TransactionDatabase, TransactionOrder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -118,24 +120,58 @@ fn flat(r: &RecodedDatabase) -> Oracle {
     }
 }
 
-/// Both recodes of `db` under every order pair agree.
+/// `db` as a reader's one pass would leave it: its catalog, then each row
+/// with its items shuffled and its first item pushed again at the end.
+fn scanned(db: &TransactionDatabase) -> ScannedDatabase {
+    let mut scan = ScannedDatabase::new();
+    for (code, name) in db.catalog().iter() {
+        assert_eq!(scan.catalog_mut().intern(name), code);
+    }
+    // a fixed xorshift stream drives the shuffles
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut row: Vec<Item> = Vec::new();
+    for t in db.transactions() {
+        row.clear();
+        row.extend_from_slice(t);
+        for k in (1..row.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            row.swap(k, (state % (k as u64 + 1)) as usize);
+        }
+        row.extend(row.first().copied());
+        for &item in &row {
+            scan.push_item(item);
+        }
+        scan.end_row();
+    }
+    scan
+}
+
+/// Both recodes of `db`, and the recode of its scan, under every order
+/// pair agree.
 fn agree(db: &TransactionDatabase, minsupp: u32, exclude: &ItemSet) {
+    let scan = scanned(db);
+    assert_eq!(scan.item_frequencies(), db.item_frequencies());
     for io in ItemOrder::ALL {
         for to in TransactionOrder::ALL {
             let want = oracle_prepare_excluding(db, minsupp, io, to, exclude);
             let got = RecodedDatabase::prepare_excluding(db, minsupp, io, to, exclude);
-            assert_eq!(
-                flat(&got),
-                want,
+            let what = format!(
                 "minsupp {minsupp}, exclude {exclude:?}, {} / {}",
                 io.label(),
                 to.label()
             );
+            assert_eq!(flat(&got), want, "{what}");
             assert_eq!(got.num_transactions(), want.transactions.len());
             assert_eq!(
                 got.density().ones,
                 want.item_supports.iter().map(|&s| u64::from(s)).sum()
             );
+            let (consumed, catalog) =
+                RecodedDatabase::prepare_scanned(scan.clone(), minsupp, io, to, exclude);
+            assert_eq!(flat(&consumed), want, "scanned, {what}");
+            assert_eq!(catalog.len(), db.num_items());
         }
     }
 }

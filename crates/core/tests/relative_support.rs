@@ -2,7 +2,7 @@
 //! relative definitions are equivalent).
 
 use fim_core::reference::ReferenceMiner;
-use fim_core::{mine_closed, mine_closed_relative, TransactionDatabase};
+use fim_core::{mine_closed, mine_closed_relative, relative_minsupp, ItemSet, TransactionDatabase};
 
 fn db() -> TransactionDatabase {
     TransactionDatabase::from_named(&[
@@ -26,6 +26,25 @@ fn fraction_maps_to_ceiling_absolute() {
         let direct = mine_closed(&db, abs, &ReferenceMiner);
         assert_eq!(rel, direct, "fraction {frac} vs absolute {abs}");
     }
+}
+
+#[test]
+fn whole_products_are_not_rounded_up() {
+    // in f64 both products are 7.000000000000001
+    assert_eq!(relative_minsupp(0.07, 100), 7);
+    assert_eq!(relative_minsupp(0.14, 50), 7);
+    // a product that is not whole still takes its ceiling
+    assert_eq!(relative_minsupp(0.071, 100), 8);
+    assert_eq!(relative_minsupp(0.3, 8), 3);
+    // item 0 in 7 of 100 rows stays frequent at 7%
+    let rows: Vec<Vec<u32>> = (0..100).map(|k| vec![u32::from(k >= 7)]).collect();
+    let db = TransactionDatabase::from_codes(rows);
+    let rel = mine_closed_relative(&db, 0.07, &ReferenceMiner);
+    assert_eq!(rel, mine_closed(&db, 7, &ReferenceMiner));
+    assert!(rel
+        .sets
+        .iter()
+        .any(|s| s.items == ItemSet::from([0]) && s.support == 7));
 }
 
 #[test]

@@ -11,15 +11,18 @@
 //! characters — is a [`FimError::Parse`] carrying the 1-based line number,
 //! never a panic.
 //!
-//! [`read_fimi`], [`FimiCursor`] and [`count_fimi_path`] share one line
-//! loop and one tokenizer, so all three apply exactly the same rules. The
-//! tokenizer reads each byte of an ASCII line once, finding the tokens and
-//! the values of the numeric ones in the same pass; lines with other
-//! characters are split as a `str`. [`read_fimi`] appends each line's item
-//! codes straight to the database's flat item pool.
+//! [`scan_fimi`], [`read_fimi`], [`FimiCursor`] and [`count_fimi_path`]
+//! share one line loop and one tokenizer, so all four apply exactly the
+//! same rules. The tokenizer splits an ASCII line in one pass over its
+//! bytes, finding the tokens and the values of the numeric ones as it goes
+//! (only a token that starts with digits and is not a code is read twice),
+//! and hands each token on as soon as it ends; lines with other characters
+//! are split as a `str`. [`scan_fimi`] interns each token as it ends and
+//! adds its code to a [`ScannedDatabase`] row, which [`read_fimi`] then
+//! sorts into a [`TransactionDatabase`].
 
 use crate::text::ItemLines;
-use fim_core::{FimError, Item, ItemCatalog, ItemRows, TransactionDatabase};
+use fim_core::{FimError, Item, ItemCatalog, ScannedDatabase, TransactionDatabase};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -65,13 +68,32 @@ pub fn read_fimi_with_limits<R: Read>(
     reader: R,
     limits: &FimiLimits,
 ) -> Result<TransactionDatabase, FimError> {
+    scan_fimi_with_limits(reader, limits).map(ScannedDatabase::into_database)
+}
+
+/// Reads FIMI-format text in one pass with the default [`FimiLimits`],
+/// leaving each transaction duplicate-free in line order: the input of a
+/// recode that sorts each row once, in its own code order
+/// ([`fim_core::RecodedDatabase::prepare_scanned`]).
+pub fn scan_fimi<R: Read>(reader: R) -> Result<ScannedDatabase, FimError> {
+    scan_fimi_with_limits(reader, &FimiLimits::default())
+}
+
+/// [`scan_fimi`] enforcing `limits`, with the errors of
+/// [`read_fimi_with_limits`].
+pub fn scan_fimi_with_limits<R: Read>(
+    reader: R,
+    limits: &FimiLimits,
+) -> Result<ScannedDatabase, FimError> {
     let mut lines = Lines::new(BufReader::with_capacity(READ_BUF, reader), limits);
-    let mut names = Interner::default();
-    let mut rows = ItemRows::new();
-    // each line's codes go straight into the pool, sorted and
-    // deduplicated there
-    while let Some(()) = lines.next_transaction(|tokens| rows.push_set(names.codes(tokens)))? {}
-    Ok(TransactionDatabase::from_parts(names.catalog, rows))
+    let mut sink = ScanSink::default();
+    while let Some(()) = lines.next_transaction(&mut sink, |_, sink| sink.scan.end_row())? {}
+    Ok(sink.scan)
+}
+
+/// Scans a FIMI file from disk with the default [`FimiLimits`].
+pub fn scan_fimi_path<P: AsRef<Path>>(path: P) -> Result<ScannedDatabase, FimError> {
+    scan_fimi(std::fs::File::open(path)?)
 }
 
 /// Read buffer of every reader.
@@ -112,7 +134,6 @@ struct Lines<R> {
     limits: FimiLimits,
     lineno: usize,
     buf: Vec<u8>,
-    tokens: Vec<Token>,
 }
 
 impl<R: BufRead> Lines<R> {
@@ -122,19 +143,21 @@ impl<R: BufRead> Lines<R> {
             limits: *limits,
             lineno: 0,
             buf: Vec::new(),
-            tokens: Vec::new(),
         }
     }
 
-    fn next_transaction<T>(
+    /// Tokenizes the next transaction line into `sink`, then hands `f` the
+    /// line and the sink. The sink holds none of the line's tokens before.
+    fn next_transaction<S: TokenSink, T>(
         &mut self,
-        f: impl FnOnce(FimiTokens<'_>) -> T,
+        sink: &mut S,
+        f: impl FnOnce(&[u8], &mut S) -> T,
     ) -> Result<Option<T>, FimError> {
         loop {
             let lineno = self.lineno + 1;
             let buffered = self.reader.fill_buf()?;
             // (the line, the buffered bytes it takes up)
-            let (line, used) = if let Some(end) = buffered.iter().position(|&b| b == b'\n') {
+            let (line, used) = if let Some(end) = find_newline(buffered) {
                 let line = &buffered[..end];
                 (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
             } else if read_bounded_line(&mut self.reader, &mut self.buf, &self.limits)? {
@@ -149,18 +172,32 @@ impl<R: BufRead> Lines<R> {
                 });
             }
             self.lineno = lineno;
-            let transaction = tokenize_line(line, &self.limits, lineno, &mut self.tokens)?;
-            if transaction {
-                let out = f(FimiTokens {
-                    line,
-                    tokens: &self.tokens,
-                });
+            if tokenize_line(line, &self.limits, lineno, sink)? {
+                let out = f(line, sink);
                 self.reader.consume(used);
                 return Ok(Some(out));
             }
             self.reader.consume(used);
         }
     }
+}
+
+/// The index of the first `\n` in `bytes`, tested eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (ONES * u64::from(b'\n'));
+        // the high bit of each zero byte of `w`, and possibly of bytes
+        // after the first zero one, whose index the lowest bit gives
+        let zero = w.wrapping_sub(ONES) & !w & (ONES << 7);
+        if zero != 0 {
+            return Some(8 * k + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let rest = words.remainder();
+    let at = bytes.len() - rest.len();
+    rest.iter().position(|&b| b == b'\n').map(|p| at + p)
 }
 
 /// One item token of a line.
@@ -174,14 +211,57 @@ struct Token {
     small: Option<u32>,
 }
 
-/// The text of token `t` of an accepted `line`.
+/// The text of token `t` of `line`.
 fn token_str<'a>(line: &'a [u8], t: &Token) -> &'a str {
-    std::str::from_utf8(&line[t.range.clone()]).expect("the tokens of an accepted line are UTF-8")
+    std::str::from_utf8(&line[t.range.clone()]).expect("the tokenizer hands on UTF-8 tokens only")
+}
+
+/// Takes a line's item tokens from the tokenizer, each as soon as it ends.
+/// A token the tokenizer hands on is UTF-8 and is a name or a code within
+/// the cap; it may still belong to a line that turns out to be an error.
+trait TokenSink {
+    /// Token `t` of `line`.
+    fn token(&mut self, line: &[u8], t: Token);
+
+    /// The line is split again from its start as a `str`: drops every
+    /// token of it handed on so far.
+    fn restart(&mut self);
+}
+
+/// Keeps the tokens, for [`FimiCursor`].
+impl TokenSink for Vec<Token> {
+    fn token(&mut self, _: &[u8], t: Token) {
+        self.push(t);
+    }
+
+    fn restart(&mut self) {
+        self.clear();
+    }
+}
+
+/// Interns each token and adds its code to the open row, for
+/// [`scan_fimi`].
+#[derive(Default)]
+struct ScanSink {
+    names: Interner,
+    scan: ScannedDatabase,
+}
+
+impl TokenSink for ScanSink {
+    fn token(&mut self, line: &[u8], t: Token) {
+        let code = self.names.intern(self.scan.catalog_mut(), line, &t);
+        self.scan.push_item(code);
+    }
+
+    fn restart(&mut self) {
+        self.scan.discard_row();
+    }
 }
 
 /// Splits one line (terminator stripped) into item tokens under every
-/// reader rule, filling `tokens`. Returns `false` for a comment line;
-/// every violation is a [`FimError::Parse`] at `lineno`.
+/// reader rule, handing each to `sink`. Returns `false` for a comment
+/// line; every violation is a [`FimError::Parse`] at `lineno`, found after
+/// the tokens before it were handed on.
 ///
 /// The rules, in the order they apply: the line must be UTF-8; it is
 /// trimmed of whitespace; a line starting with `#` is a comment; a control
@@ -190,29 +270,28 @@ fn token_str<'a>(line: &'a [u8], t: &Token) -> &'a str {
 /// the cap, and the first one that is not is reported. An ASCII line is
 /// checked, split and its tokens classified in one pass over its bytes,
 /// which hands the line on at its first byte ≥ 0x80. Such a line is
-/// split as a `str`, so Unicode whitespace (NBSP, U+3000, …) trims and
-/// separates and U+0080–U+009F count as control characters; its ASCII
-/// tokens are classified by the same [`scan_token`].
+/// split again from its start as a `str`, so Unicode whitespace (NBSP,
+/// U+3000, …) trims and separates and U+0080–U+009F count as control
+/// characters; its ASCII tokens are classified by the same [`scan_token`].
 fn tokenize_line(
     line: &[u8],
     limits: &FimiLimits,
     lineno: usize,
-    tokens: &mut Vec<Token>,
+    sink: &mut impl TokenSink,
 ) -> Result<bool, FimError> {
-    tokens.clear();
-    let split = match split_ascii(line, limits, tokens) {
+    let split = match split_ascii(line, limits, sink) {
         Some(split) => split,
         None => {
-            tokens.clear();
+            sink.restart();
             let text = std::str::from_utf8(line).map_err(|_| FimError::Parse {
                 line: lineno,
                 message: "invalid UTF-8".into(),
             })?;
-            split_unicode(text, limits, tokens)
+            split_unicode(text, limits, sink)
         }
     };
-    let first_bad = match split {
-        Split::Tokens { first_bad } => first_bad,
+    let Tokens { count, first_bad } = match split {
+        Split::Tokens(tokens) => tokens,
         Split::Comment => return Ok(false),
         Split::Control => {
             return Err(FimError::Parse {
@@ -221,18 +300,17 @@ fn tokenize_line(
             })
         }
     };
-    if tokens.len() > limits.max_items_per_transaction {
+    if count > limits.max_items_per_transaction {
         return Err(FimError::Parse {
             line: lineno,
             message: format!(
-                "{} items in one transaction exceeds the cap of {}",
-                tokens.len(),
+                "{count} items in one transaction exceeds the cap of {}",
                 limits.max_items_per_transaction
             ),
         });
     }
-    if let Some(k) = first_bad {
-        let token = token_str(line, &tokens[k]);
+    if let Some(range) = first_bad {
+        let token = token_str(line, &Token { range, small: None });
         let message = if token.starts_with('-') {
             format!("negative item code `{token}`")
         } else {
@@ -251,13 +329,34 @@ fn tokenize_line(
 
 /// What splitting a line found.
 enum Split {
-    /// Tokens, and the index of the first numeric one outside the code
-    /// range.
-    Tokens {
-        first_bad: Option<usize>,
-    },
+    Tokens(Tokens),
     Comment,
     Control,
+}
+
+/// The count of a line's tokens so far, and where the first numeric one
+/// outside the code range lies. A bad token is counted but not handed on.
+#[derive(Default)]
+struct Tokens {
+    count: usize,
+    first_bad: Option<Range<usize>>,
+}
+
+impl Tokens {
+    /// Counts the token at `range` of `line` and hands it to `sink`, or
+    /// notes it when it is the line's first bad code.
+    fn take(&mut self, line: &[u8], range: Range<usize>, class: Class, sink: &mut impl TokenSink) {
+        self.count += 1;
+        let small = match class {
+            Class::Code { small } => small,
+            Class::Name => None,
+            Class::Bad => {
+                self.first_bad.get_or_insert(range);
+                return;
+            }
+        };
+        sink.token(line, Token { range, small });
+    }
 }
 
 /// What a token is as a number.
@@ -276,13 +375,14 @@ fn is_space(b: u8) -> bool {
     matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-/// Splits an ASCII line and classifies its tokens in one pass, or returns
-/// `None` for a line that is not ASCII. Inside the trimmed line the only
-/// whitespace that is not a control character is space and tab, so they
-/// alone separate. A comment or a control character ends the pass early,
-/// so the rest of the line is checked for non-ASCII bytes first: invalid
-/// UTF-8 anywhere in a line is the first error it reports.
-fn split_ascii(line: &[u8], limits: &FimiLimits, tokens: &mut Vec<Token>) -> Option<Split> {
+/// Splits an ASCII line and classifies its tokens in one pass, handing
+/// each to `sink` as it ends, or returns `None` at the first byte ≥ 0x80.
+/// Inside the trimmed line the only whitespace that is not a control
+/// character is space and tab, so they alone separate. A comment or a
+/// control character ends the pass early, so the rest of the line is
+/// checked for non-ASCII bytes first: invalid UTF-8 anywhere in a line is
+/// the first error it reports.
+fn split_ascii(line: &[u8], limits: &FimiLimits, sink: &mut impl TokenSink) -> Option<Split> {
     let early = |split: Split| line.is_ascii().then_some(split);
     let end = line
         .iter()
@@ -295,7 +395,7 @@ fn split_ascii(line: &[u8], limits: &FimiLimits, tokens: &mut Vec<Token>) -> Opt
     if line[i..end].first() == Some(&b'#') {
         return early(Split::Comment);
     }
-    let mut first_bad = None;
+    let mut tokens = Tokens::default();
     while i < end {
         let b = line[i];
         if b == b' ' || b == b'\t' {
@@ -304,23 +404,18 @@ fn split_ascii(line: &[u8], limits: &FimiLimits, tokens: &mut Vec<Token>) -> Opt
         }
         match scan_token(line, i, end, limits) {
             Ok((token_end, class)) => {
-                tokens.push(classified(
-                    i..token_end,
-                    class,
-                    tokens.len(),
-                    &mut first_bad,
-                ));
+                tokens.take(line, i..token_end, class, sink);
                 i = token_end;
             }
             Err(Stop::Control) => return early(Split::Control),
             Err(Stop::NotAscii) => return None,
         }
     }
-    Some(Split::Tokens { first_bad })
+    Some(Split::Tokens(tokens))
 }
 
 /// Splits a line with non-ASCII characters by Unicode whitespace.
-fn split_unicode(text: &str, limits: &FimiLimits, tokens: &mut Vec<Token>) -> Split {
+fn split_unicode(text: &str, limits: &FimiLimits, sink: &mut impl TokenSink) -> Split {
     let trimmed = text.trim();
     if trimmed.starts_with('#') {
         return Split::Comment;
@@ -328,7 +423,8 @@ fn split_unicode(text: &str, limits: &FimiLimits, tokens: &mut Vec<Token>) -> Sp
     if trimmed.chars().any(|c| c.is_control() && c != '\t') {
         return Split::Control;
     }
-    let (base, mut first_bad) = (text.as_ptr() as usize, None);
+    let (line, base) = (text.as_bytes(), text.as_ptr() as usize);
+    let mut tokens = Tokens::default();
     for t in trimmed.split_whitespace() {
         let at = t.as_ptr() as usize - base;
         // a token holds no whitespace or control character, so the scan of
@@ -337,28 +433,9 @@ fn split_unicode(text: &str, limits: &FimiLimits, tokens: &mut Vec<Token>) -> Sp
             Ok((_, class)) => class,
             Err(_) => Class::Name,
         };
-        tokens.push(classified(
-            at..at + t.len(),
-            class,
-            tokens.len(),
-            &mut first_bad,
-        ));
+        tokens.take(line, at..at + t.len(), class, sink);
     }
-    Split::Tokens { first_bad }
-}
-
-/// The token at `range`, the `k`-th of its line, noting it in `first_bad`
-/// when it is the line's first bad code.
-fn classified(range: Range<usize>, class: Class, k: usize, first_bad: &mut Option<usize>) -> Token {
-    let small = match class {
-        Class::Code { small } => small,
-        Class::Name => None,
-        Class::Bad => {
-            first_bad.get_or_insert(k);
-            None
-        }
-    };
-    Token { range, small }
+    Split::Tokens(tokens)
 }
 
 /// Why [`scan_token`] stopped before the token's end.
@@ -370,27 +447,56 @@ enum Stop {
 }
 
 /// Scans the token starting at `line[start]` up to the next space or tab
-/// (or `end`), reading each byte once, and returns the token's end and
-/// class. A token is numeric when it is all ASCII digits or a `-` followed
-/// by digits; a numeric token must be non-negative and within
-/// `limits.max_item_code`.
+/// (or `end`) and returns the token's end and class. A token is numeric
+/// when it is all ASCII digits or a `-` followed by digits; a numeric
+/// token must be non-negative and within `limits.max_item_code`.
+///
+/// A run of digits that a space, a tab or `end` closes, the common token,
+/// is read once, by a loop that only tells digits from the rest; any other
+/// token is read again from its start, byte by byte.
 fn scan_token(
     line: &[u8],
     start: usize,
     end: usize,
     limits: &FimiLimits,
 ) -> Result<(usize, Class), Stop> {
-    let negative = line[start] == b'-';
-    let mut i = start + usize::from(negative);
     // exact for up to 19 digits; longer runs are re-read with checked
     // arithmetic
+    let mut i = start;
     let mut value = 0u64;
+    while i < end {
+        let d = line[i].wrapping_sub(b'0');
+        if d >= 10 {
+            break;
+        }
+        value = value.wrapping_mul(10).wrapping_add(u64::from(d));
+        i += 1;
+    }
+    if i > start && (i == end || line[i] == b' ' || line[i] == b'\t') {
+        let body = &line[start..i];
+        let code = if body.len() < 20 {
+            Some(value)
+        } else {
+            body.iter().try_fold(0u64, |v, &d| {
+                v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            })
+        };
+        let class = match code {
+            Some(v) if v <= limits.max_item_code => Class::Code {
+                // canonical: no leading zero unless the token is `0`
+                small: (v < NUMERIC_CACHE_CAP as u64 && (body[0] != b'0' || body.len() == 1))
+                    .then_some(v as u32),
+            },
+            _ => Class::Bad,
+        };
+        return Ok((i, class));
+    }
+    let negative = line[start] == b'-';
     let mut digits = true;
+    let mut i = start + usize::from(negative);
     while i < end {
         let b = line[i];
-        let d = b.wrapping_sub(b'0');
-        if d < 10 {
-            value = value.wrapping_mul(10).wrapping_add(u64::from(d));
+        if b.is_ascii_digit() {
         } else if b == b' ' || b == b'\t' {
             break;
         } else if b.is_ascii_control() {
@@ -402,29 +508,9 @@ fn scan_token(
         }
         i += 1;
     }
-    let body = &line[start + usize::from(negative)..i];
-    if !digits || body.is_empty() {
-        return Ok((i, Class::Name));
-    }
-    if negative {
-        return Ok((i, Class::Bad));
-    }
-    let code = if body.len() < 20 {
-        Some(value)
-    } else {
-        body.iter().try_fold(0u64, |v, &d| {
-            v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        })
-    };
-    let class = match code {
-        Some(v) if v <= limits.max_item_code => Class::Code {
-            // canonical: no leading zero unless the token is `0`
-            small: (v < NUMERIC_CACHE_CAP as u64 && (body[0] != b'0' || body.len() == 1))
-                .then_some(v as u32),
-        },
-        _ => Class::Bad,
-    };
-    Ok((i, class))
+    // a negative code; any other run of digits was closed above
+    let bad = negative && digits && i > start + 1;
+    Ok((i, if bad { Class::Bad } else { Class::Name }))
 }
 
 /// Canonical decimal names below this value find their code in
@@ -440,27 +526,27 @@ const UNSEEN: Item = Item::MAX;
 /// in front of it for canonical decimal tokens below [`NUMERIC_CACHE_CAP`]
 /// (`7`, not `007`). A value has exactly one canonical spelling, so the
 /// table maps the same names to the same codes the catalog would; every
-/// other token, `007` included, goes to the catalog.
+/// other token, `007` included, goes to the catalog. One interner serves
+/// one catalog.
 #[derive(Default)]
 struct Interner {
-    catalog: ItemCatalog,
     /// `numeric[v]` is the code of the name spelling `v`, or [`UNSEEN`].
     numeric: Vec<Item>,
 }
 
 impl Interner {
-    /// The code of the token `t` of `line`.
-    fn intern(&mut self, line: &[u8], t: &Token) -> Item {
+    /// The code of the token `t` of `line` in `catalog`.
+    fn intern(&mut self, catalog: &mut ItemCatalog, line: &[u8], t: &Token) -> Item {
         match t.small.and_then(|v| self.numeric.get(v as usize)) {
             Some(&code) if code != UNSEEN => code,
-            _ => self.intern_new(line, t),
+            _ => self.intern_new(catalog, line, t),
         }
     }
 
     /// [`intern`](Self::intern) for a name the numeric table does not
     /// hold yet.
-    fn intern_new(&mut self, line: &[u8], t: &Token) -> Item {
-        let code = self.catalog.intern(token_str(line, t));
+    fn intern_new(&mut self, catalog: &mut ItemCatalog, line: &[u8], t: &Token) -> Item {
+        let code = catalog.intern(token_str(line, t));
         if let Some(v) = t.small.map(|v| v as usize) {
             if v >= self.numeric.len() {
                 self.numeric.resize(v + 1, UNSEEN);
@@ -468,14 +554,6 @@ impl Interner {
             self.numeric[v] = code;
         }
         code
-    }
-
-    /// The codes of a line's tokens, in line order.
-    fn codes<'s>(&'s mut self, tokens: FimiTokens<'s>) -> impl Iterator<Item = Item> + 's {
-        tokens
-            .tokens
-            .iter()
-            .map(move |t| self.intern(tokens.line, t))
     }
 }
 
@@ -527,6 +605,7 @@ impl<'a> FimiTokens<'a> {
 /// recode) over one open handle.
 pub struct FimiCursor<R: Read + Seek> {
     lines: Lines<BufReader<R>>,
+    tokens: Vec<Token>,
 }
 
 impl FimiCursor<std::fs::File> {
@@ -541,6 +620,7 @@ impl<R: Read + Seek> FimiCursor<R> {
     pub fn new(inner: R, limits: &FimiLimits) -> Self {
         FimiCursor {
             lines: Lines::new(BufReader::with_capacity(READ_BUF, inner), limits),
+            tokens: Vec::new(),
         }
     }
 
@@ -563,7 +643,11 @@ impl<R: Read + Seek> FimiCursor<R> {
         &mut self,
         f: impl FnOnce(FimiTokens<'_>) -> T,
     ) -> Result<Option<T>, FimError> {
-        self.lines.next_transaction(f)
+        self.tokens.clear();
+        self.lines
+            .next_transaction(&mut self.tokens, |line, tokens| {
+                f(FimiTokens { line, tokens })
+            })
     }
 }
 
@@ -590,26 +674,31 @@ pub fn count_fimi_path<P: AsRef<Path>>(
     limits: &FimiLimits,
 ) -> Result<FimiCounts, FimError> {
     let mut cursor = FimiCursor::open(path, limits)?;
-    let mut names = Interner::default();
+    let (mut names, mut catalog) = (Interner::default(), ItemCatalog::new());
     let mut frequencies: Vec<u32> = Vec::new();
     let mut transactions = 0u64;
     let mut codes: Vec<Item> = Vec::new();
     while let Some(()) = cursor.next_transaction(|tokens| {
         codes.clear();
-        codes.extend(names.codes(tokens));
+        codes.extend(
+            tokens
+                .tokens
+                .iter()
+                .map(|t| names.intern(&mut catalog, tokens.line, t)),
+        );
     })? {
         fim_core::fault::hit(fim_core::fault::points::COUNTS_PASS1)?;
         transactions += 1;
-        frequencies.resize(names.catalog.len(), 0);
+        frequencies.resize(catalog.len(), 0);
         codes.sort_unstable();
         codes.dedup();
         for &c in &codes {
             frequencies[c as usize] += 1;
         }
     }
-    frequencies.resize(names.catalog.len(), 0);
+    frequencies.resize(catalog.len(), 0);
     Ok(FimiCounts {
-        catalog: names.catalog,
+        catalog,
         frequencies,
         transactions,
     })
@@ -798,38 +887,38 @@ mod tests {
     }
 
     /// Interns one token as the reader does: scanned, then looked up.
-    fn intern(names: &mut Interner, token: &str) -> Item {
+    fn intern(names: &mut Interner, catalog: &mut ItemCatalog, token: &str) -> Item {
         let limits = FimiLimits::default();
         let small = match scan_token(token.as_bytes(), 0, token.len(), &limits) {
             Ok((_, Class::Code { small })) => small,
             _ => None,
         };
         let range = 0..token.len();
-        names.intern(token.as_bytes(), &Token { range, small })
+        names.intern(catalog, token.as_bytes(), &Token { range, small })
     }
 
     #[test]
     fn numeric_cache_holds_canonical_codes_below_the_cap_only() {
-        let mut names = Interner::default();
-        assert_eq!(intern(&mut names, "7"), 0);
-        assert_eq!(intern(&mut names, "007"), 1);
-        assert_eq!(intern(&mut names, "7"), 0);
+        let (mut names, mut catalog) = (Interner::default(), ItemCatalog::new());
+        assert_eq!(intern(&mut names, &mut catalog, "7"), 0);
+        assert_eq!(intern(&mut names, &mut catalog, "007"), 1);
+        assert_eq!(intern(&mut names, &mut catalog, "7"), 0);
         assert_eq!(names.numeric.len(), 8);
         // a huge canonical code, and the cap itself, take the hashed path
         // and leave the table as it is
-        assert_eq!(intern(&mut names, "4294967295"), 2);
-        assert_eq!(intern(&mut names, "1048576"), 3);
+        assert_eq!(intern(&mut names, &mut catalog, "4294967295"), 2);
+        assert_eq!(intern(&mut names, &mut catalog, "1048576"), 3);
         assert_eq!(names.numeric.len(), 8);
-        assert_eq!(intern(&mut names, "1048575"), 4);
+        assert_eq!(intern(&mut names, &mut catalog, "1048575"), 4);
         assert_eq!(names.numeric.len(), NUMERIC_CACHE_CAP);
-        assert_eq!(intern(&mut names, "0"), 5);
+        assert_eq!(intern(&mut names, &mut catalog, "0"), 5);
         assert_eq!(names.numeric[0], 5);
-        assert_eq!(names.catalog.code("007"), Some(1));
-        assert_eq!(names.catalog.code("4294967295"), Some(2));
+        assert_eq!(catalog.code("007"), Some(1));
+        assert_eq!(catalog.code("4294967295"), Some(2));
     }
 
     #[test]
-    fn scan_classifies_each_token_in_one_pass() {
+    fn scan_classifies_each_token() {
         let limits = FimiLimits::default();
         let class = |token: &str| match scan_token(token.as_bytes(), 0, token.len(), &limits) {
             Ok((end, Class::Code { small })) => {
@@ -874,6 +963,28 @@ mod tests {
     fn control_character_line_number_is_exact() {
         let e = read_fimi("a\nb\nc\x07 d\n".as_bytes()).unwrap_err();
         assert_eq!(parse_line(e), 3);
+    }
+
+    #[test]
+    fn find_newline_finds_the_first_newline_at_every_offset() {
+        // every byte value next to a newline, which a word-wise test could
+        // mistake for one, at every position of a word and of the tail
+        let mut bytes: Vec<u8> = (0..=255u8).filter(|&b| b != b'\n').collect();
+        for len in 0..40 {
+            for at in 0..=len {
+                let mut buf = bytes[..len].to_vec();
+                assert_eq!(find_newline(&buf), None);
+                if at < len {
+                    buf[at] = b'\n';
+                    buf.iter_mut()
+                        .skip(at + 1)
+                        .step_by(3)
+                        .for_each(|b| *b = b'\n');
+                    assert_eq!(find_newline(&buf), Some(at), "{buf:?}");
+                }
+            }
+            bytes.rotate_left(7);
+        }
     }
 
     /// Lines that end inside the read buffer are tokenized in place, the

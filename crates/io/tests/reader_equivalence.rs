@@ -1,10 +1,14 @@
 //! The byte-level FIMI reader against the `str`-level reader it replaced,
 //! kept here verbatim as the oracle: on every input both give the same
 //! catalog (names in code order) and transactions, or the same
-//! `FimError::Parse` line and message.
+//! `FimError::Parse` line and message. The one-pass scan, recoded in its
+//! own pool, gives what recoding the oracle's database gives.
 
-use fim_core::{FimError, TransactionDatabase};
-use fim_io::{read_fimi_with_limits, FimiCursor, FimiLimits};
+use fim_core::{
+    FimError, ItemOrder, ItemSet, RecodedDatabase, ScannedDatabase, TransactionDatabase,
+    TransactionOrder,
+};
+use fim_io::{read_fimi_with_limits, scan_fimi_with_limits, FimiCursor, FimiLimits};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read};
@@ -136,8 +140,68 @@ fn names(db: &TransactionDatabase) -> Vec<String> {
     db.catalog().iter().map(|(_, n)| n.to_owned()).collect()
 }
 
+/// Everything a recode holds, to compare two of them.
+#[derive(Debug, PartialEq)]
+struct Recoded {
+    transactions: Vec<Vec<u32>>,
+    item_supports: Vec<u32>,
+    item_to_new: Vec<Option<u32>>,
+    item_to_old: Vec<u32>,
+    tx_to_old: Vec<u32>,
+    counts: (u32, u32, u32),
+}
+
+fn recoded(r: &RecodedDatabase) -> Recoded {
+    Recoded {
+        transactions: r.transactions().iter().map(<[u32]>::to_vec).collect(),
+        item_supports: r.item_supports().to_vec(),
+        item_to_new: r.recode().item_to_new.clone(),
+        item_to_old: r.recode().item_to_old.clone(),
+        tx_to_old: r.recode().tx_to_old.clone(),
+        counts: (r.num_items(), r.original_transactions(), r.minsupp_used()),
+    }
+}
+
+/// The scan of `input`, recoded in its own pool, against the oracle's
+/// database recoded from a borrow: under every order pair, at supports 1
+/// and 2, without an exclusion and with the middle catalog item excluded.
+fn scan_recodes_alike(input: &[u8], limits: &FimiLimits, old: &TransactionDatabase) {
+    let scan: ScannedDatabase = scan_fimi_with_limits(input, limits).expect("the oracle read it");
+    let catalog: Vec<&str> = scan.catalog().iter().map(|(_, n)| n).collect();
+    assert_eq!(catalog, names(old), "scanned catalog of {input:?}");
+    assert_eq!(
+        scan.item_frequencies(),
+        old.item_frequencies(),
+        "frequencies of {input:?}"
+    );
+    assert_eq!(scan.density(), old.density(), "density of {input:?}");
+    let middle = (old.num_items() / 2) as u32;
+    let exclusions = [ItemSet::empty(), ItemSet::from([middle])];
+    for exclude in exclusions.iter().take(1 + usize::from(old.num_items() > 0)) {
+        for minsupp in [1, 2] {
+            for io in ItemOrder::ALL {
+                for to in TransactionOrder::ALL {
+                    let want = RecodedDatabase::prepare_excluding(old, minsupp, io, to, exclude);
+                    let (got, catalog) =
+                        RecodedDatabase::prepare_scanned(scan.clone(), minsupp, io, to, exclude);
+                    assert_eq!(
+                        recoded(&got),
+                        recoded(&want),
+                        "{input:?} at supp {minsupp} without {exclude:?}, {} / {}",
+                        io.label(),
+                        to.label()
+                    );
+                    assert_eq!(catalog.len(), old.num_items());
+                }
+            }
+        }
+    }
+}
+
 /// Reads `input` with both readers and with a cursor, and returns the new
-/// reader's database, or the parse error both agree on.
+/// reader's database, or the parse error both agree on. An accepted input
+/// is also scanned and recoded, and a rejected one is rejected by the scan
+/// alike.
 fn both(input: &[u8], limits: &FimiLimits) -> Result<TransactionDatabase, (usize, String)> {
     let new = read_fimi_with_limits(input, limits);
     let old = oracle_read(input, limits);
@@ -149,6 +213,7 @@ fn both(input: &[u8], limits: &FimiLimits) -> Result<TransactionDatabase, (usize
                 old.transactions(),
                 "transactions of {input:?}"
             );
+            scan_recodes_alike(input, limits, &old);
             let mut cursor = FimiCursor::new(std::io::Cursor::new(input), limits);
             let mut lines: Vec<Vec<String>> = Vec::new();
             while let Some(tokens) = cursor
@@ -168,6 +233,15 @@ fn both(input: &[u8], limits: &FimiLimits) -> Result<TransactionDatabase, (usize
             }),
         ) => {
             assert_eq!((line, &message), (want_line, &want), "error on {input:?}");
+            match scan_fimi_with_limits(input, limits) {
+                Err(FimError::Parse {
+                    line: l,
+                    message: m,
+                }) => {
+                    assert_eq!((l, m), (line, message.clone()), "scan error on {input:?}")
+                }
+                other => panic!("the scan of {input:?} gave {other:?}"),
+            }
             Err((line, message))
         }
         (new, old) => panic!("readers disagree on {input:?}: {new:?} vs {old:?}"),
@@ -238,6 +312,45 @@ fn code_cap_is_u32_max() {
             format!("item code `{thirty}` exceeds the cap of 4294967295")
         )
     );
+}
+
+#[test]
+fn a_repeated_token_is_one_item_of_its_row() {
+    let db = both(b"3 1 3\n1 3 1 1\n", &FimiLimits::default()).unwrap();
+    assert_eq!(names(&db), ["3", "1"]);
+    assert_eq!(db.transactions()[0], [0, 1]);
+    assert_eq!(db.item_frequencies(), [2, 2]);
+}
+
+#[test]
+fn names_before_a_non_ascii_token_keep_their_first_codes() {
+    // `b`, `c` and `d` are interned by the byte pass before it reaches
+    // the NBSP, then the line is split again as a `str`
+    let db = both(
+        "a\nb c a d\u{a0}e c\nd f\n".as_bytes(),
+        &FimiLimits::default(),
+    )
+    .unwrap();
+    assert_eq!(names(&db), ["a", "b", "c", "d", "e", "f"]);
+    assert_eq!(db.transactions()[1], [0, 1, 2, 3, 4]);
+    assert_eq!(db.item_frequencies(), [2, 1, 1, 2, 1, 1]);
+    assert_eq!(items("x y é y\n"), ["x", "y", "é"]);
+}
+
+#[test]
+fn crlf_blank_lines_and_comments() {
+    let db = both(b"1 2\r\n\r\n# 3\r\n2\r\n", &FimiLimits::default()).unwrap();
+    assert_eq!(names(&db), ["1", "2"]);
+    assert_eq!(db.num_transactions(), 3);
+    assert!(db.transactions()[1].is_empty());
+    let db = both(b"a\n\n# c\nb\n", &FimiLimits::default()).unwrap();
+    assert_eq!(names(&db), ["a", "b"]);
+    assert_eq!(db.num_transactions(), 3);
+}
+
+#[test]
+fn a_trailing_vt_is_trimmed() {
+    assert_eq!(items("7 8\x0b\n8\x0b\n"), ["7", "8"]);
 }
 
 #[test]
