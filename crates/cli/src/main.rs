@@ -16,9 +16,9 @@
 
 use closed_fim::algos::{self, Miner};
 use fim_core::{
-    Budget, ConstraintSet, Density, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MineRequest,
-    MiningResult, Progress, RecodedDatabase, Representation, ScannedDatabase, TransactionDatabase,
-    TransactionOrder, TripReason,
+    Budget, ConstraintSet, Density, FimError, ItemCatalog, ItemOrder, ItemSet, MineOutcome,
+    MineRequest, MiningResult, Progress, RankTable, RankedResult, Recode, RecodedDatabase,
+    Representation, ScannedDatabase, TransactionDatabase, TransactionOrder, TripReason,
 };
 use fim_ista::{IstaConfig, IstaMiner, PrunePolicy};
 use std::io::Write;
@@ -286,8 +286,9 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         0,
         recoded.num_transactions() as u64,
     );
+    let table = RankTable::new(&recoded.recode().item_to_old);
     obs.span_enter("mine");
-    let (outcome, heartbeat_sent) = query.run(&recoded, &mut obs, &mut report);
+    let (outcome, heartbeat_sent) = query.run(&recoded, table.as_ref(), &mut obs, &mut report);
     obs.span_exit();
     report.kernel = Some(KernelMetrics::from_counters(
         miner.rep().name(),
@@ -298,7 +299,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         .as_ref()
         .map(|cs| ConstraintMetrics::from_counters(cs.to_string(), query.push, &report.counters));
     obs.span_enter("report");
-    let outcome = outcome.map_result(|coded| coded.into_canonical(&recoded.recode().item_to_old));
+    let outcome = outcome.map_result(|coded| coded.canonical(recoded.recode(), table.as_ref()));
     obs.span_exit();
     drop(recoded);
     let heartbeat = (!heartbeat_sent).then(|| ProgressSnapshot {
@@ -346,52 +347,122 @@ impl Query {
     /// Mines the recoded database with one call. IsTa answers through its
     /// stats call, which also fills the tree and pass sections of
     /// `report`; every other family answers through
-    /// [`mine_with`](fim_core::ClosedMiner::mine_with). Returns the coded
-    /// outcome and whether the miner already sent the final heartbeat, as
-    /// IsTa does.
+    /// [`mine_with`](fim_core::ClosedMiner::mine_with). With `table`, the
+    /// [`RankTable`] of a recode that keeps at most 256 items, IsTa's
+    /// report walk yields rank-mask keys; a query whose constraints the
+    /// miner does not push is filtered as sets. Returns the coded outcome
+    /// and whether the miner already sent the final heartbeat, as IsTa
+    /// does.
     fn run(
         &self,
         db: &RecodedDatabase,
+        table: Option<&RankTable>,
         obs: &mut Obs,
         report: &mut MetricsReport<'_>,
-    ) -> (MineOutcome, bool) {
+    ) -> (MineOutcome<Answer>, bool) {
         let dense = match &self.constraints {
             None => None,
             Some(cs) => match cs.encode(db.recode()) {
                 Some(dense) => Some(dense),
                 // a must-include item did not survive the threshold (or
                 // the exclusion): nothing can satisfy, no miner runs
-                None => return (MineOutcome::complete(MiningResult::new()), false),
+                None => {
+                    return (
+                        MineOutcome::complete(Answer::Sets(MiningResult::new())),
+                        false,
+                    )
+                }
             },
         };
         let req = MineRequest {
-            minsupp: self.supp.max(1),
+            minsupp: self.supp,
             budget: &self.budget,
             constraints: dense.as_ref().filter(|_| self.push),
         };
-        let (outcome, counters) = match &self.miner {
-            Miner::Ista(m) => {
-                let (outcome, stats) = m.mine_stats(db, &req, obs);
-                report.transactions_total = stats.total_transactions as u64;
-                report.transactions_distinct = Some(stats.distinct_transactions as u64);
-                report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-                report.passes = Some(PassMetrics {
-                    prune_passes: stats.prune_passes as u64,
-                    compactions: stats.compactions as u64,
-                });
-                (outcome, stats.counters)
-            }
-            other => other.as_dyn().mine_with(db, &req, obs),
-        };
-        report.counters = counters;
         // constraints the miner did not push filter its output, through
         // the counter slot a pushed run counts its prunes in
         let unpushed = MineRequest {
             constraints: dense.as_ref().filter(|_| !self.push),
             ..req
         };
-        let outcome = unpushed.filter(outcome, &mut report.counters);
+        let mut ista_sections = |stats: fim_ista::MineStats| {
+            report.transactions_total = stats.total_transactions as u64;
+            report.transactions_distinct = Some(stats.distinct_transactions as u64);
+            report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
+            report.passes = Some(PassMetrics {
+                prune_passes: stats.prune_passes as u64,
+                compactions: stats.compactions as u64,
+            });
+            stats.counters
+        };
+        let (outcome, counters) = match (&self.miner, table) {
+            (Miner::Ista(m), Some(table)) if unpushed.constraints.is_none() => {
+                let (outcome, stats) = m.mine_ranked(db, &req, table, obs);
+                (outcome.map_result(Answer::Ranked), ista_sections(stats))
+            }
+            (miner, _) => {
+                let (outcome, mut counters) = match miner {
+                    Miner::Ista(m) => {
+                        let (outcome, stats) = m.mine_stats(db, &req, obs);
+                        (outcome, ista_sections(stats))
+                    }
+                    other => other.as_dyn().mine_with(db, &req, obs),
+                };
+                let outcome = unpushed.filter(outcome, &mut counters);
+                (outcome.map_result(Answer::Sets), counters)
+            }
+        };
+        report.counters = counters;
         (outcome, matches!(self.miner, Miner::Ista(_)))
+    }
+}
+
+/// A mined result on its way to the file: sets, or rank-mask keys when
+/// the recode keeps at most 256 items. Coded while it leaves the miner,
+/// canonical in raw catalog codes once [`canonical`](Self::canonical)
+/// has ordered it.
+enum Answer {
+    Sets(MiningResult),
+    Ranked(RankedResult),
+}
+
+impl Answer {
+    /// Orders a coded answer canonically. Keys are sorted; dense sets are
+    /// keyed first when `table` ranks their items, and decoded and sorted
+    /// otherwise.
+    fn canonical(self, recode: &Recode, table: Option<&RankTable>) -> Answer {
+        let mut ranked = match (self, table) {
+            (Answer::Ranked(ranked), _) => ranked,
+            (Answer::Sets(dense), Some(table)) => table.keyed(&dense),
+            (Answer::Sets(dense), None) => {
+                return Answer::Sets(dense.into_canonical(&recode.item_to_old))
+            }
+        };
+        ranked.canonicalize();
+        Answer::Ranked(ranked)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Answer::Sets(result) => result.len(),
+            Answer::Ranked(result) => result.len(),
+        }
+    }
+
+    /// The maximal sets of a canonical answer of closed sets.
+    fn maximal(self) -> Answer {
+        match self {
+            Answer::Sets(result) => Answer::Sets(fim_core::maximal_from_closed(&result)),
+            Answer::Ranked(result) => Answer::Ranked(result.maximal()),
+        }
+    }
+
+    /// Writes a canonical answer in Borgelt's format.
+    fn write(&self, catalog: &ItemCatalog, w: &mut dyn Write) -> Result<(), FimError> {
+        match self {
+            Answer::Sets(result) => fim_io::write_results_named(result, catalog, w),
+            Answer::Ranked(result) => fim_io::write_ranked(result, catalog, w),
+        }
     }
 }
 
@@ -555,7 +626,7 @@ fn constraints_from(args: &Args, catalog: &ItemCatalog) -> Result<Option<Constra
 fn resolve_supp(args: &Args, transactions: u64) -> Result<u32, CliError> {
     match (args.get("supp"), args.get("supp-rel")) {
         (Some(_), Some(_)) => Err(usage("--supp and --supp-rel are exclusive")),
-        (Some(s), None) => s.parse().map_err(|e| usage(format!("bad --supp: {e}"))),
+        (Some(_), None) => absolute_supp(args),
         (None, Some(f)) => {
             let frac: f64 = f
                 .parse()
@@ -569,6 +640,14 @@ fn resolve_supp(args: &Args, transactions: u64) -> Result<u32, CliError> {
     }
 }
 
+/// `--supp N` as the miners read it: at least 1, as
+/// [`relative_minsupp`](fim_core::relative_minsupp) floors `--supp-rel`,
+/// so the summary line, the metrics and the ledger name the threshold
+/// that ran.
+fn absolute_supp(args: &Args) -> Result<u32, CliError> {
+    Ok(args.require_parsed::<u32>("supp")?.max(1))
+}
+
 /// A mined query on its way out, as each `fim mine` path hands it to
 /// [`finish_mine`].
 struct Mined<'a> {
@@ -577,7 +656,7 @@ struct Mined<'a> {
     /// When the query started.
     start: Instant,
     /// The canonical result in raw catalog codes, complete or partial.
-    outcome: MineOutcome,
+    outcome: MineOutcome<Answer>,
     /// Names the result's item codes.
     catalog: &'a ItemCatalog,
     /// The metrics document so far. Its miner name and threshold also
@@ -623,13 +702,11 @@ fn finish_mine(args: &Args, obs_args: &ObsArgs, mined: Mined<'_>) -> Result<(), 
     let kind = if maximal { "maximal" } else { "closed" };
     obs.span_enter("report");
     if maximal {
-        result = fim_core::maximal_from_closed(&result);
+        result = result.maximal();
     }
     obs.span_exit();
     obs.span_enter("write");
-    write_out(args, |w| {
-        fim_io::write_results_named(&result, catalog, w).map_err(CliError::from)
-    })?;
+    write_out(args, |w| result.write(catalog, w).map_err(CliError::from))?;
     obs.span_exit();
     report.seconds = start.elapsed().as_secs_f64();
     report.sets = result.len() as u64;
@@ -694,7 +771,7 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
             )));
         }
     }
-    let supp: u32 = args.require_parsed("supp")?;
+    let supp = absolute_supp(args)?;
     let budget = budget_from(args, &miner)?;
     let obs_args = ObsArgs::from_args(args)?;
     let mut obs = obs_args.build()?;
@@ -777,9 +854,9 @@ fn cmd_mine_stream(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
     let result = stream.closed_sets(supp);
     obs.span_exit();
     let outcome = match tripped {
-        None => MineOutcome::complete(result),
+        None => MineOutcome::complete(Answer::Sets(result)),
         Some(reason) => MineOutcome::Interrupted {
-            partial: result,
+            partial: Answer::Sets(result),
             reason,
             progress: Progress {
                 processed: u64::from(processed),
@@ -939,7 +1016,7 @@ fn cmd_mine_oocore(args: &Args, algo: &str, miner: Miner) -> Result<(), CliError
         Mined {
             obs,
             start,
-            outcome: run.outcome,
+            outcome: run.outcome.map_result(Answer::Sets),
             catalog: &run.catalog,
             report,
             heartbeat: Some(heartbeat),
@@ -985,7 +1062,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_rules(args: &Args) -> Result<(), CliError> {
-    let supp: u32 = args.require_parsed("supp")?;
+    let supp = absolute_supp(args)?;
     let conf: f64 = args.parse_or("conf", 0.6)?;
     let miner = table_miner(args.get("algo").unwrap_or(algos::DEFAULT))?;
     let db = load_db(args)?;

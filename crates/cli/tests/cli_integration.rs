@@ -434,3 +434,66 @@ fn stdout_and_file_results_are_byte_identical() {
     assert!(bytes.len() > 64 << 10, "{} bytes", bytes.len());
     assert!(piped.stdout == bytes, "--out - and --out FILE differ");
 }
+
+/// `--supp 0` mines at 1, as `--supp-rel 0` does, and both name the
+/// threshold that ran: in the summary line, the metrics and the ledger,
+/// on the in-memory and checkpoint paths alike, and in `fim rules`.
+#[test]
+fn supp_zero_names_the_threshold_that_ran() {
+    let dir = Scratch::new("supp_zero");
+    let data = dir.path("in.fimi");
+    std::fs::write(&data, "a b c\na b\nb c\n").unwrap();
+    let field = |doc: &str| {
+        let at = doc
+            .find("\"supp\":")
+            .unwrap_or_else(|| panic!("no supp in {doc}"))
+            + 7;
+        doc[at..]
+            .split([',', '}'])
+            .next()
+            .unwrap()
+            .trim()
+            .to_owned()
+    };
+    let want = mine_at(&data, &["--supp", "1"]).stdout;
+    for (k, spelling) in [
+        &["--supp", "0"][..],
+        &["--supp-rel", "0"],
+        &["--supp", "0", "--checkpoint", &dir.path("ck.bin")],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let metrics = dir.path(&format!("m{k}.json"));
+        let ledger = dir.path(&format!("l{k}.jsonl"));
+        let out = mine_at(
+            &data,
+            &[spelling, &["--metrics", &metrics, "--ledger", &ledger]].concat(),
+        );
+        assert!(out.status.success(), "{spelling:?}: {}", stderr(&out));
+        assert_eq!(out.stdout, want, "{spelling:?}");
+        assert!(
+            stderr(&out).contains("at supp >= 1 "),
+            "{spelling:?}: {}",
+            stderr(&out)
+        );
+        let metrics = std::fs::read_to_string(&metrics).unwrap();
+        assert_eq!(field(&metrics), "1", "{spelling:?} metrics");
+        let ledger = std::fs::read_to_string(&ledger).unwrap();
+        assert_eq!(field(&ledger), "1", "{spelling:?} ledger");
+    }
+    let rules = fim()
+        .args(["rules", "--supp", "0", "--conf", "0.5", "--in", &data])
+        .output()
+        .unwrap();
+    assert!(rules.status.success(), "{}", stderr(&rules));
+    assert!(stderr(&rules).contains("(supp >= 1,"), "{}", stderr(&rules));
+}
+
+fn mine_at(data: &str, args: &[&str]) -> Output {
+    fim()
+        .args(["mine", "--in", data])
+        .args(args)
+        .output()
+        .unwrap()
+}

@@ -331,14 +331,17 @@ pub struct Degradation {
     pub steps: u32,
 }
 
-/// Outcome of a governed mining run.
+/// Outcome of a governed mining run. `R` is the form the sets come in:
+/// a [`MiningResult`] by default, or a
+/// [`RankedResult`](crate::RankedResult) for a caller that takes
+/// rank-mask keys.
 #[derive(Clone, Debug)]
-pub enum MineOutcome {
+pub enum MineOutcome<R = MiningResult> {
     /// The run finished. `degradation` is set when the node budget tripped
     /// in degradation mode and the result is at a raised threshold.
     Complete {
         /// The mined result.
-        result: MiningResult,
+        result: R,
         /// Degradation record, if the run degraded.
         degradation: Option<Degradation>,
     },
@@ -349,7 +352,7 @@ pub enum MineOutcome {
     /// reported support is exact).
     Interrupted {
         /// The partial result.
-        partial: MiningResult,
+        partial: R,
         /// Which limit tripped.
         reason: TripReason,
         /// Progress at the trip point.
@@ -357,9 +360,9 @@ pub enum MineOutcome {
     },
 }
 
-impl MineOutcome {
+impl<R> MineOutcome<R> {
     /// A completed, non-degraded outcome.
-    pub fn complete(result: MiningResult) -> Self {
+    pub fn complete(result: R) -> Self {
         MineOutcome::Complete {
             result,
             degradation: None,
@@ -367,7 +370,7 @@ impl MineOutcome {
     }
 
     /// The mined sets, complete or partial.
-    pub fn result(&self) -> &MiningResult {
+    pub fn result(&self) -> &R {
         match self {
             MineOutcome::Complete { result, .. } => result,
             MineOutcome::Interrupted { partial, .. } => partial,
@@ -375,7 +378,7 @@ impl MineOutcome {
     }
 
     /// Consumes the outcome into its (complete or partial) result.
-    pub fn into_result(self) -> MiningResult {
+    pub fn into_result(self) -> R {
         match self {
             MineOutcome::Complete { result, .. } => result,
             MineOutcome::Interrupted { partial, .. } => partial,
@@ -388,7 +391,7 @@ impl MineOutcome {
     }
 
     /// Applies `f` to the contained result, preserving the outcome shape.
-    pub fn map_result<F: FnOnce(MiningResult) -> MiningResult>(self, f: F) -> Self {
+    pub fn map_result<S, F: FnOnce(R) -> S>(self, f: F) -> MineOutcome<S> {
         match self {
             MineOutcome::Complete {
                 result,

@@ -26,6 +26,9 @@
 //!   connection (paper §2.4–2.5) in [`galois`],
 //! * the [`ClosedMiner`] trait with [`MiningResult`]/[`FoundSet`] result
 //!   types so that all algorithms are interchangeable and comparable,
+//! * [`RankedResult`] — a result of at most 256 kept items as sortable
+//!   rank-mask keys ([`RankKey`]) over one [`RankTable`], ordered and
+//!   written without an item vector per set,
 //! * the [`govern`] resource-governance layer: [`Budget`]s (wall-clock
 //!   deadline, node/byte caps, cancellation), the [`checkpoint!`] hot-loop
 //!   macro, and structured [`MineOutcome`]s with exact partial results,
@@ -58,6 +61,7 @@ pub mod maximal;
 pub mod miner;
 pub mod order;
 pub mod prepare;
+pub mod rank;
 pub mod recode;
 pub mod reference;
 pub mod rep;
@@ -80,6 +84,7 @@ pub use miner::{
 };
 pub use order::{ItemOrder, TransactionOrder};
 pub use prepare::{cmp_size_then_desc_lex, coalesce};
+pub use rank::{RankKey, RankTable, RankedResult, RANK_MASK_ITEMS};
 pub use recode::{Density, Recode, RecodedDatabase, StreamingRecode};
 pub use rep::Representation;
 pub use rows::{ItemRows, RowIter, Rows};

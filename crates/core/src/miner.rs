@@ -8,15 +8,12 @@ use crate::{
     govern::{Budget, Governor, MineOutcome, Progress},
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
+    rank::RankTable,
     recode::{Recode, RecodedDatabase},
     Item,
 };
 use fim_obs::{Counter, Counters, Obs};
 use std::fmt;
-
-/// The most items [`MiningResult::into_canonical`] orders by rank masks:
-/// four words of mask keep its sort key at 48 bytes.
-const RANK_MASK_ITEMS: usize = 256;
 
 /// One mined closed frequent item set with its support.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,48 +104,25 @@ impl MiningResult {
     }
 
     /// [`into_decoded`](Self::into_decoded) followed by
-    /// [`canonicalize`](Self::canonicalize), in one consuming pass when
-    /// `item_to_old` codes at most 256 items; wider tables take those two
-    /// steps.
-    ///
-    /// An item's rank is the position of its raw code among the raw codes
-    /// in `item_to_old`. Each set is rewritten in place from its rank mask
-    /// (`ItemSet::translate_by_rank`), and the sets are ordered by the key
-    /// `(len, !mask, support)`. Among sets of one length, the smallest rank
-    /// in which two differ is the most significant bit in which their
-    /// masks differ, and the set holding that rank is the smaller one in
-    /// item order; so ascending `!mask` is ascending item order. The sort
-    /// moves 48-byte keys, then the set headers follow them; no item is
-    /// copied and no set compared item by item.
-    pub fn into_canonical(mut self, item_to_old: &[Item]) -> MiningResult {
-        if item_to_old.len() > RANK_MASK_ITEMS {
-            let mut decoded = self.into_decoded(item_to_old);
-            decoded.canonicalize();
-            return decoded;
+    /// [`canonicalize`](Self::canonicalize), without a comparison sort of
+    /// item vectors when `item_to_old` codes at most 256 items: the sets
+    /// are keyed by their [`RankTable`] ([`RankTable::keyed`]), the keys
+    /// sorted, and the sets rebuilt from the keys' mask bits. Wider tables
+    /// take those two steps.
+    pub fn into_canonical(self, item_to_old: &[Item]) -> MiningResult {
+        match RankTable::new(item_to_old) {
+            Some(table) => {
+                let mut ranked = table.keyed(&self);
+                drop(self);
+                ranked.canonicalize();
+                ranked.into_result()
+            }
+            None => {
+                let mut decoded = self.into_decoded(item_to_old);
+                decoded.canonicalize();
+                decoded
+            }
         }
-        let mut rank_to_raw = item_to_old.to_vec();
-        rank_to_raw.sort_unstable();
-        let rank: Vec<u8> = item_to_old
-            .iter()
-            .map(|raw| rank_to_raw.partition_point(|r| r < raw) as u8)
-            .collect();
-        let mut keys = Vec::with_capacity(self.sets.len());
-        for (index, s) in self.sets.iter_mut().enumerate() {
-            let mask = s.items.translate_by_rank(&rank, &rank_to_raw);
-            keys.push((s.items.len() as u32, mask.map(|w| !w), s.support, index));
-        }
-        keys.sort_unstable();
-        debug_assert!(
-            keys.windows(2).all(|w| w[0].1 != w[1].1),
-            "duplicate item sets in mining result"
-        );
-        let sets = keys
-            .iter()
-            .map(|&(_, _, support, index)| {
-                FoundSet::new(std::mem::take(&mut self.sets[index].items), support)
-            })
-            .collect();
-        MiningResult { sets }
     }
 
     /// The length of the longest set(s), useful in reports.

@@ -706,7 +706,7 @@ pub fn count_fimi_path<P: AsRef<Path>>(
 
 /// Writes a transaction database in FIMI format (item names as tokens).
 pub fn write_fimi<W: Write>(db: &TransactionDatabase, writer: W) -> Result<(), FimError> {
-    let mut out = ItemLines::new(db.catalog(), writer);
+    let mut out = ItemLines::catalog(db.catalog(), writer);
     for t in db.transactions() {
         out.names(t)?;
         out.end_line()?;

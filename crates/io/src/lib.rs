@@ -9,8 +9,9 @@
 //! * [`matrix_io`] — a simple tab-separated text format for gene-expression
 //!   matrices (genes × conditions of log expression values),
 //! * [`results`] — writers for mined closed sets (the output format of
-//!   Borgelt's `ista`/`carpenter` programs: items then `(support)`), plus a
-//!   CSV writer for the experiment harness,
+//!   Borgelt's `ista`/`carpenter` programs: items then `(support)`), for
+//!   sets and for rank-mask keys, plus a CSV writer for the experiment
+//!   harness,
 //! * [`checkpoint`] — self-validating stream checkpoints that persist an
 //!   [`fim_ista::IstaStream`] together with its item-name catalog, so an
 //!   interrupted run can resume in a fresh process,
@@ -43,4 +44,4 @@ pub use matrix_io::{read_matrix, write_matrix};
 pub use oocore::{
     mine_fimi_out_of_core, mine_fimi_with_counts, mine_fimi_with_counts_opts, OutOfCoreRun,
 };
-pub use results::{write_results, write_results_csv, write_results_named};
+pub use results::{write_ranked, write_results, write_results_csv, write_results_named};

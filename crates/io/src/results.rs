@@ -10,7 +10,7 @@
 //! ```
 
 use crate::text::ItemLines;
-use fim_core::{FimError, ItemCatalog, MiningResult, TransactionDatabase};
+use fim_core::{FimError, ItemCatalog, MiningResult, RankedResult, TransactionDatabase};
 use std::io::Write;
 
 /// Writes a mining result (over raw catalog codes) with item names from
@@ -31,11 +31,33 @@ pub fn write_results_named<W: Write>(
     catalog: &ItemCatalog,
     writer: W,
 ) -> Result<(), FimError> {
-    let mut out = ItemLines::new(catalog, writer);
+    let mut out = ItemLines::catalog(catalog, writer);
     for s in &result.sets {
         out.names(s.items.as_slice())?;
         out.text(b" (");
         out.number(s.support);
+        out.text(b")");
+        out.end_line()?;
+    }
+    out.finish()
+}
+
+/// Like [`write_results_named`], for a result in rank-mask form: each
+/// line is written from its key's mask bits, through a name table of the
+/// result's ranks, in the keys' order. A rank whose raw code `catalog`
+/// does not name is [`FimError::InvalidInput`], before anything is
+/// written.
+pub fn write_ranked<W: Write>(
+    result: &RankedResult,
+    catalog: &ItemCatalog,
+    writer: W,
+) -> Result<(), FimError> {
+    let ranks = result.table().rank_to_raw().iter().copied();
+    let mut out = ItemLines::new(catalog, ranks, writer)?;
+    for key in result.keys() {
+        out.ranked(key);
+        out.text(b" (");
+        out.number(key.support());
         out.text(b")");
         out.end_line()?;
     }

@@ -1,10 +1,15 @@
 //! The chunked byte-level writers against the `write!` formulas they
-//! replaced: every result and database renders to the same bytes.
+//! replaced: every result and database renders to the same bytes, and a
+//! result in rank-mask form to the bytes of its sets decoded and sorted.
 
-use fim_core::{FoundSet, Item, ItemCatalog, ItemSet, MiningResult, TransactionDatabase};
-use fim_io::{write_fimi, write_results_named};
+use fim_core::{
+    FimError, FoundSet, Item, ItemCatalog, ItemSet, MiningResult, RankTable, RankedResult,
+    TransactionDatabase,
+};
+use fim_io::{write_fimi, write_ranked, write_results_named};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::io::Write;
 
 /// The result formula the formatter replaced.
@@ -172,4 +177,163 @@ fn names_around_the_fixed_copy_width_match_the_write_formulas() {
     let mut out = Vec::new();
     write_fimi(&db, &mut out).unwrap();
     assert_eq!(out, old_fimi(&db));
+}
+
+/// `sets` of dense codes, dense code `d` standing for raw code
+/// `item_to_old[d]`, keyed, sorted and written by [`write_ranked`].
+fn ranked_bytes(
+    catalog: &ItemCatalog,
+    item_to_old: &[Item],
+    sets: &[(Vec<Item>, u32)],
+) -> Result<Vec<u8>, FimError> {
+    let table = RankTable::new(item_to_old).expect("at most 256 items");
+    let keys = sets.iter().map(|(s, n)| table.key(s, *n)).collect();
+    let mut ranked = RankedResult::new(table, keys);
+    ranked.canonicalize();
+    let mut out = Vec::new();
+    write_ranked(&ranked, catalog, &mut out)?;
+    Ok(out)
+}
+
+/// The same sets decoded to raw codes, sorted by comparison and written
+/// by the formula: no code shared with the rank keys.
+fn decoded_bytes(
+    catalog: &ItemCatalog,
+    item_to_old: &[Item],
+    sets: &[(Vec<Item>, u32)],
+) -> Vec<u8> {
+    let result = MiningResult {
+        sets: sets
+            .iter()
+            .map(|(s, n)| {
+                let raw: Vec<Item> = s.iter().map(|&d| item_to_old[d as usize]).collect();
+                FoundSet::new(ItemSet::new(raw), *n)
+            })
+            .collect(),
+    };
+    old_results(&result.canonicalized(), catalog)
+}
+
+/// Distinct sets over dense codes `0..n` from raw draws.
+fn dense_sets(n: u32, draws: &[(Vec<u32>, u32)]) -> Vec<(Vec<Item>, u32)> {
+    let mut seen = BTreeSet::new();
+    draws
+        .iter()
+        .filter_map(|(items, support)| {
+            let set: BTreeSet<Item> = items.iter().map(|&i| i % n.max(1)).collect();
+            let set: Vec<Item> = if n == 0 {
+                Vec::new()
+            } else {
+                set.into_iter().collect()
+            };
+            seen.insert(set.clone()).then_some((set, *support))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ranked_results_match_the_write_formula(
+        names in vec(vec(0..PIECES.len(), 1..5usize), 0..300),
+        picks in vec(any::<u32>(), 0..257usize),
+        sets in vec((vec(any::<u32>(), 0..40usize), any::<u32>()), 0..300),
+    ) {
+        let catalog = catalog(&names);
+        // dense codes name distinct catalog codes, in drawn order
+        let mut item_to_old: Vec<Item> = Vec::new();
+        for p in &picks {
+            let code = p % (catalog.len() as u32).max(1);
+            if !catalog.is_empty() && !item_to_old.contains(&code) {
+                item_to_old.push(code);
+            }
+        }
+        let sets = dense_sets(item_to_old.len() as u32, &sets);
+        prop_assert_eq!(
+            ranked_bytes(&catalog, &item_to_old, &sets).unwrap(),
+            decoded_bytes(&catalog, &item_to_old, &sets)
+        );
+    }
+}
+
+#[test]
+fn ranked_names_around_the_fixed_copy_width_match_the_write_formula() {
+    // names of 6 to 9 bytes (entries of 7 to 10 with the separator),
+    // multi-byte names ending at byte 7 and 8, long names between short
+    // ones, and a short name at the last rank
+    let names = [
+        "abcdef",
+        "abcdefg",
+        "abcdefgh",
+        "abcdefghi",
+        "abcd日",
+        "abcde日",
+        "🦀🦀",
+        "a_name_far_longer_than_a_word",
+        "é",
+        "x_y7",
+        "abcdefghijklmnop",
+        "z",
+    ];
+    let mut catalog = ItemCatalog::new();
+    for name in names {
+        catalog.intern(name);
+    }
+    let n = names.len() as Item;
+    // dense codes in reverse catalog order
+    let item_to_old: Vec<Item> = (0..n).rev().collect();
+    let mut sets = vec![(vec![], 5), ((0..n).collect(), 1)];
+    for a in 0..n {
+        sets.push((vec![a], a + 2));
+        for b in a + 1..n {
+            sets.push((vec![a, b], a * n + b));
+        }
+    }
+    let out = ranked_bytes(&catalog, &item_to_old, &sets).unwrap();
+    assert_eq!(out, decoded_bytes(&catalog, &item_to_old, &sets));
+    // the empty set's line keeps its leading space
+    assert!(
+        out.starts_with(b" (5)\n"),
+        "{}",
+        String::from_utf8_lossy(&out)
+    );
+}
+
+#[test]
+fn ranked_output_across_chunk_boundaries_matches_the_write_formula() {
+    // 256 names of 1 to 20 bytes and about 2 MB of lines: many chunk
+    // boundaries, each inside some line, and lines over all four mask
+    // words
+    let mut catalog = ItemCatalog::new();
+    for k in 0..256 {
+        let prefix: String = (0..k % 7).map(|j| PIECES[(k + j) % PIECES.len()]).collect();
+        catalog.intern(&format!("{prefix}{k}"));
+    }
+    let item_to_old: Vec<Item> = (0..256).map(|k| (k * 97) % 256).collect();
+    let draws: Vec<(Vec<u32>, u32)> = (0..12_000u32)
+        .map(|k| {
+            (
+                (0..(k % 61)).map(|j| k * 31 + j * 89).collect(),
+                k.wrapping_mul(2_654_435_761),
+            )
+        })
+        .collect();
+    let sets = dense_sets(256, &draws);
+    let out = ranked_bytes(&catalog, &item_to_old, &sets).unwrap();
+    assert!(out.len() > 1 << 20, "{} bytes", out.len());
+    assert_eq!(out, decoded_bytes(&catalog, &item_to_old, &sets));
+}
+
+#[test]
+fn ranked_code_without_a_name_is_invalid_input() {
+    // dense code 1 stands for raw code 3, which a catalog of 3 lacks
+    let catalog = ItemCatalog::anonymous(3);
+    let table = RankTable::new(&[0, 3]).unwrap();
+    let keys = vec![table.key(&[0], 4), table.key(&[0, 1], 2)];
+    let ranked = RankedResult::new(table, keys);
+    let mut out = Vec::new();
+    let got = write_ranked(&ranked, &catalog, &mut out);
+    assert!(matches!(got, Err(FimError::InvalidInput(_))), "{got:?}");
+    assert!(out.is_empty(), "wrote {} bytes", out.len());
 }

@@ -3,7 +3,7 @@
 use crate::tree::{PrefixTree, TreeMemoryStats};
 use fim_core::{
     checkpoint, prepare, ClosedMiner, Degradation, Governor, MineOutcome, MineRequest,
-    MiningResult, Progress, RecodedDatabase, Representation, TripReason,
+    MiningResult, Progress, RankTable, RankedResult, RecodedDatabase, Representation, TripReason,
 };
 use fim_obs::{Counters, Obs, ProgressSnapshot};
 
@@ -195,35 +195,54 @@ impl IstaMiner {
         req: &MineRequest<'_>,
         obs: &mut Obs,
     ) -> (MineOutcome, MineStats) {
-        let total = db.transactions().len() as u64;
         let (outcome, mut stats) = match req.support_floor(db.num_items()) {
-            Some(minsupp) => self.run(db, minsupp, req.governor(), req.budget.degrade, obs),
+            Some(minsupp) => self.run(db, minsupp, req, obs, |tree, minsupp| MiningResult {
+                sets: tree.report(minsupp),
+            }),
             None => (
                 MineOutcome::complete(MiningResult::new()),
                 MineStats {
-                    total_transactions: total as usize,
+                    total_transactions: db.transactions().len(),
                     ..MineStats::default()
                 },
             ),
         };
         let outcome = req.filter(outcome, &mut stats.counters);
-        let processed = match &outcome {
-            MineOutcome::Interrupted { progress, .. } => progress.processed,
-            MineOutcome::Complete { .. } => total,
-        };
-        obs.finish(&ProgressSnapshot {
-            processed,
-            total: Some(total),
-            pending: 0,
-            peak_nodes: stats.peak_nodes as u64,
-            sets: outcome.result().len() as u64,
-        });
+        finish(obs, &outcome, outcome.result().len(), &stats);
         (outcome, stats)
     }
 
-    /// The mining loop behind [`mine_stats`](Self::mine_stats). `gov` is
-    /// `None` for ungoverned runs, whose per-transaction checkpoint is then
-    /// a single pattern match (see [`checkpoint!`]).
+    /// [`mine_stats`](Self::mine_stats) with the sets as rank-mask keys
+    /// over `table`, the [`RankTable`] of `db`'s recode: the same run,
+    /// whose report step walks the tree into keys
+    /// ([`PrefixTree::report_ranked`]) instead of item vectors. A
+    /// constrained request is answered as sets, which
+    /// [`ConstraintSet::satisfied_by`](fim_core::ConstraintSet::satisfied_by)
+    /// filters, and its kept sets are keyed afterwards.
+    pub fn mine_ranked(
+        &self,
+        db: &RecodedDatabase,
+        req: &MineRequest<'_>,
+        table: &RankTable,
+        obs: &mut Obs,
+    ) -> (MineOutcome<RankedResult>, MineStats) {
+        if req.constraints.is_some() {
+            let (outcome, stats) = self.mine_stats(db, req, obs);
+            return (outcome.map_result(|sets| table.keyed(&sets)), stats);
+        }
+        let (outcome, stats) = self.run(db, req.minsupp, req, obs, |tree, minsupp| {
+            tree.report_ranked(minsupp, table)
+        });
+        finish(obs, &outcome, outcome.result().len(), &stats);
+        (outcome, stats)
+    }
+
+    /// The mining loop behind [`mine_stats`](Self::mine_stats) and
+    /// [`mine_ranked`](Self::mine_ranked), at `minsupp` under `req`'s
+    /// budget; `report` turns the tree into the result, complete or
+    /// partial. An unlimited budget installs no governor, whose
+    /// per-transaction checkpoint is then a single pattern match (see
+    /// [`checkpoint!`]).
     ///
     /// The partial result on interruption is *exact*: the tree after `k`
     /// (weighted) transactions holds the closed sets of that prefix, and
@@ -232,14 +251,16 @@ impl IstaMiner {
     /// the *full* database, which bounds its support in every prefix below
     /// `minsupp` too. So `report(minsupp)` on the interrupted tree equals
     /// mining the processed prefix alone.
-    fn run(
+    fn run<R>(
         &self,
         db: &RecodedDatabase,
         minsupp: u32,
-        mut gov: Option<Governor>,
-        degrade: bool,
+        req: &MineRequest<'_>,
         obs: &mut Obs,
-    ) -> (MineOutcome, MineStats) {
+        report: impl Fn(&PrefixTree, u32) -> R,
+    ) -> (MineOutcome<R>, MineStats) {
+        let mut gov = req.governor();
+        let degrade = req.budget.degrade;
         let requested = minsupp.max(1);
         let mut minsupp_eff = requested;
         let mut degradation: Option<Degradation> = None;
@@ -261,7 +282,7 @@ impl IstaMiner {
             stats.memory = tree.memory_stats();
             stats.counters = *tree.counters();
             let outcome = MineOutcome::Interrupted {
-                partial: MiningResult::new(),
+                partial: report(&tree, minsupp_eff),
                 reason,
                 progress: Progress {
                     processed: 0,
@@ -321,9 +342,7 @@ impl IstaMiner {
                     stats.memory = tree.memory_stats();
                     stats.counters = *tree.counters();
                     obs.span_enter("report");
-                    let partial = MiningResult {
-                        sets: tree.report(minsupp_eff),
-                    };
+                    let partial = report(&tree, minsupp_eff);
                     obs.span_exit();
                     let processed = gov.as_ref().map_or(0, Governor::processed);
                     let outcome = MineOutcome::Interrupted {
@@ -362,9 +381,7 @@ impl IstaMiner {
         stats.memory = tree.memory_stats();
         stats.counters = *tree.counters();
         obs.span_enter("report");
-        let result = MiningResult {
-            sets: tree.report(minsupp_eff),
-        };
+        let result = report(&tree, minsupp_eff);
         obs.span_exit();
         let outcome = MineOutcome::Complete {
             result,
@@ -372,6 +389,23 @@ impl IstaMiner {
         };
         (outcome, stats)
     }
+}
+
+/// Sends a run's final heartbeat: `sets` sets, and the progress of
+/// `outcome`.
+fn finish<R>(obs: &mut Obs, outcome: &MineOutcome<R>, sets: usize, stats: &MineStats) {
+    let total = stats.total_transactions as u64;
+    let processed = match outcome {
+        MineOutcome::Interrupted { progress, .. } => progress.processed,
+        MineOutcome::Complete { .. } => total,
+    };
+    obs.finish(&ProgressSnapshot {
+        processed,
+        total: Some(total),
+        pending: 0,
+        peak_nodes: stats.peak_nodes as u64,
+        sets: sets as u64,
+    });
 }
 
 impl ClosedMiner for IstaMiner {

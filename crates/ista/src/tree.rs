@@ -20,7 +20,7 @@
 //! and `step`), so the invariant is maintained eagerly.
 
 use crate::arena::{PatNode, SegArena, NONE};
-use fim_core::{FoundSet, Item, ItemSet};
+use fim_core::{FoundSet, Item, ItemSet, RankKey, RankTable, RankedResult};
 use fim_obs::{Counter, Counters};
 
 /// Snapshot of a [`PrefixTree`]'s arena occupancy, for memory accounting
@@ -624,6 +624,21 @@ impl PrefixTree {
         out
     }
 
+    /// [`report`](Self::report) as rank-mask keys over `table`, the
+    /// table of the tree's item codes: the walk ORs each segment's rank
+    /// bits into a mask it passes down by value, and pushes one key per
+    /// reported node. No item vector is built. The keys come in walk
+    /// order, for [`RankedResult::canonicalize`] to sort.
+    pub fn report_ranked(&self, minsupp: u32, table: &RankTable) -> RankedResult {
+        let mut keys = Vec::new();
+        let mut c = self.arena.get(self.root).children;
+        while c != NONE {
+            report_ranked_rec(&self.arena, c, minsupp, table, [0; 4], 0, &mut keys);
+            c = self.arena.get(c).sibling;
+        }
+        RankedResult::new(table.clone(), keys)
+    }
+
     /// Checks the structural invariants; panics with a description on
     /// violation. Used by tests and debug assertions.
     pub fn validate_invariants(&self) {
@@ -1206,6 +1221,32 @@ fn report_rec(
         out.push(FoundSet::new(ItemSet::from_sorted(items), supp));
     }
     path.truncate(path.len() - len);
+}
+
+fn report_ranked_rec(
+    a: &SegArena,
+    node: u32,
+    minsupp: u32,
+    table: &RankTable,
+    mut mask: [u64; 4],
+    len: u32,
+    out: &mut Vec<RankKey>,
+) {
+    for &i in a.seg(node) {
+        table.mark(&mut mask, i);
+    }
+    let len = len + a.get(node).seg_len;
+    let mut max_child = 0u32;
+    let mut c = a.get(node).children;
+    while c != NONE {
+        max_child = max_child.max(a.get(c).supp);
+        report_ranked_rec(a, c, minsupp, table, mask, len, out);
+        c = a.get(c).sibling;
+    }
+    let supp = a.get(node).supp;
+    if supp >= minsupp && supp > max_child {
+        out.push(RankKey::new(mask, len, supp));
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -129,15 +129,13 @@ impl SpanRecorder {
     /// Writes the spans in collapsed-stack format: one `path;to;span N`
     /// line per node, `N` the node's *self* time in microseconds (total
     /// minus child totals), which is what `flamegraph.pl` and inferno sum
-    /// back up the stack. Zero-self-time nodes are skipped.
+    /// back up the stack. A node whose self time is under a microsecond
+    /// is written with 0, so every span that was entered appears.
     pub fn write_collapsed(&self, w: &mut dyn Write) -> io::Result<()> {
         for node in 1..self.names.len() {
             let child_total: Duration = self.children[node].iter().map(|&c| self.totals[c]).sum();
             let self_time = self.totals[node].saturating_sub(child_total);
-            let micros = self_time.as_micros();
-            if micros > 0 {
-                writeln!(w, "{} {}", self.path_of(node), micros)?;
-            }
+            writeln!(w, "{} {}", self.path_of(node), self_time.as_micros())?;
         }
         Ok(())
     }
