@@ -1048,6 +1048,10 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
         other => return Err(usage(format!("unknown preset '{other}'"))),
     };
     let scale: f64 = args.parse_or("scale", 1.0)?;
+    // the presets are the paper's data sets and fractions of them
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(usage("--scale must be in (0, 1]"));
+    }
     let seed: u64 = args.parse_or("seed", 1)?;
     let db = preset.build(scale, seed);
     write_out(args, |w| fim_io::write_fimi(&db, w).map_err(CliError::from))?;

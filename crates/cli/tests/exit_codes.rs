@@ -252,6 +252,68 @@ fn valued_flags_without_a_value_exit_2_naming_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `fim gen --scale` outside (0, 1] is a usage error naming the flag, as
+/// `--supp-rel` outside [0, 1] is, not a panic in the preset builder.
+#[test]
+fn gen_scale_outside_the_unit_interval_exits_2() {
+    for scale in ["3", "0", "-1", "nan"] {
+        let out = fim(&["gen", "--preset", "ncbi60", "--scale", scale]);
+        assert_eq!(code(&out), 2, "--scale {scale}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--scale must be in (0, 1]"),
+            "--scale {scale}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "--scale {scale}");
+    }
+}
+
+/// An input of 8 MiB and more is read in ranges, one per available CPU:
+/// a bad token near its end gives the message, line and exit code that
+/// one range gives, which is what `taskset -c 0` leaves `fim` with.
+#[test]
+fn a_parse_error_in_a_large_input_reads_as_on_one_cpu() {
+    let pinned = |argv: &[&str]| {
+        Command::new("taskset")
+            .args(["-c", "0", env!("CARGO_BIN_EXE_fim")])
+            .args(argv)
+            .output()
+    };
+    if !pinned(&["algos"]).is_ok_and(|out| out.status.success()) {
+        eprintln!("skipped: no taskset on this system");
+        return;
+    }
+    let input = Scratch::new("ranges.fimi");
+    let mut text = String::new();
+    let mut lines = 0;
+    while text.len() < 8 << 20 {
+        lines += 1;
+        let row: Vec<String> = (0..lines % 9)
+            .map(|k| ((lines * 31 + k * 7) % 2_000).to_string())
+            .collect();
+        text.push_str(&row.join(" "));
+        text.push('\n');
+    }
+    text.push_str("1 2 -7 3\n4 5\n");
+    std::fs::write(&input.0, &text).unwrap();
+    let argv = [
+        "mine",
+        "--supp",
+        "1",
+        "--algo",
+        "eclat",
+        "--in",
+        &input.path(),
+    ];
+    let want = format!("parse error at line {}: negative item code `-7`", lines + 1);
+    let (all, one) = (fim(&argv), pinned(&argv).unwrap());
+    for (out, cpus) in [(&all, "every CPU"), (&one, "one CPU")] {
+        assert_eq!(code(out), 3, "{cpus}: {}", stderr(out));
+        assert!(stderr(out).contains(&want), "{cpus}: {}", stderr(out));
+    }
+    assert_eq!(stderr(&all), stderr(&one));
+}
+
 #[test]
 fn malformed_input_exits_3_with_line_number() {
     for file in [

@@ -17,7 +17,8 @@
 //!   row offsets, read through the [`Rows`] view of `&[Item]` slices,
 //! * [`ScannedDatabase`] — a database as one reading pass leaves it: rows
 //!   duplicate-free in input order and item frequencies, sorted once by
-//!   whichever of the two databases is built from it,
+//!   whichever of the two databases is built from it, and joined from
+//!   the scans of consecutive ranges of a file ([`ranges`]),
 //! * [`TidLists`] — the vertical representation (per-item transaction-index
 //!   lists) used by the list-based Carpenter variant,
 //! * [`BitMatrix`] and [`SuffixCountMatrix`] — the table representation of
@@ -61,6 +62,7 @@ pub mod maximal;
 pub mod miner;
 pub mod order;
 pub mod prepare;
+pub mod ranges;
 pub mod rank;
 pub mod recode;
 pub mod reference;

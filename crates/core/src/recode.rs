@@ -18,6 +18,7 @@ use crate::{
     itemset::ItemSet,
     order::{ItemOrder, TransactionOrder},
     prepare::cmp_size_then_desc_lex,
+    ranges::{cut, range_count, row_ranges, run_parts, RowRange},
     rows::{ItemRows, Rows},
     scan::ScannedDatabase,
     Item, Tid,
@@ -182,6 +183,41 @@ fn decode_with(item_to_old: &[Item], items: &ItemSet) -> ItemSet {
     raw
 }
 
+/// The recode loop over one range of rows. It maps each row in place
+/// through `table` (raw → new code, [`DROPPED`] for filtered items),
+/// keeps the mapped items at the front of the range's items, sorts each
+/// kept row, and writes the kept rows' ends (counted from the range's
+/// start) and tids to the front of `range.ends` and `tids`. A kept row is
+/// written where it or an earlier row was read, and its end where it or
+/// an earlier row's end was. Returns the counts of kept rows and items.
+fn recode_rows(range: RowRange<'_>, tids: &mut [Tid], table: &[Item]) -> (usize, usize) {
+    let RowRange {
+        first,
+        base,
+        items,
+        ends,
+    } = range;
+    let (mut read, mut write, mut kept) = (0, 0, 0);
+    for row in 0..ends.len() {
+        let (start, end) = (write, ends[row] - base);
+        for k in read..end {
+            let new = table[items[k] as usize];
+            if new != DROPPED {
+                items[write] = new;
+                write += 1;
+            }
+        }
+        read = end;
+        if write > start {
+            items[start..write].sort_unstable();
+            tids[kept] = (first + row) as Tid;
+            ends[kept] = write;
+            kept += 1;
+        }
+    }
+    (kept, write)
+}
+
 /// Stable-sorts the rows of `rows` by `cmp` into a fresh pool, carrying
 /// each row's source tid along: the sort moves `(tid, &[Item])` pairs
 /// that borrow the pool, then the rows are gathered in their new order.
@@ -244,15 +280,17 @@ impl RecodedDatabase {
     ) -> Self {
         let (items, offsets) = db.rows().clone().into_parts();
         let freq = db.item_frequencies();
+        let ranges = range_count(std::mem::size_of_val(&items[..]) as u64);
         Self::recode_pool(
-            items, offsets, &freq, minsupp, item_order, tx_order, exclude,
+            items, offsets, &freq, minsupp, item_order, tx_order, exclude, ranges,
         )
     }
 
     /// [`prepare_excluding`](Self::prepare_excluding) for the rows of one
     /// reading pass, recoded in their own pool, and the catalog that names
     /// their raw codes. The rows need no sort before: each is sorted once,
-    /// in the new code order.
+    /// in the new code order. A large pool is recoded in ranges of rows on
+    /// scoped threads ([`range_count`]).
     pub fn prepare_scanned(
         scan: ScannedDatabase,
         minsupp: u32,
@@ -260,18 +298,34 @@ impl RecodedDatabase {
         tx_order: TransactionOrder,
         exclude: &ItemSet,
     ) -> (Self, ItemCatalog) {
+        let ranges = range_count(scan.pool_bytes());
+        Self::prepare_scanned_in_ranges(scan, minsupp, item_order, tx_order, exclude, ranges)
+    }
+
+    /// [`prepare_scanned`](Self::prepare_scanned) with the rows cut into
+    /// at most `ranges` ranges; the recode is the same for every count.
+    pub fn prepare_scanned_in_ranges(
+        scan: ScannedDatabase,
+        minsupp: u32,
+        item_order: ItemOrder,
+        tx_order: TransactionOrder,
+        exclude: &ItemSet,
+        ranges: usize,
+    ) -> (Self, ItemCatalog) {
         let (catalog, items, offsets, freq) = scan.into_parts();
         let recoded = Self::recode_pool(
-            items, offsets, &freq, minsupp, item_order, tx_order, exclude,
+            items, offsets, &freq, minsupp, item_order, tx_order, exclude, ranges,
         );
         (recoded, catalog)
     }
 
-    /// The one recode loop. It maps the pool in place through the raw →
-    /// new code table, dropping infrequent and excluded items and the rows
-    /// they empty, sorts each kept row, and gives the pool's unused end
-    /// back before the rows are reordered. Rows must be duplicate-free,
-    /// in any order; `freq` counts the rows that hold each raw code.
+    /// The one recode: [`recode_rows`] over each of at most `ranges`
+    /// ranges of rows, on scoped threads, then one move per later range
+    /// closes the gaps its dropped items and rows left. The pool's unused
+    /// end is given back before the rows are reordered. Rows must be
+    /// duplicate-free, in any order; `freq` counts the rows that hold each
+    /// raw code.
+    #[allow(clippy::too_many_arguments)]
     fn recode_pool(
         mut items: Vec<Item>,
         mut offsets: Vec<usize>,
@@ -280,6 +334,7 @@ impl RecodedDatabase {
         item_order: ItemOrder,
         tx_order: TransactionOrder,
         exclude: &ItemSet,
+        ranges: usize,
     ) -> Self {
         let minsupp = minsupp.max(1);
         let surviving = select_items(freq, minsupp, item_order, exclude);
@@ -288,29 +343,29 @@ impl RecodedDatabase {
         // dropped, so each survivor's support is its raw frequency
         let item_supports: Vec<u32> = surviving.iter().map(|&old| freq[old as usize]).collect();
 
-        // a kept row is written where it or an earlier row was read, and
-        // its end offset where it or an earlier row's end was
         let rows = offsets.len() - 1;
-        let mut tx_to_old: Vec<Tid> = Vec::with_capacity(rows);
-        let (mut read, mut write) = (0, 0);
-        for tid in 0..rows {
-            let (start, end) = (write, offsets[tid + 1]);
-            for k in read..end {
-                let new = table[items[k] as usize];
-                if new != DROPPED {
-                    items[write] = new;
-                    write += 1;
-                }
+        let mut tx_to_old: Vec<Tid> = vec![0; rows];
+        let parts = row_ranges(&mut items, &mut offsets[1..], ranges);
+        let at: Vec<(usize, usize)> = parts.iter().map(|r| (r.first, r.base)).collect();
+        let tids = cut(&mut tx_to_old, parts.iter().map(|r| r.ends.len()));
+        let kept = run_parts(parts.into_iter().zip(tids).collect(), |(range, tids)| {
+            recode_rows(range, tids, &table)
+        });
+        // the first range's rows are in place; each later range's kept
+        // rows move down to follow them, their ends shifted to the pool
+        let (mut rows_kept, mut items_kept) = kept.first().copied().unwrap_or((0, 0));
+        for (&(first, base), &(n_rows, n_items)) in at.iter().zip(&kept).skip(1) {
+            items.copy_within(base..base + n_items, items_kept);
+            tx_to_old.copy_within(first..first + n_rows, rows_kept);
+            for k in 0..n_rows {
+                offsets[1 + rows_kept + k] = offsets[1 + first + k] + items_kept;
             }
-            read = end;
-            if write > start {
-                items[start..write].sort_unstable();
-                tx_to_old.push(tid as Tid);
-                offsets[tx_to_old.len()] = write;
-            }
+            rows_kept += n_rows;
+            items_kept += n_items;
         }
-        items.truncate(write);
-        offsets.truncate(tx_to_old.len() + 1);
+        items.truncate(items_kept);
+        offsets.truncate(rows_kept + 1);
+        tx_to_old.truncate(rows_kept);
         // the raw pool's end would otherwise stay resident through mining
         items.shrink_to_fit();
         offsets.shrink_to_fit();

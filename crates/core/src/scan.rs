@@ -6,13 +6,20 @@
 //! once, by whichever use comes next: [`into_database`] sorts them by raw
 //! code into a [`TransactionDatabase`], and
 //! [`RecodedDatabase::prepare_scanned`] maps the pool in place to the
-//! recoded codes and sorts each row in their order.
+//! recoded codes and sorts each row in their order. A file read in ranges
+//! gives one scan per range, which [`append`] joins in file order.
 //!
 //! [`into_database`]: ScannedDatabase::into_database
+//! [`append`]: ScannedDatabase::append
 //! [`RecodedDatabase::prepare_scanned`]: crate::RecodedDatabase::prepare_scanned
 
 use crate::{
-    catalog::ItemCatalog, database::TransactionDatabase, recode::Density, rows::ItemRows, Item,
+    catalog::ItemCatalog,
+    database::TransactionDatabase,
+    ranges::{range_count, row_ranges, run_parts},
+    recode::Density,
+    rows::ItemRows,
+    Item,
 };
 
 /// Marks an item no row holds yet in [`ScannedDatabase`]'s row marks.
@@ -126,6 +133,12 @@ impl ScannedDatabase {
         freq
     }
 
+    /// The bytes of the rows' pool, whose size sets the number of ranges
+    /// a recode of the rows takes.
+    pub(crate) fn pool_bytes(&self) -> u64 {
+        std::mem::size_of_val(&self.items[..]) as u64
+    }
+
     /// The shape and fill of the rows, every catalog item a column, as
     /// [`TransactionDatabase::density`] gives it for the same rows.
     pub fn density(&self) -> Density {
@@ -133,12 +146,54 @@ impl ScannedDatabase {
         Density::new(self.num_transactions(), self.catalog.len(), closed as u64)
     }
 
-    /// The closed rows as a [`TransactionDatabase`], each row sorted.
-    pub fn into_database(self) -> TransactionDatabase {
-        let (catalog, mut items, offsets, _) = self.into_parts();
-        for w in offsets.windows(2) {
-            items[w[0]..w[1]].sort_unstable();
+    /// Appends the closed rows of `later`, a scan of the lines that follow
+    /// this scan's, as one pass over both would have read them. `later`'s
+    /// names are interned in its code order, so every code stays in order
+    /// of first appearance; its rows are mapped to those codes as they are
+    /// appended; and its frequencies are added. Both open rows are dropped.
+    pub fn append(&mut self, later: ScannedDatabase) {
+        self.discard_row();
+        let (catalog, items, offsets, frequencies) = later.into_parts();
+        let codes: Vec<Item> = catalog
+            .iter()
+            .map(|(_, name)| self.catalog.intern(name))
+            .collect();
+        self.stats.resize(self.catalog.len(), (NO_ROW, 0));
+        for (&code, &frequency) in codes.iter().zip(&frequencies) {
+            self.stats[code as usize].1 += frequency;
         }
+        let base = self.items.len();
+        self.items.extend(items.iter().map(|&i| codes[i as usize]));
+        self.offsets
+            .extend(offsets[1..].iter().map(|&end| base + end));
+        // the open row's number jumps past the appended rows, and a mark
+        // could name a later row only if that jump wraps; clear them all,
+        // as `end_row` does when the number wraps
+        for (last_row, _) in &mut self.stats {
+            *last_row = NO_ROW;
+        }
+        self.open = (self.num_transactions() % NO_ROW as usize) as u32;
+    }
+
+    /// The closed rows as a [`TransactionDatabase`], each row sorted, the
+    /// rows of a large pool in ranges on scoped threads
+    /// ([`range_count`]).
+    pub fn into_database(self) -> TransactionDatabase {
+        let ranges = range_count(self.pool_bytes());
+        self.into_database_in_ranges(ranges)
+    }
+
+    /// [`into_database`](Self::into_database) with the rows cut into at
+    /// most `ranges` ranges; the database is the same for every count.
+    pub fn into_database_in_ranges(self, ranges: usize) -> TransactionDatabase {
+        let (catalog, mut items, mut offsets, _) = self.into_parts();
+        run_parts(row_ranges(&mut items, &mut offsets[1..], ranges), |range| {
+            let mut start = 0;
+            for &end in range.ends.iter() {
+                range.items[start..end - range.base].sort_unstable();
+                start = end - range.base;
+            }
+        });
         TransactionDatabase::from_parts(catalog, ItemRows::from_parts(items, offsets))
     }
 
@@ -201,6 +256,61 @@ mod tests {
         assert_eq!(s.item_frequencies(), [2, 2, 2]);
         let db = s.into_database();
         assert_eq!(db.transactions()[2], [1, 2]);
+    }
+
+    #[test]
+    fn appended_scans_read_as_one_pass() {
+        let rows: &[&[&str]] = &[&["c", "a"], &[], &["b", "a", "d"], &["d", "e", "c"], &["f"]];
+        let whole = scan(rows);
+        for split in 0..=rows.len() {
+            let mut joined = scan(&rows[..split]);
+            // an open row of either side is dropped
+            if !joined.catalog().is_empty() {
+                joined.push_item(0);
+            }
+            let mut later = scan(&rows[split..]);
+            let code = later.catalog_mut().intern("z");
+            later.push_item(code);
+            joined.append(later);
+            let names: Vec<&str> = joined.catalog().iter().map(|(_, n)| n).collect();
+            assert_eq!(names[..5], ["c", "a", "b", "d", "e"], "split at {split}");
+            assert_eq!(joined.num_transactions(), 5);
+            let mut freq = whole.item_frequencies();
+            freq.resize(joined.catalog().len(), 0);
+            assert_eq!(joined.item_frequencies(), freq);
+            assert_eq!(joined.density().ones, whole.density().ones);
+            // a row pushed after the join counts each item once
+            for name in ["a", "f", "a"] {
+                let code = joined.catalog_mut().intern(name);
+                joined.push_item(code);
+            }
+            joined.end_row();
+            let (db, want) = (joined.into_database(), whole.clone().into_database());
+            let got: Vec<&[Item]> = db.transactions().iter().take(5).collect();
+            assert_eq!(got, want.transactions().iter().collect::<Vec<_>>());
+            assert_eq!(db.transactions()[5], [1, 5]);
+        }
+    }
+
+    #[test]
+    fn rows_sort_alike_in_every_range_count() {
+        let rows: Vec<Vec<String>> = (0..40)
+            .map(|r| {
+                (0..r % 7)
+                    .map(|k| ((r * 5 + k * 3) % 11).to_string())
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<Vec<&str>> = rows
+            .iter()
+            .map(|r| r.iter().map(String::as_str).collect())
+            .collect();
+        let rows: Vec<&[&str]> = rows.iter().map(Vec::as_slice).collect();
+        let want = scan(&rows).into_database_in_ranges(1);
+        for k in [2, 3, 7, 100] {
+            let got = scan(&rows).into_database_in_ranges(k);
+            assert_eq!(got.transactions(), want.transactions(), "{k} ranges");
+        }
     }
 
     #[test]

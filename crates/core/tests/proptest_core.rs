@@ -1,14 +1,16 @@
 //! Property tests for the core substrate: item set algebra, closure and
-//! Galois laws, representation consistency, recoding invariants, and the
-//! one-pass decode and canonical ordering of mining results.
+//! Galois laws, representation consistency, recoding invariants, the
+//! one-pass decode and canonical ordering of mining results, and the item
+//! catalog against a hash map.
 
 use fim_core::{
-    closure, cover, galois, itemset, BitMatrix, FoundSet, Item, ItemOrder, ItemSet, MiningResult,
-    RecodedDatabase, SuffixCountMatrix, TidLists, TransactionDatabase, TransactionOrder,
+    closure, cover, galois, itemset, BitMatrix, FoundSet, Item, ItemCatalog, ItemOrder, ItemSet,
+    MiningResult, RecodedDatabase, SuffixCountMatrix, TidLists, TransactionDatabase,
+    TransactionOrder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn itemset_strategy(max_item: u32) -> impl Strategy<Value = ItemSet> {
     vec(0..max_item, 0..max_item as usize).prop_map(ItemSet::new)
@@ -252,4 +254,49 @@ fn into_canonical_orders_by_the_smallest_differing_item() {
     // complement; {0, 2} before {0, 5} and {1, 2} before {1, 5} fail a
     // mask with rank 0 in its least significant bit
     assert_eq!(raw, [[0, 2], [0, 5], [1, 2], [1, 5]]);
+}
+
+/// Pieces of item names: one byte, multi-byte characters, and longer
+/// runs, so that names of one byte, of several characters and of eight
+/// bytes and more are drawn.
+const NAME_PIECES: &[&str] = &[
+    "a", "b", "7", "0", "é", "日本", "\u{a0}", "gene-", "x1234567",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn catalog_codes_match_a_hash_map(
+        draws in vec(vec(0..NAME_PIECES.len(), 1..4usize), 0..400usize),
+        absent in vec(0..NAME_PIECES.len(), 5..6usize),
+    ) {
+        let mut catalog = ItemCatalog::new();
+        let mut oracle: HashMap<String, Item> = HashMap::new();
+        let mut order: Vec<String> = Vec::new();
+        for pieces in &draws {
+            let name: String = pieces.iter().map(|&p| NAME_PIECES[p]).collect();
+            let next = oracle.len() as Item;
+            let want = *oracle.entry(name.clone()).or_insert_with(|| {
+                order.push(name.clone());
+                next
+            });
+            prop_assert_eq!(catalog.intern(&name), want);
+        }
+        prop_assert_eq!(catalog.len(), oracle.len());
+        for (name, &code) in &oracle {
+            prop_assert_eq!(catalog.code(name), Some(code));
+            prop_assert_eq!(catalog.name(code), Some(name.as_str()));
+        }
+        let names: Vec<&str> = catalog.iter().map(|(_, n)| n).collect();
+        prop_assert_eq!(names, order.iter().map(String::as_str).collect::<Vec<_>>());
+        // a name of five pieces, which a draw of at most three rarely
+        // spells: absent, or found as the oracle finds it
+        let absent: String = absent.iter().map(|&p| NAME_PIECES[p]).collect();
+        prop_assert_eq!(catalog.code(&absent), oracle.get(&absent).copied());
+        let copy = catalog.clone();
+        catalog.intern("a name no draw spells");
+        prop_assert_eq!(copy.len(), oracle.len());
+        prop_assert_eq!(copy.code("a name no draw spells"), None);
+    }
 }

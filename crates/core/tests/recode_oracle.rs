@@ -3,7 +3,8 @@
 //! and order pair, both give the same rows in the same order, the same code
 //! and transaction mappings, the same supports and the same counts. The
 //! recode of a one-pass scan, whose rows arrive unsorted and with repeats
-//! dropped as they come, gives the same as well.
+//! dropped as they come, gives the same as well, in 1, 2, 3 and 7 row
+//! ranges, and so does the scan's own sort into a database.
 
 use fim_core::{
     cmp_size_then_desc_lex, Item, ItemOrder, ItemSet, RecodedDatabase, ScannedDatabase, Tid,
@@ -172,9 +173,27 @@ fn agree(db: &TransactionDatabase, minsupp: u32, exclude: &ItemSet) {
                 RecodedDatabase::prepare_scanned(scan.clone(), minsupp, io, to, exclude);
             assert_eq!(flat(&consumed), want, "scanned, {what}");
             assert_eq!(catalog.len(), db.num_items());
+            for ranges in RANGES {
+                let (consumed, _) = RecodedDatabase::prepare_scanned_in_ranges(
+                    scan.clone(),
+                    minsupp,
+                    io,
+                    to,
+                    exclude,
+                    ranges,
+                );
+                assert_eq!(flat(&consumed), want, "scanned in {ranges} ranges, {what}");
+            }
         }
     }
+    for ranges in RANGES {
+        let sorted = scan.clone().into_database_in_ranges(ranges);
+        assert_eq!(sorted.transactions(), db.transactions(), "{ranges} ranges");
+    }
 }
+
+/// The row range counts the scan's recode and sort are forced to.
+const RANGES: [usize; 4] = [1, 2, 3, 7];
 
 /// A database over `items` raw codes from drawn rows, with each row whose
 /// copy flag is set appended again at the end: empty rows, duplicate rows
@@ -226,4 +245,17 @@ fn degenerate_databases() {
     let db = TransactionDatabase::from_codes(vec![vec![0, 1], vec![1], vec![2]]);
     agree(&db, 1, &ItemSet::from([0, 1, 2]));
     agree(&db, 4, &ItemSet::empty());
+}
+
+#[test]
+fn ranges_whose_rows_are_all_dropped() {
+    // the first half of the rows holds items of one row each, which
+    // supp 2 drops; without items 1 and 2, the second half is dropped
+    let rows: Vec<Vec<Item>> = (0..12)
+        .map(|r| if r < 6 { vec![3 + r] } else { vec![1, 2] })
+        .collect();
+    let db = TransactionDatabase::from_codes(rows);
+    agree(&db, 2, &ItemSet::empty());
+    agree(&db, 1, &ItemSet::from([1, 2]));
+    agree(&db, 1, &ItemSet::empty());
 }

@@ -20,9 +20,16 @@
 //! are split as a `str`. [`scan_fimi`] interns each token as it ends and
 //! adds its code to a [`ScannedDatabase`] row, which [`read_fimi`] then
 //! sorts into a [`TransactionDatabase`].
+//!
+//! A large regular file is read in ranges of whole lines, each by the
+//! same loop on a scoped thread of its own, and the ranges' scans are
+//! joined in file order ([`scan_fimi_split`], DESIGN.md §27): the scan,
+//! or the first error and its line, is what one pass over the file gives.
 
 use crate::text::ItemLines;
+use fim_core::ranges::{range_count, run_parts};
 use fim_core::{FimError, Item, ItemCatalog, ScannedDatabase, TransactionDatabase};
+use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -85,15 +92,121 @@ pub fn scan_fimi_with_limits<R: Read>(
     reader: R,
     limits: &FimiLimits,
 ) -> Result<ScannedDatabase, FimError> {
+    scan_range(reader, limits).map(|(scan, _)| scan)
+}
+
+/// The scan of every reader: the scan of `reader`'s lines, and the
+/// number of lines read, comment and blank lines included.
+fn scan_range<R: Read>(
+    reader: R,
+    limits: &FimiLimits,
+) -> Result<(ScannedDatabase, usize), FimError> {
     let mut lines = Lines::new(BufReader::with_capacity(READ_BUF, reader), limits);
     let mut sink = ScanSink::default();
     while let Some(()) = lines.next_transaction(&mut sink, |_, sink| sink.scan.end_row())? {}
-    Ok(sink.scan)
+    Ok((sink.scan, lines.lineno))
 }
 
-/// Scans a FIMI file from disk with the default [`FimiLimits`].
+/// Scans a FIMI file from disk with the default [`FimiLimits`]; a large
+/// regular file is read in ranges on scoped threads, one per available
+/// CPU ([`range_count`]).
 pub fn scan_fimi_path<P: AsRef<Path>>(path: P) -> Result<ScannedDatabase, FimError> {
-    scan_fimi(std::fs::File::open(path)?)
+    scan_path(path.as_ref(), &FimiLimits::default())
+}
+
+/// The scan of every path: a regular file is cut evenly into
+/// [`range_count`] ranges for [`scan_fimi_split`], and any other file (a
+/// pipe, a terminal) or a single range is read by one loop, as
+/// [`scan_fimi_with_limits`] reads it.
+fn scan_path(path: &Path, limits: &FimiLimits) -> Result<ScannedDatabase, FimError> {
+    let file = File::open(path)?;
+    let meta = file.metadata()?;
+    let len = if meta.is_file() { meta.len() } else { 0 };
+    let ranges = range_count(len) as u64;
+    if ranges == 1 {
+        return scan_fimi_with_limits(file, limits);
+    }
+    let cuts: Vec<u64> = (1..ranges).map(|j| j * len / ranges).collect();
+    let open = |at: u64| -> std::io::Result<File> {
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(at))?;
+        Ok(file)
+    };
+    scan_fimi_split(open, &cuts, limits)
+}
+
+/// Scans FIMI text in ranges of whole lines, on scoped threads, and
+/// joins the ranges' scans in order ([`ScannedDatabase::append`]);
+/// `scan_fimi_path` calls it with even cuts of a large file. `open(at)`
+/// gives a reader of the text from byte `at` on, and each range reads
+/// from one of its own, on a thread of its own.
+///
+/// The ranges start at 0 and at each of `cuts` moved forward to the
+/// first line start at or after it. The line end before that start must
+/// lie within the window a line at the cap takes; a cut with no line end
+/// there, or one that lands at or before the previous range's start, is
+/// dropped, so that an over-long line keeps its own error. The last range
+/// reads to the end of the text.
+///
+/// The result is [`scan_fimi_with_limits`]'s on the whole text: the
+/// earliest range that fails decides the error, and a parse error's line
+/// counts every line of the ranges before it.
+pub fn scan_fimi_split<R: Read>(
+    open: impl Fn(u64) -> std::io::Result<R> + Sync,
+    cuts: &[u64],
+    limits: &FimiLimits,
+) -> Result<ScannedDatabase, FimError> {
+    let mut starts = vec![0];
+    for &cut in cuts {
+        if let Some(start) = line_start(&open, cut, limits)? {
+            if start > starts[starts.len() - 1] {
+                starts.push(start);
+            }
+        }
+    }
+    let ends = starts[1..].iter().copied().chain([u64::MAX]);
+    let ranges: Vec<(u64, u64)> = starts.iter().copied().zip(ends).collect();
+    let scans = run_parts(ranges, |(start, end)| {
+        scan_range(open(start)?.take(end - start), limits)
+    });
+    let (mut joined, mut lines) = (None::<ScannedDatabase>, 0);
+    for scan in scans {
+        match scan {
+            Ok((scan, n)) => {
+                lines += n;
+                match &mut joined {
+                    Some(joined) => joined.append(scan),
+                    None => joined = Some(scan),
+                }
+            }
+            Err(FimError::Parse { line, message }) => {
+                return Err(FimError::Parse {
+                    line: lines + line,
+                    message,
+                })
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(joined.unwrap_or_default())
+}
+
+/// The first line start at or after `cut`: `cut` itself when a `\n`
+/// precedes it, else just after the next `\n`, searched for in as many
+/// bytes as [`read_bounded_line`] reads of one line. `None` without a line
+/// end there.
+fn line_start<R: Read>(
+    open: impl Fn(u64) -> std::io::Result<R>,
+    cut: u64,
+    limits: &FimiLimits,
+) -> Result<Option<u64>, FimError> {
+    let Some(from) = cut.checked_sub(1) else {
+        return Ok(Some(0));
+    };
+    let window = limits.max_line_bytes.saturating_add(2) as u64;
+    let mut bytes = Vec::new();
+    BufReader::with_capacity(8 << 10, open(from)?.take(window)).read_until(b'\n', &mut bytes)?;
+    Ok((bytes.last() == Some(&b'\n')).then(|| from + bytes.len() as u64))
 }
 
 /// Read buffer of every reader.
@@ -557,9 +670,10 @@ impl Interner {
     }
 }
 
-/// Reads a FIMI file from disk with the default [`FimiLimits`].
+/// Reads a FIMI file from disk with the default [`FimiLimits`], a large
+/// regular file in ranges as [`scan_fimi_path`] reads it.
 pub fn read_fimi_path<P: AsRef<Path>>(path: P) -> Result<TransactionDatabase, FimError> {
-    read_fimi(std::fs::File::open(path)?)
+    read_fimi_path_with_limits(path, &FimiLimits::default())
 }
 
 /// Reads a FIMI file from disk, enforcing `limits`.
@@ -567,7 +681,7 @@ pub fn read_fimi_path_with_limits<P: AsRef<Path>>(
     path: P,
     limits: &FimiLimits,
 ) -> Result<TransactionDatabase, FimError> {
-    read_fimi_with_limits(std::fs::File::open(path)?, limits)
+    scan_path(path.as_ref(), limits).map(ScannedDatabase::into_database)
 }
 
 /// The item tokens of one FIMI transaction line, as [`FimiCursor`] yields

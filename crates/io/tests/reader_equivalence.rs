@@ -2,13 +2,19 @@
 //! kept here verbatim as the oracle: on every input both give the same
 //! catalog (names in code order) and transactions, or the same
 //! `FimError::Parse` line and message. The one-pass scan, recoded in its
-//! own pool, gives what recoding the oracle's database gives.
+//! own pool, gives what recoding the oracle's database gives. A scan in
+//! ranges, cut at every line start or evenly into 2, 3 and 7 ranges,
+//! gives what the one-range scan gives: the same catalog order, rows,
+//! frequencies and density, or the same error at the same line.
 
 use fim_core::{
     FimError, ItemOrder, ItemSet, RecodedDatabase, ScannedDatabase, TransactionDatabase,
     TransactionOrder,
 };
-use fim_io::{read_fimi_with_limits, scan_fimi_with_limits, FimiCursor, FimiLimits};
+use fim_io::{
+    read_fimi, read_fimi_path, read_fimi_with_limits, scan_fimi_split, scan_fimi_with_limits,
+    FimiCursor, FimiLimits,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read};
@@ -198,11 +204,74 @@ fn scan_recodes_alike(input: &[u8], limits: &FimiLimits, old: &TransactionDataba
     }
 }
 
+// ---------------------------------------------------------------- ranges
+
+/// The scan of `input` in the ranges that `cuts` start.
+fn split(input: &[u8], cuts: &[u64], limits: &FimiLimits) -> Result<ScannedDatabase, FimError> {
+    scan_fimi_split(
+        |at| Ok(&input[(at as usize).min(input.len())..]),
+        cuts,
+        limits,
+    )
+}
+
+/// Cuts at every line start, at most 64 to a plan, since each range runs
+/// on a thread of its own; and even cuts into 2, 3 and 7 ranges.
+fn plans(input: &[u8]) -> Vec<Vec<u64>> {
+    let len = input.len() as u64;
+    let line_starts: Vec<u64> = (1..=input.len())
+        .filter(|&at| input[at - 1] == b'\n')
+        .map(|at| at as u64)
+        .collect();
+    let mut plans: Vec<Vec<u64>> = line_starts.chunks(64).map(<[u64]>::to_vec).collect();
+    plans.extend([2, 3, 7].map(|k| (1..k).map(|j| j * len / k).collect()));
+    plans
+}
+
+/// The names in code order, the rows by raw code, the frequencies and
+/// the density of a scan.
+fn scanned(scan: &ScannedDatabase) -> (Vec<String>, Vec<Vec<u32>>, Vec<u32>, fim_core::Density) {
+    let db = scan.clone().into_database_in_ranges(1);
+    (
+        names(&db),
+        db.transactions().iter().map(<[u32]>::to_vec).collect(),
+        scan.item_frequencies(),
+        scan.density(),
+    )
+}
+
+/// `input` scanned under `cuts` against its one-range scan.
+fn split_alike(input: &[u8], cuts: &[u64], limits: &FimiLimits) {
+    match (
+        scan_fimi_with_limits(input, limits),
+        split(input, cuts, limits),
+    ) {
+        (Ok(one), Ok(ranged)) => {
+            assert_eq!(scanned(&ranged), scanned(&one), "{input:?} cut at {cuts:?}");
+        }
+        (
+            Err(FimError::Parse { line, message }),
+            Err(FimError::Parse {
+                line: got_line,
+                message: got,
+            }),
+        ) => assert_eq!(
+            (got_line, got),
+            (line, message),
+            "{input:?} cut at {cuts:?}"
+        ),
+        (one, ranged) => panic!("{input:?} cut at {cuts:?}: {ranged:?} against {one:?}"),
+    }
+}
+
 /// Reads `input` with both readers and with a cursor, and returns the new
 /// reader's database, or the parse error both agree on. An accepted input
 /// is also scanned and recoded, and a rejected one is rejected by the scan
-/// alike.
+/// alike; the scan of every range plan gives the one-range scan.
 fn both(input: &[u8], limits: &FimiLimits) -> Result<TransactionDatabase, (usize, String)> {
+    for cuts in plans(input) {
+        split_alike(input, &cuts, limits);
+    }
     let new = read_fimi_with_limits(input, limits);
     let old = oracle_read(input, limits);
     match (new, old) {
@@ -361,6 +430,127 @@ fn comment_with_control_character_is_skipped() {
 #[test]
 fn utf8_errors_come_before_comments() {
     assert_eq!(rejected(b"# \xff\n"), (1, "invalid UTF-8".into()));
+}
+
+#[test]
+fn a_range_may_open_after_a_comment_or_a_crlf_line() {
+    let input = b"a b\n# c d\nb e\r\n\r\ne f\n";
+    // after the comment line, after the CRLF line, after the blank CRLF
+    for cuts in [&[10][..], &[15], &[17], &[10, 15, 17]] {
+        split_alike(input, cuts, &FimiLimits::default());
+    }
+    let db = split(input, &[10, 15], &FimiLimits::default())
+        .unwrap()
+        .into_database();
+    assert_eq!(names(&db), ["a", "b", "e", "f"]);
+    assert_eq!(db.num_transactions(), 4);
+    assert!(db.transactions()[2].is_empty());
+}
+
+#[test]
+fn a_later_range_restarts_a_non_ascii_line_after_interning_its_names() {
+    // the second range opens with a line whose byte pass interns `b`,
+    // `c`, `a` and `d` before the NBSP sends it to the `str` split; `a`
+    // and `d` are the first range's names too
+    let input = "a d\nb c a d\u{a0}e c\nd f\n".as_bytes();
+    for cuts in [&[4][..], &[4, 16]] {
+        split_alike(input, cuts, &FimiLimits::default());
+    }
+    let db = split(input, &[4], &FimiLimits::default())
+        .unwrap()
+        .into_database();
+    assert_eq!(names(&db), ["a", "d", "b", "c", "e", "f"]);
+    assert_eq!(db.transactions()[1], [0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn the_earliest_failing_range_decides_the_error_and_its_line() {
+    let input = b"a\n\n# x\n3 -7\nb\n\xff\nc\n";
+    let want = (4, "negative item code `-7`".to_owned());
+    for cuts in [&[4][..], &[8], &[15], &[8, 15], &[2, 4, 8, 13, 15, 17]] {
+        split_alike(input, cuts, &FimiLimits::default());
+        match split(input, cuts, &FimiLimits::default()) {
+            Err(FimError::Parse { line, message }) => assert_eq!((line, message), want),
+            other => panic!("cut at {cuts:?}: {other:?}"),
+        }
+    }
+    // the later error alone, counted across the ranges before it
+    let input = b"a\n\n# x\nb\n\xff\nc\n";
+    match split(input, &[4, 10], &FimiLimits::default()) {
+        Err(FimError::Parse { line, message }) => {
+            assert_eq!((line, message.as_str()), (5, "invalid UTF-8"))
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn an_empty_last_range_and_a_missing_final_newline() {
+    let input = b"a b\nc\n";
+    split_alike(input, &[input.len() as u64], &FimiLimits::default());
+    split_alike(input, &[4, 6, 6, 99], &FimiLimits::default());
+    let input = b"a b\nc d";
+    for cuts in [&[4][..], &[5], &[input.len() as u64]] {
+        split_alike(input, cuts, &FimiLimits::default());
+    }
+    let db = split(input, &[4], &FimiLimits::default())
+        .unwrap()
+        .into_database();
+    assert_eq!(db.num_transactions(), 2);
+    assert_eq!(names(&db), ["a", "b", "c", "d"]);
+}
+
+#[test]
+fn a_cut_without_a_line_end_within_the_cap_is_dropped() {
+    let limits = FimiLimits {
+        max_line_bytes: 8,
+        ..FimiLimits::default()
+    };
+    // a line over the cap, cut in its middle: the search for its end
+    // stops at the window, so the line keeps its own error
+    let input = b"a\nbbbbbbbbbbbbbbbbbbbbbbbb\nc\n";
+    for cut in 1..input.len() as u64 {
+        split_alike(input, &[cut], &limits);
+    }
+    match split(input, &[10], &limits) {
+        Err(FimError::Parse { line, message }) => {
+            assert_eq!((line, message.as_str()), (2, "line exceeds 8 bytes"))
+        }
+        other => panic!("{other:?}"),
+    }
+    // lines at the cap, CRLF-ended: every line end lies within the window
+    let input = b"12345678\r\nabcdefgh\r\n1 2 3 4\r\n";
+    for cut in 1..input.len() as u64 {
+        split_alike(input, &[cut], &limits);
+    }
+}
+
+/// A file of at least 8 MiB, which `read_fimi_path` reads in as many
+/// ranges as there are CPUs, up to 2, reads as the one-range reader
+/// reads its bytes.
+#[test]
+fn a_large_file_reads_alike_by_path() {
+    let mut text = String::new();
+    let mut k = 0u64;
+    while text.len() < 8 << 20 {
+        k += 1;
+        let row: Vec<String> = (0..k % 11)
+            .map(|j| ((k * 7919 + j * 104_729) % 3_001).to_string())
+            .collect();
+        text.push_str(&row.join(" "));
+        text.push_str(if k.is_multiple_of(5) { "\r\n" } else { "\n" });
+        if k.is_multiple_of(1_000) {
+            text.push_str("# comment\nname-é x\n");
+        }
+    }
+    let path = std::env::temp_dir().join(format!("fim_ranges_{}.fimi", std::process::id()));
+    std::fs::write(&path, &text).unwrap();
+    let by_path = read_fimi_path(&path);
+    std::fs::remove_file(&path).ok();
+    let (by_path, one) = (by_path.unwrap(), read_fimi(text.as_bytes()).unwrap());
+    assert_eq!(names(&by_path), names(&one));
+    assert_eq!(by_path.transactions(), one.transactions());
+    assert_eq!(by_path.item_frequencies(), one.item_frequencies());
 }
 
 // ---------------------------------------------------------------- random inputs
